@@ -29,6 +29,7 @@ from .query import (
     FunctionCall,
     QueryPattern,
     Term,
+    TriplePattern,
     expression_has_opaque,
     render_query,
 )
@@ -192,7 +193,7 @@ class TraversalTrace:
 
     query: str
     order: tuple[int, ...]
-    accessed: tuple[tuple[str, int, float], ...]  # (iri, group id, timestamp)
+    accessed: tuple[tuple[str, int, float], ...]  # (iri, group id, seconds since start)
     misses: tuple[str, ...]
     group_access_total: int
 
@@ -232,10 +233,14 @@ class BindingTable:
 
 
 class _GraphIndex:
-    """Union of fetched graphs with a by-predicate index."""
+    """Union of fetched graphs, indexed by predicate and by (predicate,
+    subject) and (predicate, object).  Every list keeps insertion order, so
+    a narrower list is an ordered sublist of the predicate's list."""
 
     def __init__(self):
         self.by_predicate: dict[str, list[Triple]] = {}
+        self.by_subject: dict[tuple[str, Term], list[Triple]] = {}
+        self.by_object: dict[tuple[str, Term], list[Triple]] = {}
         self.all: list[Triple] = []
         self._seen: set[Triple] = set()
 
@@ -245,12 +250,25 @@ class _GraphIndex:
                 continue
             self._seen.add(triple)
             self.all.append(triple)
-            self.by_predicate.setdefault(triple[1].value, []).append(triple)
+            s, p, o = triple
+            self.by_predicate.setdefault(p.value, []).append(triple)
+            self.by_subject.setdefault((p.value, s), []).append(triple)
+            self.by_object.setdefault((p.value, o), []).append(triple)
 
-    def candidates(self, predicate: Term) -> list[Triple]:
-        if predicate.is_iri:
-            return self.by_predicate.get(predicate.value, [])
-        return self.all
+    def candidates(self, pattern: TriplePattern, binding: dict[str, Term]) -> list[Triple]:
+        """Triples that may match the pattern under the binding: those
+        sharing its bound subject, else its bound object, else its
+        predicate.  A variable predicate scans everything."""
+        predicate = pattern.predicate
+        if not predicate.is_iri:
+            return self.all
+        subject = _bound_value(pattern.subject, binding)
+        if subject is not None:
+            return self.by_subject.get((predicate.value, subject), [])
+        obj = _bound_value(pattern.object, binding)
+        if obj is not None:
+            return self.by_object.get((predicate.value, obj), [])
+        return self.by_predicate.get(predicate.value, [])
 
 
 def _binding_key(term: Term) -> str | None:
@@ -259,6 +277,12 @@ def _binding_key(term: Term) -> str | None:
     if term.is_blank:
         return "_:" + term.value
     return None
+
+
+def _bound_value(term: Term, binding: dict[str, Term]) -> Term | None:
+    """The ground term a pattern position must equal, or None if it is free."""
+    key = _binding_key(term)
+    return term if key is None else binding.get(key)
 
 
 def _match_term(pattern: Term, ground: Term, binding: dict[str, Term]) -> dict[str, Term] | None:
@@ -275,9 +299,8 @@ def _match_term(pattern: Term, ground: Term, binding: dict[str, Term]) -> dict[s
 
 def _join_triple(solutions, triple, index: _GraphIndex):
     out = []
-    candidates = index.candidates(triple.predicate)
     for sol in solutions:
-        for s, p, o in candidates:
+        for s, p, o in index.candidates(triple, sol):
             b1 = _match_term(triple.subject, s, sol)
             if b1 is None:
                 continue
@@ -297,8 +320,10 @@ def execute(q: QueryPattern, store: DerefStore) -> tuple[BindingTable, Traversal
     their anchor IRIs, variable groups dereference each distinct IRI
     binding of their variable once (non-IRI bindings are skipped).  Triples
     match against the union of everything fetched so far; filters apply at
-    their textual position.  The trace counts each IRI once query-wide.
+    their textual position.  The trace counts each IRI once query-wide;
+    its timestamps are seconds since the call began, on a monotonic clock.
     """
+    started = time.monotonic()
     report = check_answerability(q)
     if not report.answerable:
         raise NotAnswerable(
@@ -336,7 +361,7 @@ def execute(q: QueryPattern, store: DerefStore) -> tuple[BindingTable, Traversal
                 continue
             seen.add(iri)
             graph = dereference(store, iri)
-            accessed.append((iri, gid, time.time()))
+            accessed.append((iri, gid, time.monotonic() - started))
             if graph is None:
                 misses.append(iri)
             else:
@@ -351,7 +376,7 @@ def execute(q: QueryPattern, store: DerefStore) -> tuple[BindingTable, Traversal
 
     columns = tuple(q.select_vars) if q.select_vars is not None else tuple(q.variables_in_order())
     rows = {
-        tuple(sol.get(c, Term.literal("")) for c in columns)
+        tuple(sol[c] for c in columns)
         for sol in solutions
         if all(c in sol for c in columns)
     }

@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 import helpers
+from ldcost import traversal
 from ldcost.analysis import NotAnswerable
 from ldcost.estimator import EstimatorConfig, Method, estimate
 from ldcost.query import parse_query
@@ -225,6 +227,18 @@ class TestExecuteSemantics:
         assert [(i, g) for i, g, _ in tr1.accessed] == [(i, g) for i, g, _ in tr2.accessed]
         assert t1.rows == t2.rows
 
+    def test_trace_timestamps_are_monotonic_offsets(self, tmp_path):
+        manifest, query, _, _ = helpers.build_chain_store(tmp_path, [3, 3, 2])
+        q, store = parse_query(query), load_store(manifest)
+        before = time.monotonic()
+        _, trace = execute(q, store)
+        elapsed = time.monotonic() - before
+        stamps = [ts for _, _, ts in trace.accessed]
+        assert len(stamps) == 13
+        assert 0.0 <= stamps[0]
+        assert stamps == sorted(stamps)
+        assert stamps[-1] <= elapsed  # offsets from the call's start
+
     def test_group_discipline_first_access_owns_the_iri(self, tmp_path):
         # the same IRI appears as a constant anchor and as a binding; it is
         # fetched once and attributed to the first group
@@ -273,6 +287,136 @@ def _self_loop_execution(tmp_path):
     manifest = helpers.write_manifest(tmp_path, {EX + "loop": "docs/loop.nt"})
     q = parse_query(f"SELECT * WHERE {{ <{EX}loop> <{EX}p> ?x . ?x <{EX}p> ?y }}")
     return execute(q, load_store(manifest))
+
+
+def _nested_loop_join(solutions, triple, index):
+    """The join before the subject/object index: every solution against
+    every fetched triple with the pattern's predicate (all triples for a
+    non-IRI predicate).  Kept here as the oracle for the indexed join."""
+    if triple.predicate.is_iri:
+        candidates = index.by_predicate.get(triple.predicate.value, [])
+    else:
+        candidates = index.all
+    out = []
+    for sol in solutions:
+        for s, p, o in candidates:
+            b1 = traversal._match_term(triple.subject, s, sol)
+            if b1 is None:
+                continue
+            b2 = traversal._match_term(triple.predicate, p, b1)
+            if b2 is None:
+                continue
+            b3 = traversal._match_term(triple.object, o, b2)
+            if b3 is not None:
+                out.append(b3)
+    return out
+
+
+def _assert_same_as_nested_loop(monkeypatch, query, manifest):
+    q = parse_query(query)
+    table, trace = execute(q, load_store(manifest))
+    with monkeypatch.context() as patched:
+        patched.setattr(traversal, "_join_triple", _nested_loop_join)
+        want_table, want_trace = execute(q, load_store(manifest))
+    assert table.columns == want_table.columns
+    assert table.rows == want_table.rows
+    assert trace.order == want_trace.order
+    assert [(i, g) for i, g, _ in trace.accessed] == [(i, g) for i, g, _ in want_trace.accessed]
+    assert trace.misses == want_trace.misses
+    assert trace.group_access_total == want_trace.group_access_total
+    return table, trace
+
+
+_JOIN_DOCS = {
+    "seed": (
+        "<{EX}seed> <{EX}p> <{EX}a> .\n<{EX}seed> <{EX}p> <{EX}b> .\n"
+        "<{EX}seed> <{EX}p> <{EX}c> .\n<{EX}seed> <{EX}p> <{EX}gone> .\n"
+        "<{EX}seed> <{EX}r> <{EX}a> .\n"
+    ),
+    "a": (
+        '<{EX}a> <{EX}name> "A" .\n<{EX}a> <{EX}year> "1990" .\n'
+        "<{EX}a> <{EX}loop> <{EX}a> .\n<{EX}a> <{EX}link> <{EX}b> .\n"
+        '<{EX}a> <{EX}q> "v1" .\n<{EX}a> <{EX}r> "v1" .\n'
+    ),
+    # repeats a's name triple: the union holds it once
+    "b": (
+        '<{EX}b> <{EX}name> "B" .\n<{EX}b> <{EX}year> "1990" .\n'
+        "<{EX}b> <{EX}loop> <{EX}c> .\n"
+        '<{EX}b> <{EX}q> "v2" .\n<{EX}b> <{EX}r> "v3" .\n'
+        '<{EX}a> <{EX}name> "A" .\n'
+    ),
+    "c": (
+        '<{EX}c> <{EX}year> "1950" .\n<{EX}c> <{EX}loop> <{EX}c> .\n'
+        "<{EX}c> <{EX}link> <{EX}b> .\n<{EX}c> <{EX}q> _:n .\n<{EX}c> <{EX}r> _:n .\n"
+    ),
+}
+
+
+def _join_store(root):
+    docs = root / "docs"
+    docs.mkdir()
+    entries = {}
+    for name, text in _JOIN_DOCS.items():
+        (docs / f"{name}.nt").write_text(text.format(EX=EX))
+        entries[EX + name] = f"docs/{name}.nt"
+    return helpers.write_manifest(root, entries)
+
+
+class TestIndexedJoin:
+    @pytest.mark.parametrize(
+        "body, rows",
+        [
+            # variable predicate: scans every fetched triple
+            ("<{EX}seed> ?p ?o . ?o <{EX}name> ?n", 3),
+            # one variable in both positions
+            ("<{EX}seed> <{EX}p> ?x . ?x <{EX}loop> ?x", 2),
+            # a query blank node joins like a variable
+            ("<{EX}seed> <{EX}p> ?x . ?x <{EX}q> _:b . ?x <{EX}r> _:b", 2),
+            # constant literal object
+            ('<{EX}seed> <{EX}p> ?x . ?x <{EX}year> "1990"', 2),
+            # subject and object both bound
+            ("<{EX}seed> <{EX}p> ?x . <{EX}seed> <{EX}p> ?y . ?x <{EX}loop> ?y", 3),
+            # object bound, subject free
+            ("<{EX}seed> <{EX}p> ?x . ?y <{EX}link> ?x", 2),
+            # a's name triple is served by two documents
+            ("<{EX}seed> <{EX}p> ?x . ?x <{EX}name> ?n", 2),
+        ],
+    )
+    def test_execute_matches_nested_loop(self, tmp_path, monkeypatch, body, rows):
+        query = "SELECT * WHERE { " + body.format(EX=EX) + " }"
+        table, _ = _assert_same_as_nested_loop(monkeypatch, query, _join_store(tmp_path))
+        assert len(table) == rows
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "?s ?p <{EX}b> . ?s <{EX}name> ?n",
+            "?x <{EX}loop> ?x",
+            '?x <{EX}year> "1990" . ?x <{EX}name> ?n',
+            "<{EX}seed> <{EX}p> ?x . ?x <{EX}q> _:b . ?y <{EX}r> _:b",
+            "?x <{EX}loop> ?y . ?y <{EX}link> ?x",
+            "<{EX}a> <{EX}name> ?n",
+        ],
+    )
+    def test_join_solutions_keep_order_and_multiplicity(self, tmp_path, body):
+        # any pattern, answerable or not, over the union of every document
+        store = load_store(_join_store(tmp_path))
+        index = traversal._GraphIndex()
+        for name in _JOIN_DOCS:
+            index.add_graph(dereference(store, EX + name))
+        q = parse_query("SELECT * WHERE { " + body.format(EX=EX) + " }")
+        solutions = want = [{}]
+        for triple in q.triples:
+            solutions = traversal._join_triple(solutions, triple, index)
+            want = _nested_loop_join(want, triple, index)
+            assert solutions == want
+        assert solutions
+
+    def test_chain_at_scale_matches_nested_loop(self, tmp_path, monkeypatch):
+        manifest, query, _, expected = helpers.build_chain_store(tmp_path, [40, 40, 5])
+        table, trace = _assert_same_as_nested_loop(monkeypatch, query, manifest)
+        assert len(table) == 8000
+        assert real_cost(trace) == expected == 1641
 
 
 class TestHttpMode:
