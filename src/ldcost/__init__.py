@@ -1,13 +1,14 @@
 """Toolkit for estimating and measuring the dereference cost of
 link-traversal execution of SPARQL basic graph patterns.
 
-The pipeline: parse a query (:mod:`ldcost.query`), check it is
-answerable by traversal and group its triples into dereference passes
-(:mod:`ldcost.analysis`), estimate its cost from predicate statistics
-(:mod:`ldcost.stats`, :mod:`ldcost.estimator`), measure the real cost by
-simulated execution (:mod:`ldcost.traversal`), and score estimators
-against ground truth (:mod:`ldcost.evaluation`).  :mod:`ldcost.cli`
-exposes every stage as a command.
+The pipeline: parse a query (:mod:`ldcost.query`), plan it once -- check
+it is answerable by traversal and group its triples into dereference
+passes (:mod:`ldcost.analysis`) -- estimate its cost from predicate
+statistics (:mod:`ldcost.stats`, :mod:`ldcost.estimator`), measure the
+real cost by simulated execution (:mod:`ldcost.traversal`), score
+estimators against ground truth (:mod:`ldcost.evaluation`), and route a
+query to traversal or an endpoint (:mod:`ldcost.routing`).
+:mod:`ldcost.cli` exposes every stage as a command.
 """
 
 from .analysis import (
@@ -15,14 +16,15 @@ from .analysis import (
     NotAnswerable,
     NrvInfo,
     ResolutionGroup,
+    TraversalPlan,
     build_resolution_groups,
     check_answerability,
     detect_star_joins,
     filter_affected_nrvs,
     find_nrvs,
+    plan_query,
     render_service_form,
 )
-from .cli import RouteDecision, decide_strategy
 from .errors import FormatError, InputError, LdcostError, RemoteError
 from .estimator import (
     CostEstimate,
@@ -50,6 +52,7 @@ from .query import (
     parse_query,
     render_query,
 )
+from .routing import RouteDecision, ask_probe, decide_strategy
 from .stats import (
     GlobalStats,
     PredicateStats,

@@ -10,6 +10,10 @@ Answers four questions about a basic graph pattern:
   positioned FILTER clauses);
 * how the ordered triples partition into resolution groups, each served by
   one dereferencing pass.
+
+``plan_query`` answers all four at once and freezes the result in a
+``TraversalPlan``; the estimator, the simulator, evaluation and routing read
+that plan instead of replaying the traversal order themselves.
 """
 
 from __future__ import annotations
@@ -180,13 +184,66 @@ def traversal_steps(q: QueryPattern, order: tuple[int, ...]) -> list[TripleStep]
     return steps
 
 
-def _consumers_by_variable(q: QueryPattern, steps: list[TripleStep]) -> dict[str, list[int]]:
+@dataclass(frozen=True)
+class TraversalPlan:
+    """Everything the cost model and the simulator need to know about one
+    query under one traversal order, derived from a single replay of it.
+
+    ``stars`` maps each NRV to the triples that earn it star credit;
+    ``filter_targets`` maps each FILTER to the variables whose counts it
+    narrows; ``ending_filters[g]`` holds the filters that close group ``g``.
+    """
+
+    query: QueryPattern
+    order: tuple[int, ...]
+    steps: tuple[TripleStep, ...]
+    step_by_index: dict[int, TripleStep]
+    groups: tuple[ResolutionGroup, ...]
+    consumers: dict[str, tuple[int, ...]]
+    stars: dict[str, frozenset[int]]
+    filter_targets: dict[FilterClause, frozenset[str]]
+    ending_filters: tuple[tuple[FilterClause, ...], ...]
+
+
+def plan_query(q: QueryPattern, order: tuple[int, ...] | None = None) -> TraversalPlan:
+    """Analyse ``q`` once under ``order`` (by default the answerability order).
+
+    Raises NotAnswerable when no order is given and the pattern has none,
+    and InvalidOrder when the given order cannot be replayed.
+    """
+    if order is None:
+        report = check_answerability(q)
+        if not report.answerable:
+            raise NotAnswerable(
+                f"triples {sorted(report.failure_witness or ())} can never be anchored"
+            )
+        order = report.order
+    steps = traversal_steps(q, order)
+    consumers = _consumers_by_variable(steps)
+    groups = _resolution_groups(q, steps)
+    return TraversalPlan(
+        query=q,
+        order=tuple(order),
+        steps=tuple(steps),
+        step_by_index={s.index: s for s in steps},
+        groups=tuple(groups),
+        consumers=consumers,
+        stars={v: frozenset(t) for v, t in _star_triples(q, steps, consumers).items()},
+        filter_targets=_filter_targets(q, order, consumers),
+        ending_filters=tuple(
+            tuple(q.filters_after(g.triple_indices[-1])) if g.ended_by_filter else ()
+            for g in groups
+        ),
+    )
+
+
+def _consumers_by_variable(steps: list[TripleStep]) -> dict[str, tuple[int, ...]]:
     """For each variable: the later triples it anchors that bind something new."""
     consumers: dict[str, list[int]] = {}
     for step in steps:
         if step.anchor_kind == "variable" and step.fresh:
             consumers.setdefault(step.anchor_term.value, []).append(step.index)
-    return consumers
+    return {v: tuple(c) for v, c in consumers.items()}
 
 
 def find_nrvs(q: QueryPattern, order: tuple[int, ...]) -> list[NrvInfo]:
@@ -196,26 +253,19 @@ def find_nrvs(q: QueryPattern, order: tuple[int, ...]) -> list[NrvInfo]:
     and still has an unbound variable of its own, i.e. its bindings must be
     dereferenced to bind something else.
     """
-    steps = traversal_steps(q, order)
-    consumers = _consumers_by_variable(q, steps)
-    stars = detect_star_joins(q, order)
-
-    base: list[NrvInfo] = []
-    for step in steps:
-        for name in sorted(step.fresh):
-            if name.startswith("_:") or name not in consumers:
-                continue
-            base.append(NrvInfo(name, step.index, tuple(consumers[name])))
-    affected = filter_affected_nrvs(q, order, base)
+    plan = plan_query(q, order)
+    affected = {v for targets in plan.filter_targets.values() for v in targets}
     return [
         NrvInfo(
-            variable=info.variable,
-            binding_triple=info.binding_triple,
-            consumer_triples=info.consumer_triples,
-            star_triples=tuple(sorted(stars.get(info.variable, ()))),
-            filter_affected=info.variable in affected,
+            variable=name,
+            binding_triple=step.index,
+            consumer_triples=plan.consumers[name],
+            star_triples=tuple(sorted(plan.stars.get(name, ()))),
+            filter_affected=name in affected,
         )
-        for info in base
+        for step in plan.steps
+        for name in sorted(step.fresh)
+        if not name.startswith("_:") and name in plan.consumers
     ]
 
 
@@ -231,13 +281,18 @@ def detect_star_joins(q: QueryPattern, order: tuple[int, ...]) -> dict[str, set[
     and earn no credit here.
     """
     steps = traversal_steps(q, order)
-    consumers = _consumers_by_variable(q, steps)
+    return _star_triples(q, steps, _consumers_by_variable(steps))
+
+
+def _star_triples(
+    q: QueryPattern, steps: list[TripleStep], consumers: dict[str, tuple[int, ...]]
+) -> dict[str, set[int]]:
     binding_pos: dict[str, int] = {}
     for step in steps:
         for name in step.fresh:
             binding_pos[name] = step.position
 
-    first, last = order[0], order[-1]
+    first, last = steps[0].index, steps[-1].index
     out: dict[str, set[int]] = {}
     for step in steps:
         idx = step.index
@@ -271,22 +326,29 @@ def filter_affected_nrvs(
     is attached to; it only matters if a consumer of v comes after the
     filter's position in traversal order.
     """
-    position = {idx: pos for pos, idx in enumerate(order)}
-    affected: set[str] = set()
+    consumers: dict[str, tuple[int, ...]] = {}
     for nrv in nrvs:
-        for clause in q.filters:
-            if _filter_touches(q, clause, nrv.variable):
-                fpos = position[clause.after_triple]
-                if any(position[c] > fpos for c in nrv.consumer_triples):
-                    affected.add(nrv.variable)
-                    break
-    return affected
+        consumers[nrv.variable] = consumers.get(nrv.variable, ()) + nrv.consumer_triples
+    return {v for targets in _filter_targets(q, order, consumers).values() for v in targets}
 
 
-def _filter_touches(q: QueryPattern, clause: FilterClause, variable: str) -> bool:
-    if variable in clause.variables:
-        return True
-    return variable in q.triples[clause.after_triple].variables()
+def _filter_targets(
+    q: QueryPattern, order: tuple[int, ...], consumers: dict[str, tuple[int, ...]]
+) -> dict[FilterClause, frozenset[str]]:
+    """Per filter: the variables it touches (in its expression or its
+    attached triple) that some triple after it dereferences.  Filters with
+    no such variable are left out."""
+    position = {idx: pos for pos, idx in enumerate(order)}
+    targets: dict[FilterClause, frozenset[str]] = {}
+    for clause in q.filters:
+        fpos = position[clause.after_triple]
+        touched = clause.variables | q.triples[clause.after_triple].variables()
+        affected = frozenset(
+            v for v in touched if any(position[c] > fpos for c in consumers.get(v, ()))
+        )
+        if affected:
+            targets[clause] = affected
+    return targets
 
 
 def build_resolution_groups(
@@ -298,7 +360,10 @@ def build_resolution_groups(
     consecutive triples anchored by the same variable; a FILTER attached to
     a triple closes the pass it falls in.
     """
-    steps = traversal_steps(q, order)
+    return _resolution_groups(q, traversal_steps(q, order))
+
+
+def _resolution_groups(q: QueryPattern, steps: list[TripleStep]) -> list[ResolutionGroup]:
     groups: list[ResolutionGroup] = []
     run: list[int] = []
     run_variable: str | None = None
@@ -338,11 +403,9 @@ def render_service_form(q: QueryPattern, order: tuple[int, ...]) -> str:
     cannot be replayed.
     """
     try:
-        steps = traversal_steps(q, order)
+        plan = plan_query(q, order)
     except InvalidOrder as exc:
         raise NotAnswerable(str(exc)) from exc
-    groups = build_resolution_groups(q, order)
-    step_by_index = {s.index: s for s in steps}
     prefixes = dict(q.prefixes)
 
     lines = [f"PREFIX {p}: <{iri}>" for p, iri in q.prefixes]
@@ -362,12 +425,12 @@ def render_service_form(q: QueryPattern, order: tuple[int, ...]) -> str:
                 lines.append(f"    FILTER {render_expression(f.expression, prefixes)}")
         lines.append("  }")
 
-    for group in groups:
+    for group in plan.groups:
         if group.is_constant:
             run: list[int] = []
             run_anchor: Term | None = None
             for idx in group.triple_indices:
-                anchor = step_by_index[idx].anchor_term
+                anchor = plan.step_by_index[idx].anchor_term
                 if run and anchor != run_anchor:
                     emit_block(run_anchor, run)
                     run = []

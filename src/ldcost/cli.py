@@ -1,4 +1,4 @@
-"""Command-line interface and the query-routing decision.
+"""Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 malformed input, 3 not answerable
 (``answerable``, and ``route --strict``), 4 remote failure.
@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import analysis, evaluation, rdfio, stats, traversal
 from .analysis import check_answerability
@@ -23,6 +22,7 @@ from .estimator import (
     estimate_all,
 )
 from .query import QueryPattern, parse_query
+from .routing import ask_probe, decide_strategy
 from .stats import StatsCatalog
 
 EXIT_OK = 0
@@ -30,77 +30,6 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_UNANSWERABLE = 3
 EXIT_REMOTE = 4
-
-
-@dataclass(frozen=True)
-class RouteDecision:
-    """Outcome of choosing between traversal and an endpoint for one query."""
-
-    strategy: str  # "link-traversal" | "endpoint"
-    rationale: str  # answerable-low-cost | endpoint-available | endpoint-down-fallback | not-answerable
-    estimated_cost: int | None
-    threshold: int
-    probe_error: str | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "rationale": self.rationale,
-            "estimated_cost": self.estimated_cost,
-            "threshold": self.threshold,
-            "probe_error": self.probe_error,
-        }
-
-
-def decide_strategy(
-    q: QueryPattern,
-    catalog: StatsCatalog,
-    config: EstimatorConfig,
-    threshold: int,
-    endpoint_probe,
-) -> RouteDecision:
-    """Route a query: traversal when cheap or when the endpoint is down.
-
-    The probe runs only when the estimate exceeds the threshold; a probe
-    exception counts as "endpoint down" (better a slow answer than none)
-    and is recorded on the decision.
-    """
-    if threshold < 1:
-        raise InputError(f"threshold must be >= 1, got {threshold}")
-    report = check_answerability(q)
-    if not report.answerable:
-        return RouteDecision("endpoint", "not-answerable", None, threshold)
-    cost = estimate(q, catalog, config).ceiled_total
-    if cost <= threshold:
-        return RouteDecision("link-traversal", "answerable-low-cost", cost, threshold)
-    probe_error = None
-    try:
-        endpoint_up = bool(endpoint_probe())
-    except Exception as exc:  # any probe failure means "assume down"
-        endpoint_up = False
-        probe_error = str(exc)
-    if endpoint_up:
-        return RouteDecision("endpoint", "endpoint-available", cost, threshold)
-    return RouteDecision(
-        "link-traversal", "endpoint-down-fallback", cost, threshold, probe_error
-    )
-
-
-def ask_probe(endpoint_url: str, timeout: float = 2.0):
-    """A probe callable that runs ``ASK {}`` against the endpoint."""
-
-    def probe() -> bool:
-        import requests
-
-        resp = requests.get(
-            endpoint_url,
-            params={"query": "ASK {}"},
-            headers={"Accept": "application/sparql-results+json"},
-            timeout=timeout,
-        )
-        return resp.status_code == 200
-
-    return probe
 
 
 # --- command implementations -----------------------------------------------------

@@ -21,16 +21,9 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .analysis import (
-    NotAnswerable,
-    ResolutionGroup,
-    build_resolution_groups,
-    check_answerability,
-    detect_star_joins,
-    traversal_steps,
-)
+from .analysis import ResolutionGroup, TraversalPlan, plan_query
 from .errors import InputError
-from .query import RDF_TYPE, FilterClause, QueryPattern
+from .query import RDF_TYPE, QueryPattern
 from .stats import StatsCatalog
 
 DEFAULT_JOIN_FACTOR = 0.9
@@ -113,35 +106,25 @@ def _checked(value: float, predicate: str) -> float:
     return value
 
 
-def estimate(q: QueryPattern, catalog: StatsCatalog, config: EstimatorConfig) -> CostEstimate:
+def estimate(
+    q: QueryPattern | TraversalPlan, catalog: StatsCatalog, config: EstimatorConfig
+) -> CostEstimate:
     """Estimated number of remote dereferences to evaluate ``q``.
 
-    Raises NotAnswerable when the pattern has no traversal-evaluable order.
+    ``q`` is a query or a plan of one (``plan_query``); a query is planned
+    here.  Raises NotAnswerable when the pattern has no
+    traversal-evaluable order.
     """
-    report = check_answerability(q)
-    if not report.answerable:
-        raise NotAnswerable(
-            f"triples {sorted(report.failure_witness or ())} can never be anchored"
-        )
-    order = report.order
-    steps = {s.index: s for s in traversal_steps(q, order)}
-    groups = build_resolution_groups(q, order)
-    stars = detect_star_joins(q, order) if config.method in (
-        Method.PREDICATE_JOINS,
-        Method.PREDICATE_JOINS_FILTERS,
-    ) else {}
-    filter_targets = (
-        _filter_reduction_targets(q, order)
-        if config.method is Method.PREDICATE_JOINS_FILTERS
-        else {}
-    )
+    plan = q if isinstance(q, TraversalPlan) else plan_query(q)
+    q = plan.query
+    with_filters = config.method is Method.PREDICATE_JOINS_FILTERS
 
     counts: dict[str, float] = {}
     dereferenced: set[str] = set()
     group_costs: list[GroupCost] = []
     total = 0.0
 
-    for gid, group in enumerate(groups):
+    for gid, group in enumerate(plan.groups):
         accesses = 0.0
         if not group.is_constant:
             accesses += counts.get(group.variable, 0.0)
@@ -156,21 +139,17 @@ def estimate(q: QueryPattern, catalog: StatsCatalog, config: EstimatorConfig) ->
         # discounts land at group end, before counts derived inside the
         # group are computed, so those counts inherit them ...
         bound_before = set(counts)
-        _apply_star_reductions(group, config, stars, counts)
-        ending_filters = (
-            q.filters_after(group.triple_indices[-1])
-            if config.method is Method.PREDICATE_JOINS_FILTERS and group.ended_by_filter
-            else []
-        )
+        _apply_star_reductions(group, config, plan.stars, counts)
+        ending_filters = plan.ending_filters[gid] if with_filters else ()
         for clause in ending_filters:
-            for v in filter_targets.get(clause, ()):
+            for v in plan.filter_targets.get(clause, ()):
                 if v in counts:
                     counts[v] *= config.filter_factor
-        _bind_fresh_variables(q, group, steps, counts, catalog, config.method)
+        _bind_fresh_variables(q, group, plan.step_by_index, counts, catalog, config.method)
         # ... except filter discounts on variables first bound in this very
         # group, which only exist after binding
         for clause in ending_filters:
-            for v in filter_targets.get(clause, ()):
+            for v in plan.filter_targets.get(clause, ()):
                 if v in counts and v not in bound_before:
                     counts[v] *= config.filter_factor
 
@@ -188,42 +167,10 @@ def estimate(q: QueryPattern, catalog: StatsCatalog, config: EstimatorConfig) ->
     )
 
 
-def _filter_reduction_targets(
-    q: QueryPattern, order: tuple[int, ...]
-) -> dict[FilterClause, set[str]]:
-    """Per filter: variables whose counts it discounts.
-
-    A filter discounts v when v occurs in its expression or its attached
-    triple, and some later triple dereferences v's bindings to bind
-    something new.
-    """
-    position = {idx: pos for pos, idx in enumerate(order)}
-    steps = traversal_steps(q, order)
-    consumer_positions: dict[str, list[int]] = {}
-    for step in steps:
-        if step.anchor_kind == "variable" and step.fresh:
-            consumer_positions.setdefault(step.anchor_term.value, []).append(step.position)
-
-    targets: dict[FilterClause, set[str]] = {}
-    for clause in q.filters:
-        fpos = position[clause.after_triple]
-        touched = set(clause.variables) | {
-            v for v in q.triples[clause.after_triple].variables()
-        }
-        affected = {
-            v
-            for v in touched
-            if any(p > fpos for p in consumer_positions.get(v, ()))
-        }
-        if affected:
-            targets[clause] = affected
-    return targets
-
-
 def _apply_star_reductions(
     group: ResolutionGroup,
     config: EstimatorConfig,
-    stars: dict[str, set[int]],
+    stars: dict[str, frozenset[int]],
     counts: dict[str, float],
 ) -> None:
     if config.method not in (Method.PREDICATE_JOINS, Method.PREDICATE_JOINS_FILTERS):
@@ -308,10 +255,11 @@ def estimate_all(
     join_factor: float = DEFAULT_JOIN_FACTOR,
     filter_factor: float = DEFAULT_FILTER_FACTOR,
 ) -> dict[Method, CostEstimate]:
-    """Run all four methods with shared factors."""
+    """Run all four methods with shared factors over one plan of ``q``."""
+    plan = plan_query(q)
     return {
         method: estimate(
-            q,
+            plan,
             catalog,
             EstimatorConfig(method=method, join_factor=join_factor, filter_factor=filter_factor),
         )

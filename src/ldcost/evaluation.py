@@ -21,7 +21,7 @@ import statistics
 from dataclasses import dataclass
 from pathlib import Path
 
-from .analysis import check_answerability, detect_star_joins
+from .analysis import NotAnswerable, TraversalPlan, plan_query
 from .errors import FormatError, InputError, LdcostError
 from .estimator import (
     DEFAULT_FILTER_FACTOR,
@@ -30,7 +30,7 @@ from .estimator import (
     Method,
     estimate,
 )
-from .query import QueryPattern, parse_query
+from .query import parse_query
 from .stats import StatsCatalog
 
 
@@ -189,10 +189,10 @@ def replay_entry(entry_dir) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class _Scored:
-    """A ground-truth entry with its parsed, answerable query."""
+    """A ground-truth entry with the plan of its parsed, answerable query."""
 
     entry: GroundTruthEntry
-    query: QueryPattern
+    plan: TraversalPlan
     has_star: bool
     has_filter: bool
 
@@ -206,16 +206,16 @@ def _prepare(entries) -> tuple[list[_Scored], list[LoadFailure]]:
         except LdcostError as exc:
             skipped.append(LoadFailure(entry.id, f"parse: {exc}"))
             continue
-        report = check_answerability(q)
-        if not report.answerable:
+        try:
+            plan = plan_query(q)
+        except NotAnswerable:
             skipped.append(LoadFailure(entry.id, "not answerable by traversal"))
             continue
-        stars = detect_star_joins(q, report.order)
         scored.append(
             _Scored(
                 entry=entry,
-                query=q,
-                has_star=bool(stars),
+                plan=plan,
+                has_star=bool(plan.stars),
                 has_filter=bool(q.filters),
             )
         )
@@ -227,7 +227,7 @@ def train_factors(train, catalog: StatsCatalog, grid=None) -> tuple[float, float
 
     Scores the joint (join, filter) grid with the filters-aware method;
     ties prefer the larger factors (mildest reduction), comparing the join
-    factor first.
+    factor first.  Each query is planned once, before the grid.
     """
     grid = [round(0.1 * i, 1) for i in range(11)] if grid is None else list(grid)
     if any(not (0.0 <= g <= 1.0) for g in grid):
@@ -246,7 +246,7 @@ def train_factors(train, catalog: StatsCatalog, grid=None) -> tuple[float, float
                 filter_factor=filter_factor,
             )
             pairs = [
-                (s.entry.real_cost, estimate(s.query, catalog, config).ceiled_total)
+                (s.entry.real_cost, estimate(s.plan, catalog, config).ceiled_total)
                 for s in scored
             ]
             score = avg_abs_diff(pairs)
@@ -345,7 +345,7 @@ def evaluate(
                 method=method, join_factor=join_factor, filter_factor=filter_factor
             )
             pairs = [
-                (s.entry.real_cost, estimate(s.query, catalog, config).ceiled_total)
+                (s.entry.real_cost, estimate(s.plan, catalog, config).ceiled_total)
                 for s in items
             ]
             if pairs:

@@ -191,13 +191,3 @@ def read_dump(path) -> list[tuple[str, str, str]]:
         (term_key(s), term_key(p), term_key(o)) for s, p, o in parse_document(text)
     ]
 
-
-def render_document(triples, prefixes: dict[str, str] | None = None) -> str:
-    """Serialize ground triples as simple Turtle (one statement per line)."""
-    from .query import render_term
-
-    prefixes = prefixes or {}
-    lines = [f"@prefix {p}: <{iri}> ." for p, iri in sorted(prefixes.items())]
-    for s, p, o in sorted(triples, key=lambda t: (t[0].value, t[1].value, t[2].value, t[2].kind)):
-        lines.append(f"{render_term(s, prefixes)} {render_term(p, prefixes)} {render_term(o, prefixes)} .")
-    return "\n".join(lines) + "\n"

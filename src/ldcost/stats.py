@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import statistics
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from xml.etree import ElementTree
 
 from .errors import FormatError, InputError, RemoteError
@@ -109,14 +109,6 @@ class StatsCatalog:
         if entry is not None:
             return entry.avg_object_bindings
         return self.global_stats.avg_obj_bindings
-
-
-def lookup_subject_avg(catalog: StatsCatalog, predicate: str, is_rdf_type: bool = False) -> float:
-    return catalog.lookup_subject_avg(predicate, is_rdf_type)
-
-
-def lookup_object_avg(catalog: StatsCatalog, predicate: str) -> float:
-    return catalog.lookup_object_avg(predicate)
 
 
 # --- collector queries --------------------------------------------------------
@@ -465,7 +457,3 @@ def load_catalog(path) -> StatsCatalog:
         per_predicate=per_predicate,
         provenance="\n".join(provenance_parts),
     )
-
-
-def with_provenance(catalog: StatsCatalog, provenance: str) -> StatsCatalog:
-    return replace(catalog, provenance=provenance)

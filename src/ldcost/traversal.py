@@ -11,12 +11,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .analysis import (
-    NotAnswerable,
-    build_resolution_groups,
-    check_answerability,
-    traversal_steps,
-)
+from .analysis import _binding_name, plan_query
 from .errors import FormatError, InputError, LdcostError, RemoteError
 from .query import (
     XSD,
@@ -271,22 +266,14 @@ class _GraphIndex:
         return self.by_predicate.get(predicate.value, [])
 
 
-def _binding_key(term: Term) -> str | None:
-    if term.is_variable:
-        return term.value
-    if term.is_blank:
-        return "_:" + term.value
-    return None
-
-
 def _bound_value(term: Term, binding: dict[str, Term]) -> Term | None:
     """The ground term a pattern position must equal, or None if it is free."""
-    key = _binding_key(term)
+    key = _binding_name(term)
     return term if key is None else binding.get(key)
 
 
 def _match_term(pattern: Term, ground: Term, binding: dict[str, Term]) -> dict[str, Term] | None:
-    key = _binding_key(pattern)
+    key = _binding_name(pattern)
     if key is None:
         return binding if pattern == ground else None
     bound = binding.get(key)
@@ -324,16 +311,9 @@ def execute(q: QueryPattern, store: DerefStore) -> tuple[BindingTable, Traversal
     its timestamps are seconds since the call began, on a monotonic clock.
     """
     started = time.monotonic()
-    report = check_answerability(q)
-    if not report.answerable:
-        raise NotAnswerable(
-            f"triples {sorted(report.failure_witness or ())} can never be anchored"
-        )
-    order = report.order
-    groups = build_resolution_groups(q, order)
+    plan = plan_query(q)
     _reject_opaque_filters(q)
 
-    steps = {s.index: s for s in traversal_steps(q, order)}
     index = _GraphIndex()
     solutions: list[dict[str, Term]] = [{}]
     accessed: list[tuple[str, int, float]] = []
@@ -341,11 +321,11 @@ def execute(q: QueryPattern, store: DerefStore) -> tuple[BindingTable, Traversal
     misses: list[str] = []
     group_access_total = 0
 
-    for gid, group in enumerate(groups):
+    for gid, group in enumerate(plan.groups):
         if group.is_constant:
             fetch_iris = []
             for idx in group.triple_indices:
-                iri = steps[idx].anchor_term.value
+                iri = plan.step_by_index[idx].anchor_term.value
                 if iri not in fetch_iris:
                     fetch_iris.append(iri)
         else:
@@ -383,7 +363,7 @@ def execute(q: QueryPattern, store: DerefStore) -> tuple[BindingTable, Traversal
     table = BindingTable(columns=columns, rows=tuple(sorted(rows, key=_row_key)))
     trace = TraversalTrace(
         query=render_query(q),
-        order=order,
+        order=plan.order,
         accessed=tuple(accessed),
         misses=tuple(misses),
         group_access_total=group_access_total,

@@ -3,18 +3,24 @@ import random
 import pytest
 
 import helpers
+from ldcost import analysis
 from ldcost.analysis import (
     InvalidOrder,
     NotAnswerable,
+    TraversalPlan,
     build_resolution_groups,
     check_answerability,
     detect_star_joins,
     filter_affected_nrvs,
     find_nrvs,
+    plan_query,
     render_service_form,
     traversal_steps,
 )
+from ldcost.estimator import EstimatorConfig, estimate
 from ldcost.query import Term, parse_query
+from ldcost.stats import StatsCatalog
+from ldcost.traversal import execute, load_store
 
 
 def order_of(text):
@@ -270,3 +276,70 @@ class TestNrvConsistency:
                     step = steps[consumer]
                     assert step.anchor_kind == "variable"
                     assert step.anchor_term == Term.var(nrv.variable)
+
+
+class TestPlanQuery:
+    @pytest.fixture
+    def steps_calls(self, monkeypatch):
+        calls = []
+        original = analysis.traversal_steps
+
+        def counting(q, order):
+            calls.append(tuple(order))
+            return original(q, order)
+
+        monkeypatch.setattr(analysis, "traversal_steps", counting)
+        return calls
+
+    def test_replays_the_order_once(self, steps_calls):
+        q = parse_query(helpers.BIRTHDATE_FILTER_QUERY)
+        plan = plan_query(q)
+        assert steps_calls == [plan.order]
+        explicit = plan_query(q, plan.order)
+        assert steps_calls == [plan.order, plan.order]
+        assert explicit == plan
+
+    def test_agrees_with_the_public_helpers(self):
+        rng = random.Random(91)
+        for _ in range(150):
+            q = parse_query(helpers.random_answerable_query(rng))
+            plan = plan_query(q)
+            order = check_answerability(q).order
+            assert isinstance(plan, TraversalPlan)
+            assert plan.query is q and plan.order == order
+            assert list(plan.steps) == traversal_steps(q, order)
+            assert plan.step_by_index == {s.index: s for s in plan.steps}
+            assert list(plan.groups) == build_resolution_groups(q, order)
+            assert plan.stars == detect_star_joins(q, order)
+            nrvs = find_nrvs(q, order)
+            assert {n.variable: n.consumer_triples for n in nrvs} == plan.consumers
+            assert set().union(*plan.filter_targets.values()) == filter_affected_nrvs(
+                q, order, nrvs
+            )
+            for gid, group in enumerate(plan.groups):
+                last = group.triple_indices[-1]
+                expected = q.filters_after(last) if group.ended_by_filter else []
+                assert list(plan.ending_filters[gid]) == expected
+
+    def test_not_answerable_message_unchanged(self, plato_manifest):
+        q = parse_query(helpers.ISURI_QUERY)
+        witness = sorted(check_answerability(q).failure_witness)
+        message = f"triples {witness} can never be anchored"
+        with pytest.raises(NotAnswerable) as planned:
+            plan_query(q)
+        with pytest.raises(NotAnswerable) as estimated:
+            estimate(q, StatsCatalog(), EstimatorConfig())
+        with pytest.raises(NotAnswerable) as executed:
+            execute(q, load_store(plato_manifest))
+        assert {str(e.value) for e in (planned, estimated, executed)} == {message}
+
+    def test_bad_explicit_order(self):
+        q = parse_query(helpers.AUTHOR_CHAIN_QUERY)
+        order = tuple(reversed(check_answerability(q).order))
+        with pytest.raises(InvalidOrder) as invalid:
+            plan_query(q, order)
+        with pytest.raises(NotAnswerable) as rewritten:
+            render_service_form(q, order)
+        assert str(rewritten.value) == str(invalid.value)
+        with pytest.raises(InvalidOrder):
+            plan_query(q, (0,))

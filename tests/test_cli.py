@@ -1,9 +1,12 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
 import helpers
-from ldcost import cli
+import ldcost
+from ldcost import analysis, cli, routing
 from ldcost.estimator import EstimatorConfig, Method, estimate
 from ldcost.query import parse_query
 from ldcost.stats import save_catalog
@@ -98,6 +101,42 @@ class TestDecideStrategy:
         assert decision.strategy == "link-traversal"
         assert decision.rationale == "endpoint-down-fallback"
         assert decision.probe_error == "boom"
+
+    def test_plans_the_query_once(self, monkeypatch, worked_catalog):
+        calls = []
+        original = analysis.traversal_steps
+
+        def counting(q, order):
+            calls.append(order)
+            return original(q, order)
+
+        monkeypatch.setattr(analysis, "traversal_steps", counting)
+        decision = decide_strategy(
+            parse_query(helpers.AUTHOR_CHAIN_QUERY),
+            worked_catalog,
+            EstimatorConfig(Method.PREDICATE_AWARE),
+            threshold=1000,
+            endpoint_probe=CountingProbe(result=False),
+        )
+        assert decision.estimated_cost == 510_001
+        assert len(calls) == 1
+
+
+class TestRoutingModule:
+    def test_routing_names_resolve_everywhere(self):
+        assert ldcost.decide_strategy is routing.decide_strategy
+        assert cli.decide_strategy is routing.decide_strategy
+        assert cli.ask_probe is routing.ask_probe
+        assert ldcost.RouteDecision is routing.RouteDecision
+
+    def test_importing_the_library_leaves_the_cli_unloaded(self):
+        out = subprocess.run(
+            [sys.executable, "-c", "import ldcost, sys; print('ldcost.cli' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 @pytest.fixture

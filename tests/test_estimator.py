@@ -4,15 +4,28 @@ import random
 import pytest
 
 import helpers
-from ldcost.analysis import NotAnswerable
+from ldcost import evaluation
+from ldcost.analysis import (
+    NotAnswerable,
+    build_resolution_groups,
+    check_answerability,
+    detect_star_joins,
+    plan_query,
+    traversal_steps,
+)
 from ldcost.estimator import (
     CostEstimate,
     EstimatorConfig,
+    GroupCost,
     Method,
     NegativeOrNaNStat,
+    _apply_star_reductions,
+    _bind_fresh_variables,
+    _ceil,
     estimate,
     estimate_all,
 )
+from ldcost.evaluation import GroundTruthEntry, evaluate, train_factors
 from ldcost.query import parse_query, distinct_anchor_iris
 from ldcost.stats import PredicateStats, StatsCatalog, compute_from_dump
 from ldcost.traversal import execute, load_store, real_cost
@@ -269,3 +282,179 @@ class TestChainOracleEquivalence:
         estimated = run(query, catalog, Method.PREDICATE_AWARE).ceiled_total
         assert real_cost(trace) == 4  # seed, a, b, shared (deduplicated)
         assert real_cost(trace) <= estimated
+
+
+# --- the estimator before it read a TraversalPlan, kept as an oracle --------------
+#
+# Replays the analysis through the public helpers on every call, as the
+# estimator once did; the plan-based estimator must give bit-identical
+# results.  The per-group arithmetic helpers are shared with the estimator.
+
+
+def _oracle_filter_reduction_targets(q, order):
+    position = {idx: pos for pos, idx in enumerate(order)}
+    steps = traversal_steps(q, order)
+    consumer_positions: dict[str, list[int]] = {}
+    for step in steps:
+        if step.anchor_kind == "variable" and step.fresh:
+            consumer_positions.setdefault(step.anchor_term.value, []).append(step.position)
+
+    targets = {}
+    for clause in q.filters:
+        fpos = position[clause.after_triple]
+        touched = set(clause.variables) | {
+            v for v in q.triples[clause.after_triple].variables()
+        }
+        affected = {
+            v
+            for v in touched
+            if any(p > fpos for p in consumer_positions.get(v, ()))
+        }
+        if affected:
+            targets[clause] = affected
+    return targets
+
+
+def oracle_estimate(q, catalog, config) -> CostEstimate:
+    report = check_answerability(q)
+    if not report.answerable:
+        raise NotAnswerable(
+            f"triples {sorted(report.failure_witness or ())} can never be anchored"
+        )
+    order = report.order
+    steps = {s.index: s for s in traversal_steps(q, order)}
+    groups = build_resolution_groups(q, order)
+    stars = detect_star_joins(q, order) if config.method in (
+        Method.PREDICATE_JOINS,
+        Method.PREDICATE_JOINS_FILTERS,
+    ) else {}
+    filter_targets = (
+        _oracle_filter_reduction_targets(q, order)
+        if config.method is Method.PREDICATE_JOINS_FILTERS
+        else {}
+    )
+
+    counts: dict[str, float] = {}
+    dereferenced: set[str] = set()
+    group_costs = []
+    total = 0.0
+
+    for gid, group in enumerate(groups):
+        accesses = 0.0
+        if not group.is_constant:
+            accesses += counts.get(group.variable, 0.0)
+        for idx in group.triple_indices:
+            t = q.triples[idx]
+            for term in (t.subject, t.object):
+                if term.is_iri and term.value not in dereferenced:
+                    dereferenced.add(term.value)
+                    accesses += 1.0
+
+        bound_before = set(counts)
+        _apply_star_reductions(group, config, stars, counts)
+        ending_filters = (
+            q.filters_after(group.triple_indices[-1])
+            if config.method is Method.PREDICATE_JOINS_FILTERS and group.ended_by_filter
+            else []
+        )
+        for clause in ending_filters:
+            for v in filter_targets.get(clause, ()):
+                if v in counts:
+                    counts[v] *= config.filter_factor
+        _bind_fresh_variables(q, group, steps, counts, catalog, config.method)
+        for clause in ending_filters:
+            for v in filter_targets.get(clause, ()):
+                if v in counts and v not in bound_before:
+                    counts[v] *= config.filter_factor
+
+        group_costs.append(GroupCost(gid, group.label, accesses))
+        total += accesses
+
+    binding_counts = {
+        name: value for name, value in counts.items() if not name.startswith("_:")
+    }
+    return CostEstimate(
+        total=total,
+        ceiled_total=_ceil(total),
+        group_costs=tuple(group_costs),
+        binding_counts=binding_counts,
+    )
+
+
+def _exact(result: CostEstimate):
+    """Every float of an estimate as its repr, so 0.1 + 0.2 != 0.3 shows."""
+    return (
+        repr(result.total),
+        result.ceiled_total,
+        tuple((g.group_id, g.variable, repr(g.accesses)) for g in result.group_costs),
+        tuple((name, repr(value)) for name, value in result.binding_counts.items()),
+    )
+
+
+FACTOR_PAIRS = [
+    (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0),
+    (0.3, 0.6), (0.9, 0.9), (0.1, 0.7), (0.55, 0.25),
+]
+
+
+def _oracle_dataset(rng: random.Random, n: int) -> list[GroundTruthEntry]:
+    """Answerable generated queries with real costs near the mpjf estimate
+    at (0.3, 0.6), plus one query no traversal can answer."""
+    catalog = helpers.worked_example_catalog()
+    truth = EstimatorConfig(Method.PREDICATE_JOINS_FILTERS, 0.3, 0.6)
+    entries = []
+    for i in range(n - 1):
+        text = helpers.random_answerable_query(rng)
+        cost = oracle_estimate(parse_query(text), catalog, truth).total
+        real = max(1, round(cost * rng.uniform(0.8, 1.25)))
+        entries.append(GroundTruthEntry(f"q{i:03d}", text, real))
+    entries.append(GroundTruthEntry("unanswerable", helpers.ISURI_QUERY, 5))
+    return entries
+
+
+class TestPlanEquivalence:
+    """The plan-based estimator against the replaying oracle above."""
+
+    def test_every_method_and_factor_pair_on_generated_queries(self):
+        rng = random.Random(3031)
+        compared = 0
+        for _ in range(320):
+            q = parse_query(helpers.random_answerable_query(rng))
+            catalog = helpers.random_catalog(rng)
+            plan = plan_query(q)
+            for method in Method:
+                for f1, f2 in FACTOR_PAIRS:
+                    config = EstimatorConfig(method, f1, f2)
+                    expected = _exact(oracle_estimate(q, catalog, config))
+                    assert _exact(estimate(q, catalog, config)) == expected
+                    assert _exact(estimate(plan, catalog, config)) == expected
+                    compared += 1
+        assert compared == 320 * len(Method) * len(FACTOR_PAIRS)
+
+    def test_estimate_all_matches_oracle(self, worked_catalog):
+        for text in (helpers.BIRTHDATE_FILTER_QUERY, helpers.DIRECTOR_STAR_QUERY):
+            q = parse_query(text)
+            for method, result in estimate_all(q, worked_catalog, 0.4, 0.7).items():
+                config = EstimatorConfig(method, 0.4, 0.7)
+                assert _exact(result) == _exact(oracle_estimate(q, worked_catalog, config))
+
+    def test_training_and_evaluation_match_oracle(self, monkeypatch):
+        entries = _oracle_dataset(random.Random(77), 40)
+        train, test = entries[:20], entries[20:]
+        catalog = helpers.worked_example_catalog()
+        trained = train_factors(train, catalog)
+        report = evaluate(test, catalog, *trained).as_dict()
+
+        monkeypatch.setattr(
+            evaluation,
+            "estimate",
+            lambda plan, catalog, config: oracle_estimate(plan.query, catalog, config),
+        )
+        assert train_factors(train, catalog) == trained
+        assert evaluate(test, catalog, *trained).as_dict() == report
+        assert [s["reason"] for s in report["skipped"]] == ["not answerable by traversal"]
+        usable = [parse_query(e.query_text) for e in test[:-1]]
+        stars = sum(
+            bool(detect_star_joins(q, check_answerability(q).order)) for q in usable
+        )
+        assert report["subsets"]["star joins"]["Mpjf"]["n"] == stars

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import helpers
+from ldcost import analysis, evaluation
 from ldcost.estimator import EstimatorConfig, Method, estimate
 from ldcost.evaluation import (
     EmptyInput,
@@ -194,6 +195,26 @@ class TestTrainFactors:
     def test_empty_training_set(self):
         with pytest.raises(EmptyInput):
             train_factors([], StatsCatalog())
+
+    def test_each_query_is_analysed_once(self, monkeypatch, worked_catalog):
+        entries = _forward_model_entries(0.5, 0.3, [worked_catalog, _scaled_catalog(0.7)])
+        calls = {"plans": 0, "steps": 0}
+        plan_query, traversal_steps = evaluation.plan_query, analysis.traversal_steps
+
+        def counting_plan(q, order=None):
+            calls["plans"] += 1
+            return plan_query(q, order)
+
+        def counting_steps(q, order):
+            calls["steps"] += 1
+            return traversal_steps(q, order)
+
+        monkeypatch.setattr(evaluation, "plan_query", counting_plan)
+        monkeypatch.setattr(analysis, "traversal_steps", counting_steps)
+        train_factors(entries, worked_catalog)  # the default 121-point grid
+        assert calls == {"plans": len(entries), "steps": len(entries)}
+        evaluate(entries, worked_catalog, 0.5, 0.3)
+        assert calls == {"plans": 2 * len(entries), "steps": 2 * len(entries)}
 
     def test_default_factors_are_point_nine(self):
         from ldcost.estimator import DEFAULT_FILTER_FACTOR, DEFAULT_JOIN_FACTOR
