@@ -19,6 +19,7 @@ import json
 import random
 import statistics
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .analysis import NotAnswerable, TraversalPlan, plan_query
@@ -30,7 +31,7 @@ from .estimator import (
     Method,
     estimate,
 )
-from .query import parse_query
+from .query import QueryPattern, parse_query
 from .stats import StatsCatalog
 
 
@@ -54,6 +55,11 @@ class GroundTruthEntry:
         if self.real_cost < 1:
             raise ValueError(f"entry {self.id}: real_cost must be >= 1")
 
+    @cached_property
+    def query(self) -> QueryPattern:
+        """The parsed query text, parsed on first use and kept."""
+        return parse_query(self.query_text)
+
 
 @dataclass(frozen=True)
 class LoadFailure:
@@ -72,7 +78,7 @@ def load_ground_truth(path) -> GroundTruthLoad:
 
     Entries with missing or malformed pieces become failures instead of
     aborting the load; queries are parse-checked so downstream scoring can
-    rely on the text.
+    rely on the text, and each entry keeps the parse as its ``query``.
     """
     root = Path(path)
     if not root.is_dir():
@@ -115,22 +121,23 @@ def load_ground_truth(path) -> GroundTruthLoad:
                 if line.strip()
             )
         try:
-            parse_query(query_text)
+            query = parse_query(query_text)
         except LdcostError as exc:
             failures.append(LoadFailure(name, f"query does not parse: {exc}"))
             continue
         try:
-            entries.append(
-                GroundTruthEntry(
-                    id=str(meta.get("id", name)),
-                    query_text=query_text,
-                    real_cost=real_cost,
-                    accessed_iris=accessed,
-                    executed_at=meta.get("executed_at"),
-                )
+            entry = GroundTruthEntry(
+                id=str(meta.get("id", name)),
+                query_text=query_text,
+                real_cost=real_cost,
+                accessed_iris=accessed,
+                executed_at=meta.get("executed_at"),
             )
         except ValueError as exc:
             failures.append(LoadFailure(name, str(exc)))
+            continue
+        vars(entry)["query"] = query  # fill the cached property with the check's parse
+        entries.append(entry)
     return GroundTruthLoad(entries=tuple(entries), failures=tuple(failures))
 
 
@@ -202,7 +209,7 @@ def _prepare(entries) -> tuple[list[_Scored], list[LoadFailure]]:
     skipped: list[LoadFailure] = []
     for entry in entries:
         try:
-            q = parse_query(entry.query_text)
+            q = entry.query
         except LdcostError as exc:
             skipped.append(LoadFailure(entry.id, f"parse: {exc}"))
             continue

@@ -572,7 +572,7 @@ class _Parser:
             return Term.literal(text, datatype=XSD_DECIMAL)
         if tok.kind == "keyword":
             return Term.literal(tok.text.lower(), datatype=XSD_BOOLEAN)
-        lexical = _unquote(tok.text)
+        lexical = unquote(tok.text)
         nxt = self.peek()
         if nxt.kind == "langtag":
             self.next()
@@ -687,11 +687,14 @@ class _Parser:
 _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", "b": "\b", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 
 
-def _unquote(text: str) -> str:
+def unquote(text: str) -> str:
+    """The lexical form of a quoted SPARQL or Turtle string, escapes resolved."""
     if text.startswith('"""') or text.startswith("'''"):
         body = text[3:-3]
     else:
         body = text[1:-1]
+    if "\\" not in body:
+        return body
     out: list[str] = []
     i = 0
     while i < len(body):

@@ -1,18 +1,37 @@
-"""Reader for RDF documents in N-Triples, Turtle and the N3 subset
+"""Streaming reader for RDF documents in N-Triples, Turtle and the N3 subset
 needed to replay dereferenced resources: prefix declarations, ';'/','
-abbreviations, typed and tagged literals, blank nodes.
-
-Quoted formulas, collections and rules are out of scope.
+abbreviations, typed and tagged literals, blank nodes.  N-Triples is a
+subset of Turtle, so one reader serves both.  Quoted formulas, collections
+and rules are out of scope.
 """
 
 from __future__ import annotations
 
+import re
+from collections.abc import Iterator
+from pathlib import Path
+from typing import NoReturn
+
 from .errors import InputError
-from .query import RDF_TYPE, Term, _tokenize, _Token, _unquote, XSD, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER
+from .query import RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING, Term, unquote
 
 Triple = tuple[Term, Term, Term]
 
-XSD_STRING = XSD + "string"
+_TYPE = Term.iri(RDF_TYPE)  # the predicate the keyword 'a' stands for
+
+# One token per match, after any white space and comments.  The group that
+# matched names the token; ``bad`` is a character no token starts with.
+_TOKEN_RE = re.compile(
+    r"""\s*(?:\#[^\n]*\s*)*(?:
+      (?P<iri><[^<>"{}|^`\\\s]*>) | (?P<blank>_:[A-Za-z_0-9]+)
+    | (?P<string>\"\"\"(?:[^"\\]|\\.|\"(?!\"\"))*\"\"\"|'''(?:[^'\\]|\\.|'(?!''))*'''|"(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*')
+    | (?P<langtag>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
+    | (?P<number>[+-]?(?:\d+\.\d+(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?))
+    | (?P<dtype>\^\^) | (?P<dot>\.) | (?P<comma>,) | (?P<semicolon>;) | (?P<open>\[) | (?P<close>\])
+    | (?P<pname>(?:[A-Za-z_][A-Za-z_0-9.-]*)?:(?:[A-Za-z_0-9%-]+(?:\.[A-Za-z_0-9%-]+)*)?)
+    | (?P<word>[A-Za-z][A-Za-z_0-9]*) | (?P<end>\Z) | (?P<bad>.))""",
+    re.VERBOSE,
+)
 
 
 class DocumentParseError(InputError):
@@ -23,149 +42,134 @@ class DocumentParseError(InputError):
         self.line = line
 
 
-class _DocReader:
-    def __init__(self, text: str, blank_scope: str):
-        try:
-            self.tokens = _tokenize(text)
-        except InputError as exc:
-            line = getattr(exc, "line", 0)
-            raise DocumentParseError(str(exc), line) from None
-        self.i = 0
-        self.prefixes: dict[str, str] = {}
-        self.blank_scope = blank_scope
-        self.anon = 0
+def _triples(text: str, blank_scope: str) -> Iterator[Triple]:
+    """Yield the triples of a document one at a time, in document order.
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    Raises DocumentParseError at the first token that does not fit; its
+    line is counted only then.
+    """
+    tokens = _TOKEN_RE.finditer(text)
+    prefixes: dict[str, str] = {}
+    nodes: dict[str, Term] = {}  # IRI, prefixed-name and blank-node tokens read so far
+    anon = 0
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def fail(message: str, m: re.Match) -> NoReturn:
+        kind = m.lastgroup
+        if kind == "bad":
+            message = f"unexpected character {m[kind]!r}"
+        raise DocumentParseError(message, text.count("\n", 0, m.start(kind)) + 1)
 
-    def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise DocumentParseError(message, tok.line)
-
-    def expect_dot(self):
-        tok = self.next()
-        if not (tok.kind == "punct" and tok.text == "."):
-            self.fail(f"expected '.', found {tok.text!r}", tok)
-
-    def read(self) -> set[Triple]:
-        triples: set[Triple] = set()
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                return triples
-            if tok.kind == "langtag" and tok.text.lower() in ("@prefix", "@base"):
-                self.directive(tok.text.lower().lstrip("@"))
-                self.expect_dot()
-                continue
-            if tok.kind == "keyword" and tok.text.lower() in ("prefix", "base"):
-                self.directive(tok.text.lower())
-                continue
-            self.statement(triples)
-
-    def directive(self, which: str):
-        self.next()
-        if which == "base":
-            self.fail("base IRIs are not supported; use absolute IRIs")
-        name = self.next()
-        if name.kind != "pname" or not name.text.endswith(":"):
-            self.fail("expected a prefix name ending in ':'", name)
-        iri = self.next()
-        if iri.kind != "iriref":
-            self.fail("expected an IRI after the prefix name", iri)
-        self.prefixes[name.text[:-1]] = iri.text[1:-1]
-
-    def statement(self, triples: set[Triple]):
-        subject = self.term(position="subject")
-        while True:
-            predicate = self.term(position="predicate")
-            while True:
-                obj = self.term(position="object")
-                triples.add((subject, predicate, obj))
-                if self.peek().kind == "punct" and self.peek().text == ",":
-                    self.next()
-                    continue
-                break
-            tok = self.next()
-            if tok.kind == "punct" and tok.text == ";":
-                nxt = self.peek()
-                if nxt.kind == "punct" and nxt.text == ".":
-                    self.next()
-                    return
-                continue
-            if tok.kind == "punct" and tok.text == ".":
-                return
-            self.fail(f"expected ';' or '.', found {tok.text!r}", tok)
-
-    def term(self, position: str) -> Term:
-        tok = self.next()
-        if tok.kind == "iriref":
-            return Term.iri(tok.text[1:-1])
-        if tok.kind == "pname":
-            prefix, _, local = tok.text.partition(":")
-            if prefix not in self.prefixes:
-                self.fail(f"undeclared prefix {prefix + ':'!r}", tok)
-            return Term.iri(self.prefixes[prefix] + local)
-        if tok.kind == "blank":
-            return Term.blank(tok.text[2:] + self.blank_scope)
-        if tok.kind == "punct" and tok.text == "[":
-            close = self.peek()
-            if close.kind == "punct" and close.text == "]":
-                self.next()
-                self.anon += 1
-                return Term.blank(f"anon{self.anon}{self.blank_scope}")
-            self.fail("blank node property lists are not supported", tok)
-        if tok.kind == "keyword" and tok.text == "a" and position == "predicate":
-            return Term.iri(RDF_TYPE)
-        if position in ("subject", "predicate"):
-            self.fail(f"expected an IRI or blank node, found {tok.text!r}", tok)
-        if tok.kind == "number":
-            text = tok.text
-            if "." not in text and "e" not in text.lower():
-                return Term.literal(text, datatype=XSD_INTEGER)
-            if "e" in text.lower():
-                return Term.literal(text, datatype=XSD_DOUBLE)
-            return Term.literal(text, datatype=XSD_DECIMAL)
-        if tok.kind == "keyword" and tok.text.lower() in ("true", "false"):
-            return Term.literal(tok.text.lower(), datatype=XSD_BOOLEAN)
-        if tok.kind == "string":
-            lexical = _unquote(tok.text)
-            nxt = self.peek()
-            if nxt.kind == "langtag":
-                self.next()
-                return Term.literal(lexical, language=nxt.text[1:])
-            if nxt.kind == "dtype":
-                self.next()
-                dt = self.next()
-                if dt.kind == "iriref":
-                    datatype = dt.text[1:-1]
-                elif dt.kind == "pname":
-                    prefix, _, local = dt.text.partition(":")
-                    if prefix not in self.prefixes:
-                        self.fail(f"undeclared prefix {prefix + ':'!r}", dt)
-                    datatype = self.prefixes[prefix] + local
+    def node(m: re.Match, expected: str) -> Term:
+        """The IRI or blank node at ``m``; fails naming ``expected`` if there is none."""
+        nonlocal anon
+        kind = m.lastgroup
+        if kind == "iri" or kind == "pname" or kind == "blank":
+            token = m[kind]
+            term = nodes.get(token)
+            if term is None:
+                if kind == "iri":
+                    term = Term.iri(token[1:-1])
+                elif kind == "blank":
+                    term = Term.blank(token[2:] + blank_scope)
                 else:
-                    self.fail("expected a datatype IRI after '^^'", dt)
-                    return Term.literal(lexical)  # unreachable
-                if datatype == XSD_STRING:
-                    return Term.literal(lexical)
-                return Term.literal(lexical, datatype=datatype)
-            return Term.literal(lexical)
-        self.fail(f"expected a term, found {tok.text!r}", tok)
-        raise AssertionError  # fail always raises
+                    prefix, _, local = token.partition(":")
+                    if prefix not in prefixes:
+                        fail(f"undeclared prefix {prefix + ':'!r}", m)
+                    term = Term.iri(prefixes[prefix] + local)
+                nodes[token] = term
+            return term
+        if kind != "open":
+            fail(f"expected {expected}, found {m[kind]!r}", m)
+        if next(tokens).lastgroup != "close":
+            fail("blank node property lists are not supported", m)
+        anon += 1
+        return Term.blank(f"anon{anon}{blank_scope}")
+
+    def literal(m: re.Match) -> tuple[Term, re.Match]:
+        """The literal starting at ``m`` and the token after it."""
+        kind = m.lastgroup
+        token = m[kind]
+        after = next(tokens)
+        if kind == "number":
+            datatype = XSD_DOUBLE if "e" in token.lower() else XSD_DECIMAL if "." in token else XSD_INTEGER
+            return Term.literal(token, datatype=datatype), after
+        if kind == "word" and token.lower() in ("true", "false"):
+            return Term.literal(token.lower(), datatype=XSD_BOOLEAN), after
+        if kind != "string":
+            fail(f"expected a term, found {token!r}", m)
+        lexical = unquote(token)
+        if after.lastgroup == "langtag":
+            return Term.literal(lexical, language=after["langtag"][1:]), next(tokens)
+        if after.lastgroup != "dtype":
+            return Term.literal(lexical), after
+        dt = next(tokens)
+        if dt.lastgroup != "iri" and dt.lastgroup != "pname":
+            fail("expected a datatype IRI after '^^'", dt)
+        datatype = node(dt, "a datatype IRI").value
+        if datatype == XSD_STRING:  # plain and xsd:string literals are the same term
+            datatype = None
+        return Term.literal(lexical, datatype=datatype), next(tokens)
+
+    m = next(tokens)
+    while True:
+        kind = m.lastgroup
+        if kind == "end":
+            return
+        word = m[kind].lower() if kind == "langtag" or kind == "word" else ""
+        if word in ("@prefix", "@base", "prefix", "base"):
+            name = next(tokens)
+            if word.endswith("base"):
+                fail("base IRIs are not supported; use absolute IRIs", name)
+            if name.lastgroup != "pname" or not name["pname"].endswith(":"):
+                fail("expected a prefix name ending in ':'", name)
+            iri = next(tokens)
+            if iri.lastgroup != "iri":
+                fail("expected an IRI after the prefix name", iri)
+            prefixes[name["pname"][:-1]] = iri["iri"][1:-1]
+            nodes.clear()  # a redeclared prefix changes what its names expand to
+            m = next(tokens)
+            if kind == "langtag":
+                if m.lastgroup != "dot":
+                    fail(f"expected '.', found {m[m.lastgroup]!r}", m)
+                m = next(tokens)
+            continue
+
+        subject = node(m, "an IRI or blank node")
+        m = next(tokens)
+        while True:  # predicate-object list
+            if m.lastgroup == "word" and m["word"] == "a":
+                predicate = _TYPE
+            else:
+                predicate = node(m, "an IRI or blank node")
+            while True:  # object list
+                m = next(tokens)
+                kind = m.lastgroup
+                if kind == "string" or kind == "number" or kind == "word":
+                    obj, m = literal(m)
+                else:
+                    obj = node(m, "a term")
+                    m = next(tokens)
+                yield subject, predicate, obj
+                if m.lastgroup != "comma":
+                    break
+            kind = m.lastgroup
+            if kind == "semicolon":
+                m = next(tokens)
+                if m.lastgroup != "dot":
+                    continue
+            elif kind != "dot":
+                fail(f"expected ';' or '.', found {m[kind]!r}", m)
+            m = next(tokens)
+            break
 
 
-def parse_document(text: str, blank_scope: str = "") -> set[Triple]:
-    """Parse an RDF document into ground triples.
+def parse_document(text: str, blank_scope: str = "") -> frozenset[Triple]:
+    """Parse an RDF document into its set of ground triples.
 
     ``blank_scope`` is appended to blank node labels so graphs from
     different documents never share a blank node.
     """
-    return _DocReader(text, blank_scope).read()
+    return frozenset(_triples(text, blank_scope))
 
 
 def term_key(term: Term) -> str:
@@ -182,12 +186,9 @@ def term_key(term: Term) -> str:
     return f'"{term.value}"'
 
 
-def read_dump(path) -> list[tuple[str, str, str]]:
-    """Read an N-Triples/Turtle file into (subject, predicate, object) keys."""
-    from pathlib import Path
-
+def read_dump(path) -> Iterator[tuple[str, str, str]]:
+    """Read an N-Triples/Turtle file; yield its (subject, predicate, object)
+    keys, repeats included, as they are parsed.  A malformed statement
+    raises DocumentParseError when the iteration reaches it."""
     text = Path(path).read_text(encoding="utf-8")
-    return [
-        (term_key(s), term_key(p), term_key(o)) for s, p, o in parse_document(text)
-    ]
-
+    return ((term_key(s), term_key(p), term_key(o)) for s, p, o in _triples(text, ""))

@@ -9,7 +9,6 @@ fall back to the global averages.
 
 from __future__ import annotations
 
-import statistics
 import warnings
 from dataclasses import dataclass, field
 from xml.etree import ElementTree
@@ -182,29 +181,24 @@ def collector_query(parameter: str, predicate: str | None = None) -> str:
 
 # --- computing from a dump ----------------------------------------------------
 
-def _mean_of_counts(groups: dict) -> float:
-    if not groups:
-        return 0.0
-    return statistics.fmean(len(v) for v in groups.values())
+def _per_key(pairs: set[tuple[str, str]]) -> float:
+    """|distinct (key, member) pairs| ÷ |distinct keys|."""
+    return len(pairs) / len({key for key, _ in pairs}) if pairs else 0.0
 
 
 def compute_from_dump(triples, provenance: str = "dump") -> StatsCatalog:
     """Build a catalog from an iterable of (subject, predicate, object) records.
 
-    Distinct counting is exact and in-memory; this is meant for dumps that
-    fit on a workstation, not for web-scale corpora.  Records that are not
+    Each catalog value is a mean over the keys of a group-by of each key's
+    distinct members, so it equals |distinct (key, member) pairs| ÷
+    |distinct keys| (K5 = |distinct (s, o)| ÷ |distinct s|), and being a
+    quotient of exact counts it is the same float as the mean of the counts.
+    Records stream into one in-memory set of distinct (s, o) per predicate,
+    so the distinct triples must fit in memory.  Records that are not
     3-tuples of strings are skipped and counted; only an all-malformed
     stream is an error.
     """
-    outgoing: dict[str, set[str]] = {}          # subject -> predicates
-    incoming: dict[str, set[str]] = {}          # object  -> predicates
-    subj_by_obj_nontype: dict[str, set[str]] = {}
-    instances: dict[str, set[str]] = {}         # class -> subjects
-    objects_by_subj: dict[str, set[str]] = {}
-    pred_objects: dict[str, dict[str, set[str]]] = {}  # p -> subject -> objects
-    pred_subjects: dict[str, dict[str, set[str]]] = {}  # p -> object -> subjects
-    typed: set[str] = set()
-
+    by_predicate: dict[str, set[tuple[str, str]]] = {}  # p -> distinct (s, o)
     total = 0
     malformed = 0
     for record in triples:
@@ -216,43 +210,32 @@ def compute_from_dump(triples, provenance: str = "dump") -> StatsCatalog:
         except (TypeError, ValueError):
             malformed += 1
             continue
-        outgoing.setdefault(s, set()).add(p)
-        incoming.setdefault(o, set()).add(p)
-        if p == RDF_TYPE:
-            typed.add(s)
-            instances.setdefault(o, set()).add(s)
-        else:
-            subj_by_obj_nontype.setdefault(o, set()).add(s)
-        objects_by_subj.setdefault(s, set()).add(o)
-        pred_objects.setdefault(p, {}).setdefault(s, set()).add(o)
-        pred_subjects.setdefault(p, {}).setdefault(o, set()).add(s)
+        by_predicate.setdefault(p, set()).add((s, o))
 
     if total and malformed == total:
         raise MalformedTriple(f"all {total} records were malformed")
 
-    k1 = _mean_of_counts({s: preds for s, preds in outgoing.items() if s in typed})
-    k2 = _mean_of_counts({o: preds for o, preds in incoming.items() if o in typed})
-    k3 = _mean_of_counts(subj_by_obj_nontype)
-    k4 = _mean_of_counts(instances)
-    k5 = _mean_of_counts(objects_by_subj)
+    instances = by_predicate.get(RDF_TYPE, set())
+    typed = {s for s, _ in instances}
+    k1 = _per_key({(s, p) for p, pairs in by_predicate.items() for s, _ in pairs if s in typed})
+    k2 = _per_key({(o, p) for p, pairs in by_predicate.items() for _, o in pairs if o in typed})
+    k3 = _per_key(
+        {(o, s) for p, pairs in by_predicate.items() if p != RDF_TYPE for s, o in pairs}
+    )
+    k4 = _per_key({(o, s) for s, o in instances})
+    k5 = _per_key(set().union(*by_predicate.values()))
 
     per_predicate = {
         p: PredicateStats(
             predicate=p,
-            avg_subject_bindings=_mean_of_counts(pred_subjects[p]),
-            avg_object_bindings=_mean_of_counts(pred_objects[p]),
+            avg_subject_bindings=len(pairs) / len({o for _, o in pairs}),
+            avg_object_bindings=len(pairs) / len({s for s, _ in pairs}),
         )
-        for p in pred_objects
+        for p, pairs in by_predicate.items()
     }
     note = provenance
     if malformed:
         note += f" ({malformed} malformed records skipped)"
-    if total == 0:
-        return StatsCatalog(
-            global_stats=GlobalStats(0.0, 0.0, 0.0, 0.0, 0.0),
-            per_predicate={},
-            provenance=note,
-        )
     return StatsCatalog(
         global_stats=GlobalStats(k1, k2, k3, k4, k5),
         per_predicate=per_predicate,

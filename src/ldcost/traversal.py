@@ -145,7 +145,7 @@ def dereference(store: DerefStore, iri: str):
             return None
 
     try:
-        graph = frozenset(parse_document(text, blank_scope=f"@{len(store._cache)}"))
+        graph = parse_document(text, blank_scope=f"@{len(store._cache)}")
     except DocumentParseError as exc:
         raise DocumentError(iri, exc) from exc
     store._cache[iri] = graph

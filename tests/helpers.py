@@ -254,6 +254,15 @@ def random_dump(rng: random.Random, max_triples: int = 500) -> list[tuple[str, s
     return sorted(triples)
 
 
+def ntriples(records) -> str:
+    """String records rendered as N-Triples (literal objects start with '"')."""
+    lines = []
+    for s, p, o in records:
+        obj = o if o.startswith('"') else f"<{o}>"
+        lines.append(f"<{s}> <{p}> {obj} .")
+    return "\n".join(lines) + "\n"
+
+
 # --- random answerable queries ---------------------------------------------------
 
 def random_answerable_query(rng: random.Random) -> str:

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -130,11 +132,16 @@ class TestRoutingModule:
         assert ldcost.RouteDecision is routing.RouteDecision
 
     def test_importing_the_library_leaves_the_cli_unloaded(self):
+        # The child does not inherit pytest's ``pythonpath``: hand it the
+        # directory the package under test was imported from.
+        src = str(Path(ldcost.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = subprocess.run(
             [sys.executable, "-c", "import ldcost, sys; print('ldcost.cli' in sys.modules)"],
             capture_output=True,
             text=True,
             check=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert out.stdout.strip() == "False"
 
@@ -230,6 +237,20 @@ class TestCliCommands:
         assert code == EXIT_OK
         assert out_file.is_file()
         assert "1 predicates" in capsys.readouterr().out
+
+    def test_stats_collect_malformed_dump_exit_two_and_no_catalog(self, workspace, capsys):
+        dump = workspace / "data.nt"
+        dump.write_text(
+            "<http://x/a> <http://x/p> <http://x/b> .\n"
+            "<http://x/a> <http://x/p> % .\n"
+        )
+        out_file = workspace / "dump.stats"
+        code = cli.main(
+            ["stats", "collect", "--dump", str(dump), "--out", str(out_file)]
+        )
+        assert code == EXIT_INPUT
+        assert not out_file.exists()
+        assert "unexpected character '%' (line 2)" in capsys.readouterr().err
 
     def test_stats_collect_unreachable_endpoint_exit_four(self, workspace, capsys):
         code = cli.main(

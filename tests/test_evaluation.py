@@ -119,6 +119,31 @@ class TestLoadGroundTruth:
         assert load.entries == ()
         assert "parse" in load.failures[0].reason
 
+    def test_unparseable_query_with_bad_cost_reports_the_parse(self, tmp_path):
+        helpers.write_ground_truth_entry(tmp_path, "q001", "SELECT * WHERE {", 0)
+        (failure,) = load_ground_truth(tmp_path).failures
+        assert failure.reason.startswith("query does not parse: ")
+
+    def test_each_query_is_parsed_once(self, tmp_path, monkeypatch, worked_catalog):
+        for i, (text, real) in enumerate(
+            [(helpers.MANDELA_QUERY, 1), (helpers.DIRECTOR_STAR_QUERY, 15_001),
+             (helpers.BIRTHDATE_FILTER_QUERY, 10_511), (helpers.PLATO_LD_QUERY, 15)]
+        ):
+            helpers.write_ground_truth_entry(tmp_path, f"q{i:03d}", text, real)
+        calls = []
+
+        def counting_parse(text):
+            calls.append(text)
+            return parse_query(text)
+
+        monkeypatch.setattr(evaluation, "parse_query", counting_parse)
+        entries = load_ground_truth(tmp_path).entries
+        assert len(calls) == len(entries) == 4
+        train_factors(entries, worked_catalog, grid=[0.5, 1.0])
+        evaluate(entries, worked_catalog, 0.9, 0.9)
+        assert len(calls) == 4
+        assert all(e.query == parse_query(e.query_text) for e in entries)
+
     def test_empty_directory(self, tmp_path):
         load = load_ground_truth(tmp_path)
         assert load.entries == () and load.failures == ()
@@ -272,6 +297,12 @@ class TestEvaluate:
         assert report.per_method[Method.PREDICATE_AWARE].n == 4
         assert len(report.skipped) == 1
         assert report.skipped[0].entry == "bad"
+
+    def test_unparseable_entry_skipped_with_its_reason(self, worked_catalog):
+        entries = self.fixture_entries() + [_entry("bad", "SELECT * WHERE {", 5)]
+        report = evaluate(entries, worked_catalog, 0.9, 0.9)
+        (skipped,) = report.skipped
+        assert skipped.entry == "bad" and skipped.reason.startswith("parse: ")
 
     def test_repeat_evaluation_identical(self, worked_catalog):
         entries = self.fixture_entries()

@@ -1,0 +1,421 @@
+"""The streaming RDF reader against the token-list reader it replaced.
+
+``_TokenListReader`` is the previous reader, kept as the oracle: it
+tokenized the whole document with the SPARQL tokenizer first, then built
+the triple set.  Valid documents must give the same triples; malformed
+ones, each with a single fault, the same exception type and line.  (With
+two faults the readers may differ: the streaming reader reports the first
+in document order, the old one any lexer fault before any parse fault.)
+"""
+
+import ast
+import random
+from collections.abc import Iterator
+from pathlib import Path
+
+import pytest
+
+import helpers
+from ldcost import rdfio
+from ldcost.errors import InputError
+from ldcost.query import (
+    RDF_TYPE,
+    XSD,
+    XSD_BOOLEAN,
+    XSD_DECIMAL,
+    XSD_DOUBLE,
+    XSD_INTEGER,
+    Term,
+    _tokenize,
+    _Token,
+    unquote,
+)
+from ldcost.rdfio import DocumentParseError, parse_document, read_dump
+
+EX = helpers.EX
+XSD_STRING = XSD + "string"
+
+
+class _TokenListReader:
+    def __init__(self, text: str, blank_scope: str):
+        try:
+            self.tokens = _tokenize(text)
+        except InputError as exc:
+            line = getattr(exc, "line", 0)
+            raise DocumentParseError(str(exc), line) from None
+        self.i = 0
+        self.prefixes: dict[str, str] = {}
+        self.blank_scope = blank_scope
+        self.anon = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
+
+    def next(self) -> _Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def fail(self, message: str, tok: _Token | None = None):
+        tok = tok or self.peek()
+        raise DocumentParseError(message, tok.line)
+
+    def expect_dot(self):
+        tok = self.next()
+        if not (tok.kind == "punct" and tok.text == "."):
+            self.fail(f"expected '.', found {tok.text!r}", tok)
+
+    def read(self) -> set:
+        triples: set = set()
+        while True:
+            tok = self.peek()
+            if tok.kind == "eof":
+                return triples
+            if tok.kind == "langtag" and tok.text.lower() in ("@prefix", "@base"):
+                self.directive(tok.text.lower().lstrip("@"))
+                self.expect_dot()
+                continue
+            if tok.kind == "keyword" and tok.text.lower() in ("prefix", "base"):
+                self.directive(tok.text.lower())
+                continue
+            self.statement(triples)
+
+    def directive(self, which: str):
+        self.next()
+        if which == "base":
+            self.fail("base IRIs are not supported; use absolute IRIs")
+        name = self.next()
+        if name.kind != "pname" or not name.text.endswith(":"):
+            self.fail("expected a prefix name ending in ':'", name)
+        iri = self.next()
+        if iri.kind != "iriref":
+            self.fail("expected an IRI after the prefix name", iri)
+        self.prefixes[name.text[:-1]] = iri.text[1:-1]
+
+    def statement(self, triples: set):
+        subject = self.term(position="subject")
+        while True:
+            predicate = self.term(position="predicate")
+            while True:
+                obj = self.term(position="object")
+                triples.add((subject, predicate, obj))
+                if self.peek().kind == "punct" and self.peek().text == ",":
+                    self.next()
+                    continue
+                break
+            tok = self.next()
+            if tok.kind == "punct" and tok.text == ";":
+                nxt = self.peek()
+                if nxt.kind == "punct" and nxt.text == ".":
+                    self.next()
+                    return
+                continue
+            if tok.kind == "punct" and tok.text == ".":
+                return
+            self.fail(f"expected ';' or '.', found {tok.text!r}", tok)
+
+    def term(self, position: str) -> Term:
+        tok = self.next()
+        if tok.kind == "iriref":
+            return Term.iri(tok.text[1:-1])
+        if tok.kind == "pname":
+            prefix, _, local = tok.text.partition(":")
+            if prefix not in self.prefixes:
+                self.fail(f"undeclared prefix {prefix + ':'!r}", tok)
+            return Term.iri(self.prefixes[prefix] + local)
+        if tok.kind == "blank":
+            return Term.blank(tok.text[2:] + self.blank_scope)
+        if tok.kind == "punct" and tok.text == "[":
+            close = self.peek()
+            if close.kind == "punct" and close.text == "]":
+                self.next()
+                self.anon += 1
+                return Term.blank(f"anon{self.anon}{self.blank_scope}")
+            self.fail("blank node property lists are not supported", tok)
+        if tok.kind == "keyword" and tok.text == "a" and position == "predicate":
+            return Term.iri(RDF_TYPE)
+        if position in ("subject", "predicate"):
+            self.fail(f"expected an IRI or blank node, found {tok.text!r}", tok)
+        if tok.kind == "number":
+            text = tok.text
+            if "." not in text and "e" not in text.lower():
+                return Term.literal(text, datatype=XSD_INTEGER)
+            if "e" in text.lower():
+                return Term.literal(text, datatype=XSD_DOUBLE)
+            return Term.literal(text, datatype=XSD_DECIMAL)
+        if tok.kind == "keyword" and tok.text.lower() in ("true", "false"):
+            return Term.literal(tok.text.lower(), datatype=XSD_BOOLEAN)
+        if tok.kind == "string":
+            lexical = unquote(tok.text)
+            nxt = self.peek()
+            if nxt.kind == "langtag":
+                self.next()
+                return Term.literal(lexical, language=nxt.text[1:])
+            if nxt.kind == "dtype":
+                self.next()
+                dt = self.next()
+                if dt.kind == "iriref":
+                    datatype = dt.text[1:-1]
+                elif dt.kind == "pname":
+                    prefix, _, local = dt.text.partition(":")
+                    if prefix not in self.prefixes:
+                        self.fail(f"undeclared prefix {prefix + ':'!r}", dt)
+                    datatype = self.prefixes[prefix] + local
+                else:
+                    self.fail("expected a datatype IRI after '^^'", dt)
+                    return Term.literal(lexical)  # unreachable
+                if datatype == XSD_STRING:
+                    return Term.literal(lexical)
+                return Term.literal(lexical, datatype=datatype)
+            return Term.literal(lexical)
+        self.fail(f"expected a term, found {tok.text!r}", tok)
+        raise AssertionError  # fail always raises
+
+
+def oracle_parse(text: str, blank_scope: str = "") -> frozenset:
+    return frozenset(_TokenListReader(text, blank_scope).read())
+
+
+def outcome(parse, text: str):
+    """The triples read, or the exception's type and line."""
+    try:
+        return parse(text, "@7")
+    except (InputError, ValueError) as exc:
+        return type(exc), getattr(exc, "line", None)
+
+
+# --- corpus -----------------------------------------------------------------------
+
+_LITERALS = [
+    '"plain"',
+    '"with \\"quotes\\" and \\\\ backslash"',
+    '"tab\\tnew\\nline"',
+    '"caf\\u00e9 \\U0001F600"',
+    '"café direct"',
+    "'single quoted'",
+    '"""triple\nquoted "inner" text"""',
+    "'''single\ntriple'''",
+    '""',
+    '"chat"@fr',
+    '"colour"@en-GB',
+    '"typed"^^xsd:string',
+    f'"full"^^<{XSD_STRING}>',
+    '"2021-06-01"^^xsd:date',
+    f'"custom"^^<{EX}dt>',
+    '"7"^^ex:number',
+    "42",
+    "-7",
+    "+5",
+    "3.14",
+    ".5",
+    "1.0e3",
+    "2E-2",
+    "true",
+    "false",
+]
+
+
+def _random_graph(rng: random.Random):
+    """(subject, predicate, objects) statements as Turtle fragments."""
+    subjects = [f"ex:s{i}" for i in range(rng.randint(1, 6))] + ["_:b1", "_:b2", f"<{EX}full>"]
+    predicates = ["ex:p", "ex:q", "a", f"<{EX}r>", "other:link"]
+    objects = subjects + ["[]", "[ ]", "ex:o", f"<{EX}o2>"] + _LITERALS
+    statements = []
+    for _ in range(rng.randint(1, 8)):
+        subject = rng.choice(subjects + ["[]"])
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            pairs.append((rng.choice(predicates), [rng.choice(objects) for _ in range(rng.randint(1, 3))]))
+        statements.append((subject, pairs))
+    return statements
+
+
+def random_turtle(rng: random.Random) -> str:
+    """A Turtle document using prefixes (both spellings), ';', ',', 'a',
+    anonymous and labelled blank nodes, comments, escapes, language tags,
+    datatypes, numbers and booleans."""
+    def sp() -> str:
+        return rng.choice([" ", "  ", "\n  ", "\t"])
+
+    lines = []
+    if rng.random() < 0.5:
+        lines.append(f"@prefix ex: <{EX}> .")
+    else:
+        lines.append(f"PREFIX ex: <{EX}>")
+    lines.append(rng.choice([f"@PREFIX xsd: <{XSD}> .", f"prefix xsd: <{XSD}>", f"@prefix xsd: <{XSD}> ."]))
+    lines.append("@prefix other: <http://other.example/ns#> .")
+    if rng.random() < 0.3:
+        lines.append("# a comment line")
+    for subject, pairs in _random_graph(rng):
+        parts = []
+        for predicate, objects in pairs:
+            parts.append(predicate + sp() + ("," + sp()).join(objects))
+        end = rng.choice([" .", " ;\n .", "\n."])
+        comment = "  # trailing comment" if rng.random() < 0.2 else ""
+        lines.append(subject + sp() + (" ;" + sp()).join(parts) + end + comment)
+    if rng.random() < 0.3:  # redeclaring a prefix changes what its names expand to
+        lines.append("@prefix ex: <http://example.org/other/> .")
+        lines.append("ex:s0 ex:p ex:o .")
+    return "\n".join(lines) + rng.choice(["\n", "", "\n\n# end\n"])
+
+
+def turtle(records) -> str:
+    """The same records as Turtle: prefixed names, 'a', ';' and ','."""
+    def short(key: str) -> str:
+        if key == RDF_TYPE:
+            return "a"
+        return "ex:" + key[len(EX):] if key.startswith(EX) else key
+
+    by_subject: dict[str, dict[str, list[str]]] = {}
+    for s, p, o in records:
+        by_subject.setdefault(s, {}).setdefault(p, []).append(o)
+    lines = [f"PREFIX ex: <{EX}>"]
+    for s, by_predicate in by_subject.items():
+        parts = [short(p) + " " + " , ".join(map(short, objs)) for p, objs in by_predicate.items()]
+        lines.append(short(s) + " " + " ;\n    ".join(parts) + " .")
+    return "\n".join(lines) + "\n"
+
+
+def chain_and_star_documents(root: Path) -> list[str]:
+    """The texts of the chain, star, Plato and Mandela fixture documents."""
+    helpers.build_chain_store(root / "chain", [3, 2, 2])
+    helpers.build_plato_store(root / "plato", influencers=4)
+    helpers.build_mandela_store(root / "mandela")
+    texts = [path.read_text(encoding="utf-8") for path in sorted(root.rglob("docs/*"))]
+    head = f"@prefix ex: <{EX}> .\n@prefix xsd: <{XSD}> .\n"
+    texts.append(head + "\n".join(f"ex:seed ex:links ex:s{i} ." for i in range(5)) + "\n")
+    for i in range(5):
+        texts.append(f'{head}ex:s{i} ex:year "{1900 + i}"^^xsd:integer ;\n  ex:label "subject {i}" .\n')
+    return texts
+
+
+def _boundaries(text: str) -> list[int]:
+    """Offsets where a token starts after white space, outside any string."""
+    out = []
+    quote = None
+    for i, c in enumerate(text):
+        if quote:
+            if text.startswith(quote, i) and text[i - 1] != "\\":
+                quote = None
+            continue
+        if c in "\"'":
+            quote = text[i : i + 3] if text[i : i + 3] in ('"""', "'''") else c
+            continue
+        if i and text[i - 1].isspace() and not c.isspace():
+            out.append(i)
+    return out
+
+
+_INSERTS = ["%", "{", "?x", "|", ")", "=", "$", "~", "&", "!", "<bad iri>", "@base <http://x/> .",
+            "^^", ",", ";", ".", "a", "42", "# cut", "[ ex:p ex:o ]", "zz:undeclared", "@en", "BASE"]
+
+
+def malformed_variants(rng: random.Random, text: str, n: int) -> Iterator[str]:
+    """``n`` single faults of ``text``: an inserted token, a deleted or
+    repeated token, a truncation."""
+    cuts = _boundaries(text)
+    if not cuts:
+        return
+    for _ in range(n):
+        at = rng.choice(cuts)
+        token_end = at
+        while token_end < len(text) and not text[token_end].isspace() and text[token_end] not in "\"'":
+            token_end += 1
+        kind = rng.randrange(4)
+        if kind == 0:
+            yield text[:at] + rng.choice(_INSERTS) + " " + text[at:]
+        elif kind == 1:
+            yield text[:at] + text[token_end:]
+        elif kind == 2:
+            yield text[:token_end] + " " + text[at:]
+        else:
+            yield text[:at]
+
+
+# --- tests ------------------------------------------------------------------------
+
+class TestAgainstTokenListReader:
+    def test_fixture_documents(self, tmp_path):
+        texts = chain_and_star_documents(tmp_path)
+        assert len(texts) > 20
+        for text in texts:
+            graph = parse_document(text, "@3")
+            assert graph and graph == oracle_parse(text, "@3")
+
+    def test_random_turtle_documents(self):
+        rng = random.Random(2718)
+        for _ in range(400):
+            text = random_turtle(rng)
+            graph = parse_document(text, "@1")
+            assert graph == oracle_parse(text, "@1"), text
+
+    def test_random_dumps_as_ntriples_and_turtle(self, tmp_path):
+        rng = random.Random(31415)
+        for _ in range(40):
+            records = helpers.random_dump(rng, max_triples=200)
+            text = helpers.ntriples(records)
+            assert parse_document(text) == oracle_parse(text)
+            path = tmp_path / "dump.nt"
+            path.write_text(text, encoding="utf-8")
+            assert set(read_dump(path)) == set(records)
+            prefixed = turtle(records)
+            assert parse_document(prefixed) == oracle_parse(prefixed) == parse_document(text)
+
+    def test_malformed_documents_fail_alike(self, tmp_path):
+        rng = random.Random(1618)
+        texts = chain_and_star_documents(tmp_path) + [random_turtle(rng) for _ in range(150)]
+        failures = 0
+        for text in texts:
+            for variant in malformed_variants(rng, text, 8):
+                expected = outcome(oracle_parse, variant)
+                assert outcome(parse_document, variant) == expected, variant
+                failures += isinstance(expected, tuple)
+        assert failures > 500
+
+
+class TestStreamingReader:
+    def test_lexer_error_reports_the_line_once(self):
+        text = "<http://x/s> <http://x/p> <http://x/o> .\n<http://x/s> <http://x/p> % .\n"
+        with pytest.raises(DocumentParseError) as err:
+            parse_document(text)
+        assert str(err.value) == "unexpected character '%' (line 2)"
+        assert err.value.line == 2
+
+    def test_error_line_is_the_offending_token(self):
+        with pytest.raises(DocumentParseError) as err:
+            parse_document(f'<{EX}s> <{EX}p> """one\ntwo\nthree""" ;\n\n  <{EX}q> ex:o .\n')
+        assert err.value.line == 5 and "undeclared prefix 'ex:'" in str(err.value)
+
+    def test_triples_are_yielded_one_at_a_time(self):
+        triples = rdfio._triples(f"<{EX}s> <{EX}p> <{EX}o> .\n<{EX}s> <{EX}p> %\n", "")
+        assert next(triples) == (Term.iri(EX + "s"), Term.iri(EX + "p"), Term.iri(EX + "o"))
+        with pytest.raises(DocumentParseError):
+            next(triples)
+
+    def test_read_dump_is_an_iterator_of_keys(self, tmp_path):
+        path = tmp_path / "dump.ttl"
+        path.write_text(
+            f'@prefix ex: <{EX}> .\nex:s a ex:C ; ex:p "v"@en, "v", 3 .\nex:s ex:p "v" .\n',
+            encoding="utf-8",
+        )
+        records = read_dump(path)
+        assert isinstance(records, Iterator)
+        assert list(records) == [
+            (EX + "s", RDF_TYPE, EX + "C"),
+            (EX + "s", EX + "p", '"v"@en'),
+            (EX + "s", EX + "p", '"v"'),
+            (EX + "s", EX + "p", f'"3"^^<{XSD_INTEGER}>'),
+            (EX + "s", EX + "p", '"v"'),  # repeats are yielded; the catalog counts distinct pairs
+        ]
+
+
+def test_rdfio_imports_no_private_name_from_query():
+    tree = ast.parse(Path(rdfio.__file__).read_text(encoding="utf-8"))
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("query", "ldcost.query"):
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "query" and node.attr.startswith("_"):
+                private.append(node.attr)
+    assert private == []

@@ -1,10 +1,12 @@
 import random
+import statistics
 
 import pytest
 
 import helpers
 from ldcost.errors import FormatError
 from ldcost.query import RDF_TYPE
+from ldcost.rdfio import read_dump
 from ldcost.stats import (
     EndpointUnreachable,
     GlobalStats,
@@ -107,6 +109,125 @@ class TestComputeFromDump:
                 assert entry.avg_subject_bindings == pytest.approx(
                     helpers.oracle_pred_subject_avg(dump, predicate), abs=1e-9
                 )
+
+
+def _mean_of_counts(groups: dict) -> float:
+    if not groups:
+        return 0.0
+    return statistics.fmean(len(v) for v in groups.values())
+
+
+def dict_of_sets_compute(triples, provenance: str = "dump") -> StatsCatalog:
+    """The previous ``compute_from_dump``: one dict of sets per catalog value
+    and the mean of the per-key counts.  Kept as the oracle of the pair
+    counting that replaced it."""
+    outgoing: dict[str, set[str]] = {}
+    incoming: dict[str, set[str]] = {}
+    subj_by_obj_nontype: dict[str, set[str]] = {}
+    instances: dict[str, set[str]] = {}
+    objects_by_subj: dict[str, set[str]] = {}
+    pred_objects: dict[str, dict[str, set[str]]] = {}
+    pred_subjects: dict[str, dict[str, set[str]]] = {}
+    typed: set[str] = set()
+
+    total = 0
+    malformed = 0
+    for record in triples:
+        total += 1
+        try:
+            s, p, o = record
+            if not (isinstance(s, str) and isinstance(p, str) and isinstance(o, str)):
+                raise TypeError
+        except (TypeError, ValueError):
+            malformed += 1
+            continue
+        outgoing.setdefault(s, set()).add(p)
+        incoming.setdefault(o, set()).add(p)
+        if p == RDF_TYPE:
+            typed.add(s)
+            instances.setdefault(o, set()).add(s)
+        else:
+            subj_by_obj_nontype.setdefault(o, set()).add(s)
+        objects_by_subj.setdefault(s, set()).add(o)
+        pred_objects.setdefault(p, {}).setdefault(s, set()).add(o)
+        pred_subjects.setdefault(p, {}).setdefault(o, set()).add(s)
+
+    if total and malformed == total:
+        raise MalformedTriple(f"all {total} records were malformed")
+
+    k1 = _mean_of_counts({s: preds for s, preds in outgoing.items() if s in typed})
+    k2 = _mean_of_counts({o: preds for o, preds in incoming.items() if o in typed})
+    k3 = _mean_of_counts(subj_by_obj_nontype)
+    k4 = _mean_of_counts(instances)
+    k5 = _mean_of_counts(objects_by_subj)
+
+    per_predicate = {
+        p: PredicateStats(
+            predicate=p,
+            avg_subject_bindings=_mean_of_counts(pred_subjects[p]),
+            avg_object_bindings=_mean_of_counts(pred_objects[p]),
+        )
+        for p in pred_objects
+    }
+    note = provenance
+    if malformed:
+        note += f" ({malformed} malformed records skipped)"
+    if total == 0:
+        return StatsCatalog(
+            global_stats=GlobalStats(0.0, 0.0, 0.0, 0.0, 0.0),
+            per_predicate={},
+            provenance=note,
+        )
+    return StatsCatalog(
+        global_stats=GlobalStats(k1, k2, k3, k4, k5),
+        per_predicate=per_predicate,
+        provenance=note,
+    )
+
+
+def _with_repeats(rng: random.Random, dump: list) -> list:
+    """The dump with some records repeated, in a shuffled order."""
+    records = dump + [rng.choice(dump) for _ in range(rng.randint(1, len(dump)))]
+    rng.shuffle(records)
+    return records
+
+
+class TestPairCountingOracle:
+    """Pair counting gives the same floats, bit for bit, as the mean of the
+    per-key counts."""
+
+    def test_criterion_5_dumps(self):
+        rng = random.Random(5150)
+        for _ in range(20):
+            dump = helpers.random_dump(rng, max_triples=500)
+            assert compute_from_dump(dump) == dict_of_sets_compute(dump)
+
+    def test_dumps_with_repeated_and_malformed_records(self):
+        rng = random.Random(6061)
+        for _ in range(30):
+            records = _with_repeats(rng, helpers.random_dump(rng, max_triples=300))
+            records.insert(rng.randrange(len(records)), ("only-two", "fields"))
+            catalog = compute_from_dump(records)
+            assert catalog == dict_of_sets_compute(records)
+            distinct = compute_from_dump(set(records) - {("only-two", "fields")})
+            assert catalog.global_stats == distinct.global_stats
+            assert catalog.per_predicate == distinct.per_predicate
+
+    def test_non_dyadic_means_are_exact(self):
+        # counts 1, 1, 2 over three keys: 4/3 is not a dyadic rational
+        dump = [(EX + "a", EX + "p", EX + "x"), (EX + "b", EX + "p", EX + "x"),
+                (EX + "c", EX + "p", EX + "y"), (EX + "c", EX + "p", EX + "z")]
+        catalog = compute_from_dump(dump)
+        assert catalog.per_predicate[EX + "p"].avg_object_bindings == 4 / 3
+        assert catalog == dict_of_sets_compute(dump)
+
+    def test_read_dump_stream(self, tmp_path):
+        rng = random.Random(7)
+        dump = helpers.random_dump(rng, max_triples=400)
+        records = _with_repeats(rng, dump)
+        path = tmp_path / "dump.nt"
+        path.write_text(helpers.ntriples(records), encoding="utf-8")
+        assert compute_from_dump(read_dump(path)) == dict_of_sets_compute(dump)
 
 
 class TestCatalogFile:
