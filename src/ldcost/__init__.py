@@ -14,14 +14,11 @@ query to traversal or an endpoint (:mod:`ldcost.routing`).
 from .analysis import (
     AnswerabilityReport,
     NotAnswerable,
-    NrvInfo,
     ResolutionGroup,
     TraversalPlan,
     build_resolution_groups,
     check_answerability,
     detect_star_joins,
-    filter_affected_nrvs,
-    find_nrvs,
     plan_query,
     render_service_form,
 )

@@ -18,16 +18,17 @@ that plan instead of replaying the traversal order themselves.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import InputError
 from .query import (
     FilterClause,
     QueryPattern,
+    ServiceGroup,
     Term,
     TriplePattern,
-    render_expression,
-    render_term,
+    render_query,
 )
 
 CONSTANT_GROUP = "constant"
@@ -47,17 +48,6 @@ class AnswerabilityReport:
     order: tuple[int, ...] | None = None
     reordered_from_original: bool = False
     failure_witness: frozenset[int] | None = None
-
-
-@dataclass(frozen=True)
-class NrvInfo:
-    """A variable whose bindings must be dereferenced for later triples."""
-
-    variable: str
-    binding_triple: int
-    consumer_triples: tuple[int, ...]
-    star_triples: tuple[int, ...] = ()
-    filter_affected: bool = False
 
 
 @dataclass(frozen=True)
@@ -199,7 +189,6 @@ class TraversalPlan:
     steps: tuple[TripleStep, ...]
     step_by_index: dict[int, TripleStep]
     groups: tuple[ResolutionGroup, ...]
-    consumers: dict[str, tuple[int, ...]]
     stars: dict[str, frozenset[int]]
     filter_targets: dict[FilterClause, frozenset[str]]
     ending_filters: tuple[tuple[FilterClause, ...], ...]
@@ -227,7 +216,6 @@ def plan_query(q: QueryPattern, order: tuple[int, ...] | None = None) -> Travers
         steps=tuple(steps),
         step_by_index={s.index: s for s in steps},
         groups=tuple(groups),
-        consumers=consumers,
         stars={v: frozenset(t) for v, t in _star_triples(q, steps, consumers).items()},
         filter_targets=_filter_targets(q, order, consumers),
         ending_filters=tuple(
@@ -244,29 +232,6 @@ def _consumers_by_variable(steps: list[TripleStep]) -> dict[str, tuple[int, ...]
         if step.anchor_kind == "variable" and step.fresh:
             consumers.setdefault(step.anchor_term.value, []).append(step.index)
     return {v: tuple(c) for v, c in consumers.items()}
-
-
-def find_nrvs(q: QueryPattern, order: tuple[int, ...]) -> list[NrvInfo]:
-    """Necessary-to-resolve variables of the pattern under ``order``.
-
-    A variable qualifies when at least one later triple is anchored by it
-    and still has an unbound variable of its own, i.e. its bindings must be
-    dereferenced to bind something else.
-    """
-    plan = plan_query(q, order)
-    affected = {v for targets in plan.filter_targets.values() for v in targets}
-    return [
-        NrvInfo(
-            variable=name,
-            binding_triple=step.index,
-            consumer_triples=plan.consumers[name],
-            star_triples=tuple(sorted(plan.stars.get(name, ()))),
-            filter_affected=name in affected,
-        )
-        for step in plan.steps
-        for name in sorted(step.fresh)
-        if not name.startswith("_:") and name in plan.consumers
-    ]
 
 
 def detect_star_joins(q: QueryPattern, order: tuple[int, ...]) -> dict[str, set[int]]:
@@ -315,21 +280,6 @@ def _star_triples(
                 if v in consumers and binding_pos.get(v, 0) < step.position:
                     out.setdefault(v, set()).add(idx)
     return out
-
-
-def filter_affected_nrvs(
-    q: QueryPattern, order: tuple[int, ...], nrvs: list[NrvInfo]
-) -> set[str]:
-    """NRVs whose binding sets some FILTER narrows before a later consumer.
-
-    A filter touches v when v occurs in its expression or in the triple it
-    is attached to; it only matters if a consumer of v comes after the
-    filter's position in traversal order.
-    """
-    consumers: dict[str, tuple[int, ...]] = {}
-    for nrv in nrvs:
-        consumers[nrv.variable] = consumers.get(nrv.variable, ()) + nrv.consumer_triples
-    return {v for targets in _filter_targets(q, order, consumers).values() for v in targets}
 
 
 def _filter_targets(
@@ -406,39 +356,21 @@ def render_service_form(q: QueryPattern, order: tuple[int, ...]) -> str:
         plan = plan_query(q, order)
     except InvalidOrder as exc:
         raise NotAnswerable(str(exc)) from exc
-    prefixes = dict(q.prefixes)
-
-    lines = [f"PREFIX {p}: <{iri}>" for p, iri in q.prefixes]
-    select = "*" if q.select_vars is None else " ".join(f"?{v}" for v in q.select_vars)
-    lines.append(f"SELECT {select} WHERE {{")
-
-    def emit_block(anchor: Term, indices: list[int]):
-        lines.append(f"  SERVICE {render_term(anchor, prefixes)} {{")
-        for idx in indices:
-            t = q.triples[idx]
-            lines.append(
-                f"    {render_term(t.subject, prefixes)} "
-                f"{render_term(t.predicate, prefixes)} "
-                f"{render_term(t.object, prefixes)} ."
-            )
-            for f in q.filters_after(idx):
-                lines.append(f"    FILTER {render_expression(f.expression, prefixes)}")
-        lines.append("  }")
-
+    services: list[ServiceGroup] = []
     for group in plan.groups:
-        if group.is_constant:
-            run: list[int] = []
-            run_anchor: Term | None = None
-            for idx in group.triple_indices:
-                anchor = plan.step_by_index[idx].anchor_term
-                if run and anchor != run_anchor:
-                    emit_block(run_anchor, run)
-                    run = []
-                run_anchor = anchor
-                run.append(idx)
-            if run:
-                emit_block(run_anchor, run)
-        else:
-            emit_block(Term.var(group.variable), list(group.triple_indices))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        runs = itertools.groupby(plan.step_by_index[i].anchor_term for i in group.triple_indices)
+        for anchor, run in runs:
+            start = services[-1].stop if services else 0
+            services.append(ServiceGroup(anchor, start, start + len(list(run))))
+    position = {idx: pos for pos, idx in enumerate(plan.order)}
+    return render_query(
+        QueryPattern(
+            select_vars=q.select_vars,
+            triples=tuple(
+                TriplePattern(*q.triples[idx].terms(), index=pos) for pos, idx in enumerate(plan.order)
+            ),
+            filters=tuple(FilterClause(f.expression, position[f.after_triple]) for f in q.filters),
+            prefixes=q.prefixes,
+            service_groups=tuple(services),
+        )
+    )

@@ -89,6 +89,10 @@ class Term:
 
     @staticmethod
     def literal(lexical: str, datatype: str | None = None, language: str | None = None) -> "Term":
+        """A literal term; ``xsd:string`` is dropped, as plain and
+        ``xsd:string`` literals are the same term."""
+        if datatype == XSD_STRING:
+            datatype = None
         return Term("literal", lexical, datatype=datatype, language=language)
 
     @property
@@ -262,21 +266,24 @@ def distinct_anchor_iris(q: QueryPattern) -> set[str]:
 
 # --- tokenizer ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<iriref><[^<>"{}|^`\\\s]*>)
-  | (?P<var>[?$][A-Za-z_0-9]+)
+# The RDF term tokens, written once for the SPARQL tokenizer and the RDF
+# reader (``rdfio``): a block of verbose-regex alternatives, each group
+# naming its token kind.
+TERM_TOKENS = r"""
+    (?P<iri><[^<>"{}|^`\\\s]*>)
   | (?P<blank>_:[A-Za-z_0-9]+)
   | (?P<string>\"\"\"(?:[^"\\]|\\.|\"(?!\"\"))*\"\"\"|'''(?:[^'\\]|\\.|'(?!''))*'''|"(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*')
   | (?P<langtag>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
   | (?P<number>[+-]?(?:\d+\.\d+(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?))
   | (?P<dtype>\^\^)
-  | (?P<punct>&&|\|\||!=|<=|>=|[{}().,;=<>!*\[\]/|+^])
   | (?P<pname>(?:[A-Za-z_][A-Za-z_0-9.-]*)?:(?:[A-Za-z_0-9%-]+(?:\.[A-Za-z_0-9%-]+)*)?)
-  | (?P<keyword>[A-Za-z][A-Za-z_0-9]*)
-    """,
+  | (?P<word>[A-Za-z][A-Za-z_0-9]*)
+"""
+
+_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+) | (?P<comment>\#[^\n]*) | (?P<var>[?$][A-Za-z_0-9]+) |"
+    + TERM_TOKENS
+    + r"| (?P<punct>&&|\|\||!=|<=|>=|[{}().,;=<>!*\[\]/|+^])",
     re.VERBOSE,
 )
 
@@ -359,7 +366,7 @@ class _Parser:
 
     def at_keyword(self, word: str) -> bool:
         tok = self.peek()
-        return tok.kind == "keyword" and tok.text.lower() == word
+        return tok.kind == "word" and tok.text.lower() == word
 
     def expect_punct(self, text: str) -> _Token:
         tok = self.next()
@@ -368,7 +375,7 @@ class _Parser:
         return tok
 
     def reject_unsupported(self, tok: _Token):
-        if tok.kind == "keyword":
+        if tok.kind == "word":
             feature = _UNSUPPORTED_KEYWORDS.get(tok.text.lower())
             if feature:
                 raise UnsupportedFeature(f"{feature} are not supported")
@@ -379,7 +386,7 @@ class _Parser:
 
     def parse(self) -> QueryPattern:
         self.parse_prologue()
-        select_vars = self.parse_select()
+        selected = self.parse_select()
         if self.at_keyword("where"):
             self.next()
         self.expect_punct("{")
@@ -390,13 +397,17 @@ class _Parser:
             raise self.error(f"unexpected trailing content {tok.text!r}", tok)
         if not triples:
             raise EmptyPattern("WHERE clause contains no triple patterns")
+        known = set().union(*(t.variables() for t in triples), *(f.variables for f in filters))
+        for var in selected or ():
+            if var.text[1:] not in known:
+                raise self.error(f"selected variable ?{var.text[1:]} appears nowhere in the pattern", var)
         # Filters seen before any triple are evaluated at the earliest point
         # where anything can be bound: after the first triple.
         filters = [
             FilterClause(f.expression, max(f.after_triple, 0)) for f in filters
         ]
         return QueryPattern(
-            select_vars=select_vars,
+            select_vars=None if selected is None else tuple(var.text[1:] for var in selected),
             triples=tuple(triples),
             filters=tuple(filters),
             prefixes=tuple(sorted(self.prefixes.items())),
@@ -406,23 +417,23 @@ class _Parser:
     def parse_prologue(self):
         while True:
             tok = self.peek()
-            if tok.kind == "keyword" and tok.text.lower() == "prefix":
+            if tok.kind == "word" and tok.text.lower() == "prefix":
                 self.next()
                 name = self.next()
                 if name.kind != "pname" or not name.text.endswith(":"):
                     raise self.error("expected a prefix name ending in ':'", name)
                 iri = self.next()
-                if iri.kind != "iriref":
+                if iri.kind != "iri":
                     raise self.error("expected an IRI after the prefix name", iri)
                 self.prefixes[name.text[:-1]] = iri.text[1:-1]
-            elif tok.kind == "keyword" and tok.text.lower() == "base":
+            elif tok.kind == "word" and tok.text.lower() == "base":
                 raise UnsupportedFeature("BASE declarations are not supported")
             else:
                 return
 
-    def parse_select(self):
+    def parse_select(self) -> list[_Token] | None:
         tok = self.next()
-        if tok.kind != "keyword" or tok.text.lower() != "select":
+        if tok.kind != "word" or tok.text.lower() != "select":
             self.reject_unsupported(tok)
             raise self.error("expected SELECT", tok)
         if self.at_keyword("distinct") or self.at_keyword("reduced"):
@@ -431,12 +442,12 @@ class _Parser:
         if tok.kind == "punct" and tok.text == "*":
             self.next()
             return None
-        names: list[str] = []
+        selected: list[_Token] = []
         while self.peek().kind == "var":
-            names.append(self.next().text[1:])
-        if not names:
+            selected.append(self.next())
+        if not selected:
             raise self.error("SELECT needs '*' or at least one variable")
-        return tuple(names)
+        return selected
 
     def parse_group(self):
         """Body of a '{...}' group: triples, filters, SERVICE blocks."""
@@ -450,13 +461,13 @@ class _Parser:
                 return triples, filters, services
             if tok.kind == "eof":
                 raise self.error("unterminated group: missing '}'")
-            if tok.kind == "keyword" and tok.text.lower() == "filter":
+            if tok.kind == "word" and tok.text.lower() == "filter":
                 self.next()
                 expr = self.parse_constraint()
                 filters.append(FilterClause(expr, len(triples) - 1))
                 self.skip_dot()
                 continue
-            if tok.kind == "keyword" and tok.text.lower() == "service":
+            if tok.kind == "word" and tok.text.lower() == "service":
                 self.next()
                 self.parse_service(triples, filters, services)
                 self.skip_dot()
@@ -470,7 +481,7 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "punct" and tok.text == "}":
                 continue
-            if tok.kind == "keyword" and tok.text.lower() in ("filter", "service"):
+            if tok.kind == "word" and tok.text.lower() in ("filter", "service"):
                 continue
             self.reject_unsupported(tok)
             raise self.error("expected '.', '}', FILTER or SERVICE after a triple pattern", tok)
@@ -528,10 +539,12 @@ class _Parser:
 
     def parse_term(self, position: str) -> Term:
         tok = self.next()
-        if tok.kind == "iriref":
-            return Term.iri(tok.text[1:-1])
-        if tok.kind == "pname":
-            return Term.iri(self.expand_pname(tok))
+        if tok.kind == "iri" or tok.kind == "pname":
+            iri = tok.text[1:-1] if tok.kind == "iri" else self.expand_pname(tok)
+            try:
+                return Term.iri(iri)
+            except ValueError as exc:  # a relative IRI
+                raise self.error(str(exc), tok) from None
         if tok.kind == "var":
             return Term.var(tok.text[1:])
         if tok.kind == "blank":
@@ -546,12 +559,12 @@ class _Parser:
                     raise self.error("blank node in predicate position", tok)
                 return Term.blank(f"anon{next(self.blank_counter)}")
             raise UnsupportedFeature("blank node property lists are not supported")
-        if tok.kind == "keyword" and tok.text == "a" and position == "predicate":
+        if tok.kind == "word" and tok.text == "a" and position == "predicate":
             return Term.iri(RDF_TYPE)
         if tok.kind == "punct" and tok.text == "^":
             raise UnsupportedFeature("property paths are not supported")
         if tok.kind in ("string", "number") or (
-            tok.kind == "keyword" and tok.text.lower() in ("true", "false")
+            tok.kind == "word" and tok.text.lower() in ("true", "false")
         ):
             literal = self.finish_literal(tok)
             if position == "subject":
@@ -564,31 +577,22 @@ class _Parser:
 
     def finish_literal(self, tok: _Token) -> Term:
         if tok.kind == "number":
-            text = tok.text
-            if re.fullmatch(r"[+-]?\d+", text):
-                return Term.literal(text, datatype=XSD_INTEGER)
-            if "e" in text.lower():
-                return Term.literal(text, datatype=XSD_DOUBLE)
-            return Term.literal(text, datatype=XSD_DECIMAL)
-        if tok.kind == "keyword":
+            return Term.literal(tok.text, datatype=number_datatype(tok.text))
+        if tok.kind == "word":
             return Term.literal(tok.text.lower(), datatype=XSD_BOOLEAN)
-        lexical = unquote(tok.text)
+        try:
+            lexical = unquote(tok.text)
+        except ValueError as exc:  # a bad escape
+            raise self.error(str(exc), tok) from None
         nxt = self.peek()
         if nxt.kind == "langtag":
             self.next()
             return Term.literal(lexical, language=nxt.text[1:])
         if nxt.kind == "dtype":
             self.next()
-            dt_tok = self.next()
-            if dt_tok.kind == "iriref":
-                datatype = dt_tok.text[1:-1]
-            elif dt_tok.kind == "pname":
-                datatype = self.expand_pname(dt_tok)
-            else:
-                raise self.error("expected a datatype IRI after '^^'", dt_tok)
-            if datatype == XSD_STRING:  # plain and xsd:string literals are the same term
-                return Term.literal(lexical)
-            return Term.literal(lexical, datatype=datatype)
+            if self.peek().kind != "iri" and self.peek().kind != "pname":
+                raise self.error("expected a datatype IRI after '^^'")
+            return Term.literal(lexical, datatype=self.parse_term(position="datatype").value)
         return Term.literal(lexical)
 
     def expand_pname(self, tok: _Token) -> str:
@@ -606,7 +610,7 @@ class _Parser:
             expr = self.parse_or()
             self.expect_punct(")")
             return expr
-        if tok.kind in ("keyword", "pname"):
+        if tok.kind in ("word", "pname"):
             return self.parse_function_call()
         raise self.error("expected '(' or a function call after FILTER", tok)
 
@@ -648,12 +652,12 @@ class _Parser:
             inner = self.parse_or()
             self.expect_punct(")")
             return inner
-        if tok.kind == "keyword" and tok.text.lower() in ("true", "false"):
+        if tok.kind == "word" and tok.text.lower() in ("true", "false"):
             self.next()
             return Term.literal(tok.text.lower(), datatype=XSD_BOOLEAN)
-        if tok.kind == "keyword":
+        if tok.kind == "word":
             return self.parse_function_call()
-        if tok.kind in ("iriref", "var", "string", "number", "blank"):
+        if tok.kind in ("iri", "var", "string", "number", "blank"):
             return self.parse_term(position="filter")
         if tok.kind == "pname":
             # could be a prefixed function call or an IRI term
@@ -665,7 +669,7 @@ class _Parser:
 
     def parse_function_call(self) -> FunctionCall:
         name_tok = self.next()
-        if name_tok.kind == "keyword":
+        if name_tok.kind == "word":
             name = name_tok.text
             if name.lower() in _UNSUPPORTED_KEYWORDS:
                 raise UnsupportedFeature(f"{_UNSUPPORTED_KEYWORDS[name.lower()]} are not supported")
@@ -685,10 +689,15 @@ class _Parser:
 
 
 _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", "b": "\b", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+_UNICODE_ESCAPE = re.compile(r"u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}")
 
 
 def unquote(text: str) -> str:
-    """The lexical form of a quoted SPARQL or Turtle string, escapes resolved."""
+    """The lexical form of a quoted SPARQL or Turtle string, escapes resolved.
+
+    Raises ValueError for a ``\\u`` or ``\\U`` escape that is not four or
+    eight hex digits naming a Unicode code point.
+    """
     if text.startswith('"""') or text.startswith("'''"):
         body = text[3:-3]
     else:
@@ -705,17 +714,24 @@ def unquote(text: str) -> str:
                 out.append(_ESCAPES[nxt])
                 i += 2
                 continue
-            if nxt == "u" and i + 6 <= len(body):
-                out.append(chr(int(body[i + 2 : i + 6], 16)))
-                i += 6
-                continue
-            if nxt == "U" and i + 10 <= len(body):
-                out.append(chr(int(body[i + 2 : i + 10], 16)))
-                i += 10
+            if nxt == "u" or nxt == "U":
+                m = _UNICODE_ESCAPE.match(body, i + 1)
+                code = int(m[0][1:], 16) if m else -1
+                if not 0 <= code <= 0x10FFFF:
+                    raise ValueError(f"bad escape {body[i : i + (6 if nxt == 'u' else 10)]}")
+                out.append(chr(code))
+                i = m.end()
                 continue
         out.append(c)
         i += 1
     return "".join(out)
+
+
+def number_datatype(numeral: str) -> str:
+    """The XSD datatype of a numeral token: double with an exponent, else
+    decimal with a point, else integer."""
+    lowered = numeral.lower()
+    return XSD_DOUBLE if "e" in lowered else XSD_DECIMAL if "." in lowered else XSD_INTEGER
 
 
 def parse_query(text: str) -> QueryPattern:
@@ -735,8 +751,9 @@ def _abbreviate(iri: str, prefixes: dict[str, str]) -> str | None:
     for prefix, base in prefixes.items():
         if iri.startswith(base) and len(base) > (best[0] if best else -1):
             local = iri[len(base):]
-            # the local part must re-tokenize as a pname: dots only inside
-            if re.fullmatch(r"(?:[A-Za-z_0-9%-]+(?:\.[A-Za-z_0-9%-]+)*)?", local):
+            # the local part must re-tokenize as a pname
+            m = _TOKEN_RE.fullmatch(":" + local)
+            if m and m.lastgroup == "pname":
                 best = (len(base), prefix, local)
     if best is None:
         return None
@@ -751,13 +768,8 @@ def _escape_literal(lexical: str) -> str:
 
 def _numeric_shape(lexical: str) -> str | None:
     """The datatype a bare numeral with this lexical form would parse to."""
-    if re.fullmatch(r"[+-]?\d+", lexical):
-        return XSD_INTEGER
-    if re.fullmatch(r"[+-]?(?:\d+\.\d+|\.\d+)", lexical):
-        return XSD_DECIMAL
-    if re.fullmatch(r"[+-]?(?:\d+\.\d+|\.\d+|\d+)[eE][+-]?\d+", lexical):
-        return XSD_DOUBLE
-    return None
+    m = _TOKEN_RE.fullmatch(lexical)
+    return number_datatype(lexical) if m and m.lastgroup == "number" else None
 
 
 def render_term(term: Term, prefixes: dict[str, str] | None = None) -> str:

@@ -13,23 +13,19 @@ from pathlib import Path
 from typing import NoReturn
 
 from .errors import InputError
-from .query import RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING, Term, unquote
+from .query import RDF_TYPE, TERM_TOKENS, XSD_BOOLEAN, Term, number_datatype, unquote
 
 Triple = tuple[Term, Term, Term]
 
 _TYPE = Term.iri(RDF_TYPE)  # the predicate the keyword 'a' stands for
 
-# One token per match, after any white space and comments.  The group that
+# One token per match, after any white space and comments: an RDF term
+# token (``query.TERM_TOKENS``) or a punctuation mark.  The group that
 # matched names the token; ``bad`` is a character no token starts with.
 _TOKEN_RE = re.compile(
-    r"""\s*(?:\#[^\n]*\s*)*(?:
-      (?P<iri><[^<>"{}|^`\\\s]*>) | (?P<blank>_:[A-Za-z_0-9]+)
-    | (?P<string>\"\"\"(?:[^"\\]|\\.|\"(?!\"\"))*\"\"\"|'''(?:[^'\\]|\\.|'(?!''))*'''|"(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*')
-    | (?P<langtag>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
-    | (?P<number>[+-]?(?:\d+\.\d+(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?))
-    | (?P<dtype>\^\^) | (?P<dot>\.) | (?P<comma>,) | (?P<semicolon>;) | (?P<open>\[) | (?P<close>\])
-    | (?P<pname>(?:[A-Za-z_][A-Za-z_0-9.-]*)?:(?:[A-Za-z_0-9%-]+(?:\.[A-Za-z_0-9%-]+)*)?)
-    | (?P<word>[A-Za-z][A-Za-z_0-9]*) | (?P<end>\Z) | (?P<bad>.))""",
+    r"\s*(?:\#[^\n]*\s*)*(?:"
+    + TERM_TOKENS
+    + r"| (?P<dot>\.) | (?P<comma>,) | (?P<semicolon>;) | (?P<open>\[) | (?P<close>\]) | (?P<end>\Z) | (?P<bad>.))",
     re.VERBOSE,
 )
 
@@ -67,15 +63,18 @@ def _triples(text: str, blank_scope: str) -> Iterator[Triple]:
             token = m[kind]
             term = nodes.get(token)
             if term is None:
-                if kind == "iri":
-                    term = Term.iri(token[1:-1])
-                elif kind == "blank":
-                    term = Term.blank(token[2:] + blank_scope)
-                else:
-                    prefix, _, local = token.partition(":")
-                    if prefix not in prefixes:
-                        fail(f"undeclared prefix {prefix + ':'!r}", m)
-                    term = Term.iri(prefixes[prefix] + local)
+                try:
+                    if kind == "iri":
+                        term = Term.iri(token[1:-1])
+                    elif kind == "blank":
+                        term = Term.blank(token[2:] + blank_scope)
+                    else:
+                        prefix, _, local = token.partition(":")
+                        if prefix not in prefixes:
+                            fail(f"undeclared prefix {prefix + ':'!r}", m)
+                        term = Term.iri(prefixes[prefix] + local)
+                except ValueError as exc:  # a relative IRI
+                    fail(str(exc), m)
                 nodes[token] = term
             return term
         if kind != "open":
@@ -91,13 +90,15 @@ def _triples(text: str, blank_scope: str) -> Iterator[Triple]:
         token = m[kind]
         after = next(tokens)
         if kind == "number":
-            datatype = XSD_DOUBLE if "e" in token.lower() else XSD_DECIMAL if "." in token else XSD_INTEGER
-            return Term.literal(token, datatype=datatype), after
+            return Term.literal(token, datatype=number_datatype(token)), after
         if kind == "word" and token.lower() in ("true", "false"):
             return Term.literal(token.lower(), datatype=XSD_BOOLEAN), after
         if kind != "string":
             fail(f"expected a term, found {token!r}", m)
-        lexical = unquote(token)
+        try:
+            lexical = unquote(token)
+        except ValueError as exc:  # a bad escape
+            fail(str(exc), m)
         if after.lastgroup == "langtag":
             return Term.literal(lexical, language=after["langtag"][1:]), next(tokens)
         if after.lastgroup != "dtype":
@@ -105,10 +106,7 @@ def _triples(text: str, blank_scope: str) -> Iterator[Triple]:
         dt = next(tokens)
         if dt.lastgroup != "iri" and dt.lastgroup != "pname":
             fail("expected a datatype IRI after '^^'", dt)
-        datatype = node(dt, "a datatype IRI").value
-        if datatype == XSD_STRING:  # plain and xsd:string literals are the same term
-            datatype = None
-        return Term.literal(lexical, datatype=datatype), next(tokens)
+        return Term.literal(lexical, datatype=node(dt, "a datatype IRI").value), next(tokens)
 
     m = next(tokens)
     while True:

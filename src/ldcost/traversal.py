@@ -15,6 +15,7 @@ from .analysis import _binding_name, plan_query
 from .errors import FormatError, InputError, LdcostError, RemoteError
 from .query import (
     XSD,
+    XSD_BOOLEAN,
     XSD_DECIMAL,
     XSD_DOUBLE,
     XSD_INTEGER,
@@ -419,7 +420,7 @@ def _numeric_value(term: Term) -> float | None:
 def _ebv(term: Term) -> bool:
     """Effective boolean value of a term."""
     if term.is_literal:
-        if term.datatype == XSD + "boolean":
+        if term.datatype == XSD_BOOLEAN:
             return term.value == "true"
         number = _numeric_value(term)
         if number is not None and term.datatype is not None:
@@ -428,8 +429,8 @@ def _ebv(term: Term) -> bool:
     raise _EvalError("no boolean value")
 
 
-_TRUE = Term.literal("true", datatype=XSD + "boolean")
-_FALSE = Term.literal("false", datatype=XSD + "boolean")
+_TRUE = Term.literal("true", datatype=XSD_BOOLEAN)
+_FALSE = Term.literal("false", datatype=XSD_BOOLEAN)
 
 
 def _filter_passes(expr: FilterNode, binding: dict[str, Term]) -> bool:

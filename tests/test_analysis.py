@@ -11,14 +11,12 @@ from ldcost.analysis import (
     build_resolution_groups,
     check_answerability,
     detect_star_joins,
-    filter_affected_nrvs,
-    find_nrvs,
     plan_query,
     render_service_form,
     traversal_steps,
 )
 from ldcost.estimator import EstimatorConfig, estimate
-from ldcost.query import Term, parse_query
+from ldcost.query import QueryPattern, Term, parse_query, render_expression, render_term
 from ldcost.stats import StatsCatalog
 from ldcost.traversal import execute, load_store
 
@@ -28,6 +26,22 @@ def order_of(text):
     report = check_answerability(q)
     assert report.answerable, text
     return q, report
+
+
+def nrv_consumers(plan: TraversalPlan) -> dict[str, tuple[int, ...]]:
+    """Each necessary-to-resolve variable (NRV) with the later triples it
+    anchors that bind something new, read from the plan's steps."""
+    consumers: dict[str, tuple[int, ...]] = {}
+    for step in plan.steps:
+        if step.anchor_kind == "variable" and step.fresh:
+            name = step.anchor_term.value
+            consumers[name] = consumers.get(name, ()) + (step.index,)
+    return consumers
+
+
+def filter_affected(plan: TraversalPlan) -> set[str]:
+    """The NRVs some FILTER narrows before a later consumer."""
+    return set().union(*plan.filter_targets.values())
 
 
 class TestCheckAnswerability:
@@ -104,37 +118,32 @@ class TestCheckAnswerability:
 
 
 class TestFindNrvs:
+    """NRVs as the plan records them."""
+
     def test_author_publication_chain(self):
-        q, report = order_of(helpers.AUTHOR_CHAIN_QUERY)
-        nrvs = find_nrvs(q, report.order)
-        assert [n.variable for n in nrvs] == ["author", "publication"]
-        author, publication = nrvs
-        assert author.binding_triple == 0
-        assert author.consumer_triples == (1,)
-        assert publication.consumer_triples == (2,)
+        plan = plan_query(parse_query(helpers.AUTHOR_CHAIN_QUERY))
+        assert nrv_consumers(plan) == {"author": (1,), "publication": (2,)}
+        assert "author" in plan.step_by_index[0].fresh
 
     def test_single_anchor_query_has_none(self):
-        q, report = order_of(helpers.MANDELA_QUERY)
-        assert find_nrvs(q, report.order) == []
+        assert nrv_consumers(plan_query(parse_query(helpers.MANDELA_QUERY))) == {}
 
     def test_no_variable_feeds_another(self):
-        q, report = order_of("SELECT * WHERE { ?s <http://x/p> <http://x/o> }")
-        assert find_nrvs(q, report.order) == []
+        plan = plan_query(parse_query("SELECT * WHERE { ?s <http://x/p> <http://x/o> }"))
+        assert nrv_consumers(plan) == {}
 
     def test_invalid_order_rejected(self):
         q = parse_query(helpers.PLATO_QUERY)
         with pytest.raises(InvalidOrder):
-            find_nrvs(q, (1, 0))
+            plan_query(q, (1, 0))
         with pytest.raises(InvalidOrder):
-            find_nrvs(q, (0,))
+            plan_query(q, (0,))
 
     def test_star_and_filter_flags_populated(self):
-        q, report = order_of(helpers.BIRTHDATE_FILTER_QUERY)
-        nrvs = {n.variable: n for n in find_nrvs(q, report.order)}
-        assert nrvs["author"].star_triples == (1,)
-        assert nrvs["author"].filter_affected is True
-        assert nrvs["publication"].star_triples == ()
-        assert nrvs["publication"].filter_affected is False
+        plan = plan_query(parse_query(helpers.BIRTHDATE_FILTER_QUERY))
+        assert set(nrv_consumers(plan)) == {"author", "publication"}
+        assert plan.stars == {"author": frozenset({1})}
+        assert filter_affected(plan) == {"author"}
 
 
 class TestDetectStarJoins:
@@ -157,9 +166,8 @@ class TestDetectStarJoins:
 
 class TestFilterAffectedNrvs:
     def test_birthdate_filter_narrows_author(self):
-        q, report = order_of(helpers.BIRTHDATE_FILTER_QUERY)
-        nrvs = find_nrvs(q, report.order)
-        assert filter_affected_nrvs(q, report.order, nrvs) == {"author"}
+        plan = plan_query(parse_query(helpers.BIRTHDATE_FILTER_QUERY))
+        assert filter_affected(plan) == {"author"}
 
     def test_trailing_filter_affects_nothing(self):
         q, report = order_of(
@@ -174,12 +182,10 @@ class TestFilterAffectedNrvs:
             }
             """
         )
-        nrvs = find_nrvs(q, report.order)
-        assert filter_affected_nrvs(q, report.order, nrvs) == set()
+        assert plan_query(q, report.order).filter_targets == {}
 
     def test_no_filters(self):
-        q, report = order_of(helpers.AUTHOR_CHAIN_QUERY)
-        assert filter_affected_nrvs(q, report.order, find_nrvs(q, report.order)) == set()
+        assert plan_query(parse_query(helpers.AUTHOR_CHAIN_QUERY)).filter_targets == {}
 
 
 class TestBuildResolutionGroups:
@@ -224,7 +230,90 @@ class TestBuildResolutionGroups:
         assert len(groups) == 1 and groups[0].is_constant
 
 
+def line_writer_service_form(q: QueryPattern, order: tuple[int, ...]) -> str:
+    """The previous ``render_service_form``, which wrote its own PREFIX,
+    SELECT, triple and FILTER lines; kept as the oracle for the one built
+    on ``render_query``."""
+    plan = plan_query(q, order)
+    prefixes = dict(q.prefixes)
+
+    lines = [f"PREFIX {p}: <{iri}>" for p, iri in q.prefixes]
+    select = "*" if q.select_vars is None else " ".join(f"?{v}" for v in q.select_vars)
+    lines.append(f"SELECT {select} WHERE {{")
+
+    def emit_block(anchor: Term, indices: list[int]):
+        lines.append(f"  SERVICE {render_term(anchor, prefixes)} {{")
+        for idx in indices:
+            t = q.triples[idx]
+            lines.append(
+                f"    {render_term(t.subject, prefixes)} "
+                f"{render_term(t.predicate, prefixes)} "
+                f"{render_term(t.object, prefixes)} ."
+            )
+            for f in q.filters_after(idx):
+                lines.append(f"    FILTER {render_expression(f.expression, prefixes)}")
+        lines.append("  }")
+
+    for group in plan.groups:
+        if group.is_constant:
+            run: list[int] = []
+            run_anchor: Term | None = None
+            for idx in group.triple_indices:
+                anchor = plan.step_by_index[idx].anchor_term
+                if run and anchor != run_anchor:
+                    emit_block(run_anchor, run)
+                    run = []
+                run_anchor = anchor
+                run.append(idx)
+            if run:
+                emit_block(run_anchor, run)
+        else:
+            emit_block(Term.var(group.variable), list(group.triple_indices))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def service_form_corpus(rng: random.Random, n: int):
+    """The answerable fixture queries, then ``n`` generated ones, some with a
+    prefix to abbreviate and a projection; each with its answerability
+    order and a shuffled order, which may not be evaluable."""
+    texts = [
+        helpers.MANDELA_QUERY,
+        helpers.PLATO_QUERY,
+        helpers.PLATO_LD_QUERY,
+        helpers.AUTHOR_CHAIN_QUERY,
+        helpers.DIRECTOR_STAR_QUERY,
+        helpers.BIRTHDATE_FILTER_QUERY,
+        helpers.PARTY_CHAIN_QUERY,
+    ]
+    for _ in range(n):
+        text = helpers.random_answerable_query(rng)
+        if rng.random() < 0.5:
+            text = f"PREFIX ex: <{helpers.EX}>\n" + text
+        if rng.random() < 0.5:
+            text = text.replace("SELECT *", "SELECT ?v1", 1)
+        texts.append(text)
+    for text in texts:
+        q = parse_query(text)
+        order = check_answerability(q).order
+        yield q, order
+        yield q, tuple(rng.sample(order, len(order)))
+
+
 class TestRenderServiceForm:
+    def test_byte_identical_to_the_line_writer(self):
+        identical = 0
+        for q, order in service_form_corpus(random.Random(83), 1200):
+            try:
+                expected = line_writer_service_form(q, order)
+            except InvalidOrder:
+                with pytest.raises(NotAnswerable):
+                    render_service_form(q, order)
+                continue
+            assert render_service_form(q, order) == expected
+            identical += 1
+        assert identical > 1200
+
     def test_plato_two_blocks(self):
         q, report = order_of(helpers.PLATO_QUERY)
         text = render_service_form(q, report.order)
@@ -268,14 +357,12 @@ class TestNrvConsistency:
     def test_consumer_anchor_is_the_nrv(self):
         rng = random.Random(82)
         for _ in range(100):
-            q = parse_query(helpers.random_answerable_query(rng))
-            report = check_answerability(q)
-            steps = {s.index: s for s in traversal_steps(q, report.order)}
-            for nrv in find_nrvs(q, report.order):
-                for consumer in nrv.consumer_triples:
-                    step = steps[consumer]
-                    assert step.anchor_kind == "variable"
-                    assert step.anchor_term == Term.var(nrv.variable)
+            plan = plan_query(parse_query(helpers.random_answerable_query(rng)))
+            bound_at = {name: step.position for step in plan.steps for name in step.fresh}
+            for step in plan.steps:
+                if step.anchor_kind == "variable":
+                    assert step.anchor_term.is_variable
+                    assert bound_at[step.anchor_term.value] < step.position
 
 
 class TestPlanQuery:
@@ -311,11 +398,6 @@ class TestPlanQuery:
             assert plan.step_by_index == {s.index: s for s in plan.steps}
             assert list(plan.groups) == build_resolution_groups(q, order)
             assert plan.stars == detect_star_joins(q, order)
-            nrvs = find_nrvs(q, order)
-            assert {n.variable: n.consumer_triples for n in nrvs} == plan.consumers
-            assert set().union(*plan.filter_targets.values()) == filter_affected_nrvs(
-                q, order, nrvs
-            )
             for gid, group in enumerate(plan.groups):
                 last = group.triple_indices[-1]
                 expected = q.filters_after(last) if group.ended_by_filter else []

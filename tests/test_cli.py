@@ -399,3 +399,41 @@ class TestCliCommands:
             "reordered_from_original": False,
             "failure_witness": None,
         }
+
+
+class TestBadTermsExitTwo:
+    """A bad term is a syntax error naming its position, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "text, line", helpers.BAD_TERM_DOCUMENTS.values(), ids=helpers.BAD_TERM_DOCUMENTS
+    )
+    def test_stats_collect_dump(self, tmp_path, capsys, text, line):
+        dump = tmp_path / "data.nt"
+        dump.write_text(text, encoding="utf-8")
+        out_file = tmp_path / "dump.stats"
+        code = cli.main(["stats", "collect", "--dump", str(dump), "--out", str(out_file)])
+        assert code == EXIT_INPUT
+        assert not out_file.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"(line {line})\n")
+
+    @pytest.mark.parametrize(
+        "text, line, column", helpers.BAD_TERM_QUERIES.values(), ids=helpers.BAD_TERM_QUERIES
+    )
+    def test_answerable(self, tmp_path, capsys, text, line, column):
+        path = tmp_path / "bad.rq"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["answerable", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"(line {line}, column {column})\n")
+
+    def test_simulate_store_document(self, tmp_path, capsys):
+        text, line = helpers.BAD_TERM_DOCUMENTS["relative-iri"]
+        (tmp_path / "s.nt").write_text(text, encoding="utf-8")
+        manifest = helpers.write_manifest(tmp_path, {"http://x/a": "s.nt"})
+        query = tmp_path / "q.rq"
+        query.write_text("SELECT * WHERE { <http://x/a> <http://x/p> ?o }", encoding="utf-8")
+        assert cli.main(["simulate", str(query), "--store", str(manifest)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: document for <http://x/a>: ")
+        assert err.endswith(f"(line {line})\n")

@@ -124,6 +124,18 @@ class TestLoadGroundTruth:
         (failure,) = load_ground_truth(tmp_path).failures
         assert failure.reason.startswith("query does not parse: ")
 
+    @pytest.mark.parametrize(
+        "text, line, column", helpers.BAD_TERM_QUERIES.values(), ids=helpers.BAD_TERM_QUERIES
+    )
+    def test_bad_term_is_a_collected_failure(self, tmp_path, text, line, column):
+        helpers.write_ground_truth_entry(tmp_path, "q001", text, 2)
+        helpers.write_ground_truth_entry(tmp_path, "q002", helpers.MANDELA_QUERY, 1)
+        load = load_ground_truth(tmp_path)
+        assert [e.id for e in load.entries] == ["q002"]
+        (failure,) = load.failures
+        assert failure.reason.startswith("query does not parse: ")
+        assert failure.reason.endswith(f"(line {line}, column {column})")
+
     def test_each_query_is_parsed_once(self, tmp_path, monkeypatch, worked_catalog):
         for i, (text, real) in enumerate(
             [(helpers.MANDELA_QUERY, 1), (helpers.DIRECTOR_STAR_QUERY, 15_001),

@@ -6,17 +6,23 @@ the triple set.  Valid documents must give the same triples; malformed
 ones, each with a single fault, the same exception type and line.  (With
 two faults the readers may differ: the streaming reader reports the first
 in document order, the old one any lexer fault before any parse fault.)
+
+The SPARQL tokenizer the oracle ran on is frozen here as well
+(``_frozen_tokenize``), so that the oracle does not change along with
+``query``; the current ``query._tokenize`` must give the same token stream.
 """
 
 import ast
 import random
+import re
 from collections.abc import Iterator
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 import helpers
-from ldcost import rdfio
+from ldcost import query, rdfio
 from ldcost.errors import InputError
 from ldcost.query import (
     RDF_TYPE,
@@ -25,9 +31,8 @@ from ldcost.query import (
     XSD_DECIMAL,
     XSD_DOUBLE,
     XSD_INTEGER,
+    QuerySyntaxError,
     Term,
-    _tokenize,
-    _Token,
     unquote,
 )
 from ldcost.rdfio import DocumentParseError, parse_document, read_dump
@@ -36,10 +41,63 @@ EX = helpers.EX
 XSD_STRING = XSD + "string"
 
 
+# --- the SPARQL tokenizer as it was when the oracle used it ------------------------
+
+_FROZEN_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<iriref><[^<>"{}|^`\\\s]*>)
+  | (?P<var>[?$][A-Za-z_0-9]+)
+  | (?P<blank>_:[A-Za-z_0-9]+)
+  | (?P<string>\"\"\"(?:[^"\\]|\\.|\"(?!\"\"))*\"\"\"|'''(?:[^'\\]|\\.|'(?!''))*'''|"(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*')
+  | (?P<langtag>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
+  | (?P<number>[+-]?(?:\d+\.\d+(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?))
+  | (?P<dtype>\^\^)
+  | (?P<punct>&&|\|\||!=|<=|>=|[{}().,;=<>!*\[\]/|+^])
+  | (?P<pname>(?:[A-Za-z_][A-Za-z_0-9.-]*)?:(?:[A-Za-z_0-9%-]+(?:\.[A-Za-z_0-9%-]+)*)?)
+  | (?P<keyword>[A-Za-z][A-Za-z_0-9]*)
+    """,
+    re.VERBOSE,
+)
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str
+    text: str
+    line: int
+    column: int
+
+
+def _frozen_tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    pos = 0
+    line = 1
+    line_start = 0
+    while pos < len(text):
+        m = _FROZEN_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise QuerySyntaxError(
+                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
+            )
+        kind = m.lastgroup or ""
+        tok = m.group(0)
+        if kind not in ("ws", "comment"):
+            tokens.append(_Token(kind, tok, line, m.start() - line_start + 1))
+        newlines = tok.count("\n")
+        if newlines:
+            line += newlines
+            line_start = m.start() + tok.rfind("\n") + 1
+        pos = m.end()
+    tokens.append(_Token("eof", "", line, pos - line_start + 1))
+    return tokens
+
+
 class _TokenListReader:
     def __init__(self, text: str, blank_scope: str):
         try:
-            self.tokens = _tokenize(text)
+            self.tokens = _frozen_tokenize(text)
         except InputError as exc:
             line = getattr(exc, "line", 0)
             raise DocumentParseError(str(exc), line) from None
@@ -332,7 +390,68 @@ def malformed_variants(rng: random.Random, text: str, n: int) -> Iterator[str]:
             yield text[:at]
 
 
+_QUERY_EXTRAS = [
+    "# a comment line",
+    "?v1 ex:label LITERAL .",
+    "?v1 ex:label LITERAL, LITERAL ; ex:other $w .",
+    'FILTER(?v1 != "x"@en && ?v1 <= 3 || !isURI(?v1))',
+    "FILTER (lang(?v1) = 'en') FILTER(?v1 >= -2.5e3)",
+    "SERVICE ?v1 { ?v1 ex:q ?w . }",
+    "_:b ex:p [] .",
+    "?v1 a xsd:string .",
+]
+
+
+def random_query(rng: random.Random) -> str:
+    """A generated query with literals, escapes, comments, SERVICE blocks and
+    filter operators added to a random answerable one."""
+    body = helpers.random_answerable_query(rng).rstrip("}")
+    for _ in range(rng.randint(0, 4)):
+        extra = re.sub("LITERAL", lambda _: rng.choice(_LITERALS), rng.choice(_QUERY_EXTRAS))
+        body += f"  {extra}\n"
+    return f"PREFIX ex: <{EX}>\nPREFIX xsd: <{XSD}>\n{body}}}"
+
+
+FIXTURE_QUERIES = [
+    helpers.MANDELA_QUERY,
+    helpers.PLATO_QUERY,
+    helpers.PLATO_LD_QUERY,
+    helpers.AUTHOR_CHAIN_QUERY,
+    helpers.DIRECTOR_STAR_QUERY,
+    helpers.BIRTHDATE_FILTER_QUERY,
+    helpers.PARTY_CHAIN_QUERY,
+    helpers.ISURI_QUERY,
+]
+
+
+def token_stream(tokenize, text: str, kinds: dict[str, str]):
+    """(kind, text, line, column) per token with kinds renamed, or the
+    tokenizer error's type, message and position."""
+    try:
+        return [(kinds.get(t.kind, t.kind), t.text, t.line, t.column) for t in tokenize(text)]
+    except QuerySyntaxError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+
+
 # --- tests ------------------------------------------------------------------------
+
+class TestAgainstFrozenQueryTokenizer:
+    def test_same_token_streams(self):
+        rng = random.Random(4242)
+        texts = FIXTURE_QUERIES + [random_query(rng) for _ in range(600)]
+        variants = [v for text in texts for v in malformed_variants(rng, text, 3)]
+        errors = 0
+        for text in texts + variants:
+            expected = token_stream(_frozen_tokenize, text, {"iriref": "iri", "keyword": "word"})
+            assert token_stream(query._tokenize, text, {}) == expected, text
+            errors += isinstance(expected, tuple)
+        assert errors > 50
+
+    def test_generated_queries_parse(self):
+        rng = random.Random(4243)
+        for _ in range(100):
+            query.parse_query(random_query(rng))
+
 
 class TestAgainstTokenListReader:
     def test_fixture_documents(self, tmp_path):
@@ -419,3 +538,28 @@ def test_rdfio_imports_no_private_name_from_query():
             if node.value.id == "query" and node.attr.startswith("_"):
                 private.append(node.attr)
     assert private == []
+
+
+def test_term_tokens_are_written_once():
+    """Each term token pattern is written once, in ``query``; ``rdfio`` builds
+    its lexer from it and leaves literal typing to ``query``."""
+    assert query.TERM_TOKENS in rdfio._TOKEN_RE.pattern
+    assert query.TERM_TOKENS in query._TOKEN_RE.pattern
+    patterns = dict(re.findall(r"\(\?P<(\w+)>(.*)\)\s*$", query.TERM_TOKENS, re.MULTILINE))
+    assert list(patterns) == ["iri", "blank", "string", "langtag", "number", "dtype", "pname", "word"]
+    package = Path(rdfio.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    for kind, pattern in patterns.items():
+        assert [name for name, text in sources.items() if pattern in text] == ["query.py"], kind
+        assert sources["query.py"].count(pattern) == 1, kind
+    for name, text in sources.items():
+        if name != "query.py":
+            assert "XSD_STRING" not in text and '+ "string"' not in text, name
+            assert "#string" not in text, name
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(sources["rdfio.py"]))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not imported & {"XSD_INTEGER", "XSD_DECIMAL", "XSD_DOUBLE", "XSD_STRING"}
