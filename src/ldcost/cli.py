@@ -35,10 +35,30 @@ EXIT_REMOTE = 4
 # --- command implementations -----------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
+    together: tuple[str, ...] = ()  # options given all together or not at all
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        given = [o for o in self.together if getattr(namespace, o.lstrip("-")) is not None]
+        if given and len(given) < len(self.together):
+            self.error(f"{' and '.join(self.together)} must be given together")
+        return namespace, extras
+
+
+def _factor(text: str) -> float:
+    """A reduction factor option: a number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (0.0 <= value <= 1.0):
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text!r}")
+    return value
 
 
 def _read_query(path: str) -> QueryPattern:
@@ -190,7 +210,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     load, train, test = _split_dataset(args)
     catalog = _load_catalog(args.catalog)
-    if args.f1 is not None and args.f2 is not None:
+    if args.f1 is not None:  # the parser gives --f1 and --f2 together
         join_factor, filter_factor = args.f1, args.f2
     else:
         join_factor, filter_factor = evaluation.train_factors(train, catalog, grid=args.grid)
@@ -249,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("query")
     p.add_argument("--catalog", help="statistics catalog file")
     p.add_argument("--method", default="mpjf", help="mnp|mp|mpj|mpjf|all")
-    p.add_argument("--f1", type=float, default=DEFAULT_JOIN_FACTOR, help="star-join reduction factor")
-    p.add_argument("--f2", type=float, default=DEFAULT_FILTER_FACTOR, help="filter reduction factor")
+    p.add_argument("--f1", type=_factor, default=DEFAULT_JOIN_FACTOR, help="star-join reduction factor")
+    p.add_argument("--f2", type=_factor, default=DEFAULT_FILTER_FACTOR, help="filter reduction factor")
     p.add_argument("--breakdown", action="store_true", help="show per-group accesses")
     add_json(p)
     p.set_defaults(func=_cmd_estimate)
@@ -288,8 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="train factors and score the estimators")
     add_dataset_args(p)
-    p.add_argument("--f1", type=float, default=None, help="skip training, use this factor")
-    p.add_argument("--f2", type=float, default=None, help="skip training, use this factor")
+    p.add_argument("--f1", type=_factor, default=None, help="skip training, use this factor")
+    p.add_argument("--f2", type=_factor, default=None, help="skip training, use this factor")
+    p.together = ("--f1", "--f2")
     add_json(p)
     p.set_defaults(func=_cmd_eval)
 
@@ -304,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=int, required=True)
     p.add_argument("--probe-endpoint", help="endpoint to probe with ASK {}")
     p.add_argument("--method", default="mpjf")
-    p.add_argument("--f1", type=float, default=DEFAULT_JOIN_FACTOR)
-    p.add_argument("--f2", type=float, default=DEFAULT_FILTER_FACTOR)
+    p.add_argument("--f1", type=_factor, default=DEFAULT_JOIN_FACTOR)
+    p.add_argument("--f2", type=_factor, default=DEFAULT_FILTER_FACTOR)
     p.add_argument("--strict", action="store_true", help="exit 3 when not answerable")
     add_json(p)
     p.set_defaults(func=_cmd_route)

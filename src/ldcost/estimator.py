@@ -116,13 +116,95 @@ def estimate(
     traversal-evaluable order.
     """
     plan = q if isinstance(q, TraversalPlan) else plan_query(q)
-    q = plan.query
-    with_filters = config.method is Method.PREDICATE_JOINS_FILTERS
+    accesses, counts = _walk(
+        plan, catalog, config.method, config.join_factor, config.filter_factor
+    )
+    total = _total(accesses)
+    binding_counts = {
+        name: value for name, value in counts.items() if not name.startswith("_:")
+    }
+    return CostEstimate(
+        total=total,
+        ceiled_total=_ceil(total),
+        group_costs=tuple(
+            GroupCost(gid, group.label, a)
+            for gid, (group, a) in enumerate(zip(plan.groups, accesses))
+        ),
+        binding_counts=binding_counts,
+    )
 
-    counts: dict[str, float] = {}
-    dereferenced: set[str] = set()
-    group_costs: list[GroupCost] = []
+
+class Polynomial:
+    """A polynomial in the join factor x and the filter factor y: a dict
+    from exponents (a, b) to the coefficient c of c·x^a·y^b.  It adds and
+    multiplies with floats and with itself, all the cost walk does with
+    its factors."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[tuple[int, int], float]):
+        self.terms = terms
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for key, c in _terms_of(other).items():
+            terms[key] = terms.get(key, 0.0) + c
+        return Polynomial(terms)
+
+    def __mul__(self, other):
+        terms: dict[tuple[int, int], float] = {}
+        for (a1, b1), c1 in self.terms.items():
+            for (a2, b2), c2 in _terms_of(other).items():
+                key = (a1 + a2, b1 + b2)
+                terms[key] = terms.get(key, 0.0) + c1 * c2
+        return Polynomial(terms)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+
+def _terms_of(value) -> dict[tuple[int, int], float]:
+    return value.terms if isinstance(value, Polynomial) else {(0, 0): value}
+
+
+def cost_terms(plan: TraversalPlan, catalog: StatsCatalog) -> list[tuple[int, int, float]]:
+    """The ``mpjf`` total of ``plan`` as terms (a, b, c) of
+    Σ c·f1^a·f2^b, from one cost walk with the join factor f1 and the
+    filter factor f2 as variables.
+
+    Raises NegativeOrNaNStat as ``estimate`` does.
+    """
+    accesses, _ = _walk(
+        plan,
+        catalog,
+        Method.PREDICATE_JOINS_FILTERS,
+        Polynomial({(1, 0): 1.0}),
+        Polynomial({(0, 1): 1.0}),
+    )
+    return [(a, b, c) for (a, b), c in sorted(_terms_of(_total(accesses)).items())]
+
+
+def _total(accesses: list):
     total = 0.0
+    for a in accesses:
+        total += a
+    return total
+
+
+def _walk(plan: TraversalPlan, catalog: StatsCatalog, method: Method, join_factor, filter_factor):
+    """The cost model: each group's accesses, in group order, and every
+    variable's binding count.
+
+    Generic over the number type of the two factors: it only adds and
+    multiplies them, so floats give the estimate and ``Polynomial``
+    variables give its polynomial in the factors.
+    """
+    q = plan.query
+    with_filters = method is Method.PREDICATE_JOINS_FILTERS
+
+    counts: dict = {}
+    dereferenced: set[str] = set()
+    group_accesses: list = []
 
     for gid, group in enumerate(plan.groups):
         accesses = 0.0
@@ -139,41 +221,33 @@ def estimate(
         # discounts land at group end, before counts derived inside the
         # group are computed, so those counts inherit them ...
         bound_before = set(counts)
-        _apply_star_reductions(group, config, plan.stars, counts)
+        _apply_star_reductions(group, method, join_factor, plan.stars, counts)
         ending_filters = plan.ending_filters[gid] if with_filters else ()
         for clause in ending_filters:
             for v in plan.filter_targets.get(clause, ()):
                 if v in counts:
-                    counts[v] *= config.filter_factor
-        _bind_fresh_variables(q, group, plan.step_by_index, counts, catalog, config.method)
+                    counts[v] *= filter_factor
+        _bind_fresh_variables(q, group, plan.step_by_index, counts, catalog, method)
         # ... except filter discounts on variables first bound in this very
         # group, which only exist after binding
         for clause in ending_filters:
             for v in plan.filter_targets.get(clause, ()):
                 if v in counts and v not in bound_before:
-                    counts[v] *= config.filter_factor
+                    counts[v] *= filter_factor
 
-        group_costs.append(GroupCost(gid, group.label, accesses))
-        total += accesses
+        group_accesses.append(accesses)
 
-    binding_counts = {
-        name: value for name, value in counts.items() if not name.startswith("_:")
-    }
-    return CostEstimate(
-        total=total,
-        ceiled_total=_ceil(total),
-        group_costs=tuple(group_costs),
-        binding_counts=binding_counts,
-    )
+    return group_accesses, counts
 
 
 def _apply_star_reductions(
     group: ResolutionGroup,
-    config: EstimatorConfig,
+    method: Method,
+    join_factor,
     stars: dict[str, frozenset[int]],
-    counts: dict[str, float],
+    counts: dict,
 ) -> None:
-    if config.method not in (Method.PREDICATE_JOINS, Method.PREDICATE_JOINS_FILTERS):
+    if method not in (Method.PREDICATE_JOINS, Method.PREDICATE_JOINS_FILTERS):
         return
     if group.is_constant:
         return
@@ -181,7 +255,7 @@ def _apply_star_reductions(
     star_indices = stars.get(v, ())
     for idx in group.triple_indices:
         if idx in star_indices and v in counts:
-            counts[v] *= config.join_factor
+            counts[v] *= join_factor
 
 
 def _bind_fresh_variables(

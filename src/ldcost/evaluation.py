@@ -29,6 +29,8 @@ from .estimator import (
     DEFAULT_JOIN_FACTOR,
     EstimatorConfig,
     Method,
+    _ceil,
+    cost_terms,
     estimate,
 )
 from .query import QueryPattern, parse_query
@@ -234,34 +236,33 @@ def train_factors(train, catalog: StatsCatalog, grid=None) -> tuple[float, float
 
     Scores the joint (join, filter) grid with the filters-aware method;
     ties prefer the larger factors (mildest reduction), comparing the join
-    factor first.  Each query is planned once, before the grid.
+    factor first.  Each query's cost is compiled once, before the grid, to
+    its polynomial in the two factors (``cost_terms``); each grid point
+    then evaluates the polynomials and ceils them as ``estimate`` does.
     """
     grid = [round(0.1 * i, 1) for i in range(11)] if grid is None else list(grid)
+    if not grid:
+        raise InputError("empty grid")
     if any(not (0.0 <= g <= 1.0) for g in grid):
         raise InputError("grid values must lie in [0, 1]")
     scored, _ = _prepare(train)
     if not scored:
         raise EmptyInput("no usable training entries")
 
-    best: tuple[float, float] | None = None
+    compiled = [(s.entry.real_cost, cost_terms(s.plan, catalog)) for s in scored]
+    best = (grid[0], grid[0])
     best_score = float("inf")
     for join_factor in grid:
         for filter_factor in grid:
-            config = EstimatorConfig(
-                method=Method.PREDICATE_JOINS_FILTERS,
-                join_factor=join_factor,
-                filter_factor=filter_factor,
-            )
             pairs = [
-                (s.entry.real_cost, estimate(s.plan, catalog, config).ceiled_total)
-                for s in scored
+                (real, _ceil(sum(c * join_factor**a * filter_factor**b for a, b, c in terms)))
+                for real, terms in compiled
             ]
             score = avg_abs_diff(pairs)
             candidate = (join_factor, filter_factor)
-            if score < best_score or (score == best_score and best is not None and candidate > best):
+            if score < best_score or (score == best_score and candidate > best):
                 best_score = score
                 best = candidate
-    assert best is not None
     return best
 
 

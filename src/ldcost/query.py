@@ -695,8 +695,9 @@ _UNICODE_ESCAPE = re.compile(r"u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}")
 def unquote(text: str) -> str:
     """The lexical form of a quoted SPARQL or Turtle string, escapes resolved.
 
-    Raises ValueError for a ``\\u`` or ``\\U`` escape that is not four or
-    eight hex digits naming a Unicode code point.
+    Raises ValueError for an escape the grammars lack, and for a ``\\u`` or
+    ``\\U`` escape that is not four or eight hex digits naming a Unicode
+    code point.
     """
     if text.startswith('"""') or text.startswith("'''"):
         body = text[3:-3]
@@ -722,6 +723,7 @@ def unquote(text: str) -> str:
                 out.append(chr(code))
                 i = m.end()
                 continue
+            raise ValueError(f"bad escape \\{nxt}")
         out.append(c)
         i += 1
     return "".join(out)
@@ -747,17 +749,16 @@ def parse_query(text: str) -> QueryPattern:
 # --- rendering ----------------------------------------------------------------
 
 def _abbreviate(iri: str, prefixes: dict[str, str]) -> str | None:
-    best: tuple[int, str, str] | None = None
+    best: tuple[int, str] | None = None
     for prefix, base in prefixes.items():
         if iri.startswith(base) and len(base) > (best[0] if best else -1):
-            local = iri[len(base):]
-            # the local part must re-tokenize as a pname
-            m = _TOKEN_RE.fullmatch(":" + local)
-            if m and m.lastgroup == "pname":
-                best = (len(base), prefix, local)
-    if best is None:
-        return None
-    return f"{best[1]}:{best[2]}"
+            # the whole name must re-tokenize as one pname token: under a
+            # prefix named ``_`` it could read back as a blank node
+            pname = f"{prefix}:{iri[len(base):]}"
+            m = _TOKEN_RE.match(pname)
+            if m and m.lastgroup == "pname" and m.end() == len(pname):
+                best = (len(base), pname)
+    return best[1] if best else None
 
 
 def _escape_literal(lexical: str) -> str:

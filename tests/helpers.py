@@ -93,6 +93,7 @@ SELECT * WHERE {
 BAD_TERM_QUERIES = {  # name: (text, line, column)
     "relative-iri": ("SELECT * WHERE {\n  <relative> <http://x/p> ?o }", 2, 3),
     "bad-u-escape": ('SELECT * WHERE {\n  <http://x/s> <http://x/p> "\\uZZZZ" }', 2, 29),
+    "unknown-escape": ('SELECT * WHERE {\n  <http://x/s> <http://x/p> "a\\qb" }', 2, 29),
     "unknown-selected-variable": ("SELECT ?zzz WHERE { ?s <http://x/p> <http://x/o> }", 1, 8),
     "relative-prefix": ("PREFIX x: <foo>\nSELECT * WHERE {\n  x:a <http://x/p> ?o }", 3, 3),
     "relative-datatype": ('SELECT * WHERE { <http://x/s> <http://x/p> "x"^^<rel> }', 1, 49),
@@ -102,6 +103,7 @@ _GOOD_TRIPLE = "<http://x/a> <http://x/p> <http://x/o> .\n"
 BAD_TERM_DOCUMENTS = {  # name: (text, line)
     "relative-iri": (_GOOD_TRIPLE + "<relative> <http://x/p> <http://x/o> .\n", 2),
     "bad-u-escape": (_GOOD_TRIPLE + '<http://x/a> <http://x/p> "x\\uZZZZ" .\n', 2),
+    "unknown-escape": (_GOOD_TRIPLE + '<http://x/a> <http://x/p> "a\\qb" .\n', 2),
     "U-escape-beyond-unicode": (_GOOD_TRIPLE + '<http://x/a> <http://x/p> "\\U0011FFFF" .\n', 2),
     "relative-prefix": ("@prefix x: <rel> .\nx:a <http://x/p> <http://x/o> .\n", 2),
     "relative-datatype": (_GOOD_TRIPLE + '<http://x/a> <http://x/p> "x"^^<rel> .\n', 2),

@@ -437,3 +437,59 @@ class TestBadTermsExitTwo:
         err = capsys.readouterr().err
         assert err.startswith("error: document for <http://x/a>: ")
         assert err.endswith(f"(line {line})\n")
+
+
+class TestFactorOptions:
+    """A factor outside [0, 1], or only one of eval's two factors, is a
+    usage error: the usage line, one error line and exit 1."""
+
+    @pytest.mark.parametrize("option", ["--f1", "--f2"])
+    @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan", "inf", "abc"])
+    @pytest.mark.parametrize("command", ["estimate", "route", "eval"])
+    def test_bad_factor_is_a_usage_error(self, workspace, capsys, command, option, value):
+        args = {
+            "estimate": ["estimate", str(workspace / "mandela.rq")],
+            "route": ["route", str(workspace / "mandela.rq"), "--threshold", "10"],
+            "eval": ["eval", "--dataset", str(workspace), "--f1", "0.5", "--f2", "0.5"],
+        }[command]
+        assert cli.main(args + [option, value]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: ldcost {command} ")
+        last = err.splitlines()[-1]
+        assert last.startswith(f"ldcost {command}: error: argument {option}: ")
+        assert last.endswith(repr(value))
+
+    @pytest.mark.parametrize("value", ["0", "0.0", "1", "1.0", "0.25"])
+    def test_factor_bounds_are_inclusive(self, workspace, capsys, value):
+        code = cli.main(
+            ["estimate", str(workspace / "star.rq"), "--catalog", str(workspace / "worked.stats"),
+             "--f1", value, "--f2", value, "--json"]
+        )
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["ceiled_total"] == 10_001 + 500_000 * float(value)
+
+    @pytest.mark.parametrize("given", [["--f1", "0.5"], ["--f2", "0.5"]])
+    def test_eval_needs_both_factors_or_neither(self, workspace, tmp_path, capsys, given):
+        dataset = tmp_path / "gt"
+        for i in range(4):
+            helpers.write_ground_truth_entry(dataset, f"m{i}", helpers.MANDELA_QUERY, 1)
+        code = cli.main(["eval", "--dataset", str(dataset), "--catalog", str(workspace / "worked.stats")] + given)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ldcost eval ")
+        assert err.endswith("ldcost eval: error: --f1 and --f2 must be given together\n")
+
+
+class TestEmptyGrid:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_empty_grid_exits_two(self, workspace, tmp_path, capsys, command):
+        dataset = tmp_path / "gt"
+        for i in range(4):
+            helpers.write_ground_truth_entry(dataset, f"m{i}", helpers.MANDELA_QUERY, 1)
+        code = cli.main(
+            [command, "--dataset", str(dataset), "--catalog", str(workspace / "worked.stats"), "--grid"]
+        )
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: empty grid\n"

@@ -351,7 +351,7 @@ def oracle_estimate(q, catalog, config) -> CostEstimate:
                     accesses += 1.0
 
         bound_before = set(counts)
-        _apply_star_reductions(group, config, stars, counts)
+        _apply_star_reductions(group, config.method, config.join_factor, stars, counts)
         ending_filters = (
             q.filters_after(group.triple_indices[-1])
             if config.method is Method.PREDICATE_JOINS_FILTERS and group.ended_by_filter

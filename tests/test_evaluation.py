@@ -1,10 +1,21 @@
 import json
+import math
+import random
 
 import pytest
 
 import helpers
-from ldcost import analysis, evaluation
-from ldcost.estimator import EstimatorConfig, Method, estimate
+from ldcost import analysis, estimator, evaluation
+from ldcost.analysis import NotAnswerable, plan_query
+from ldcost.errors import InputError
+from ldcost.estimator import (
+    EstimatorConfig,
+    Method,
+    NegativeOrNaNStat,
+    _ceil,
+    cost_terms,
+    estimate,
+)
 from ldcost.evaluation import (
     EmptyInput,
     GroundTruthEntry,
@@ -257,6 +268,128 @@ class TestTrainFactors:
         from ldcost.estimator import DEFAULT_FILTER_FACTOR, DEFAULT_JOIN_FACTOR
 
         assert (DEFAULT_JOIN_FACTOR, DEFAULT_FILTER_FACTOR) == (0.9, 0.9)
+
+
+DEFAULT_GRID = [round(0.1 * i, 1) for i in range(11)]
+WORKED_EXAMPLE_QUERIES = (
+    helpers.MANDELA_QUERY,
+    helpers.PLATO_QUERY,
+    helpers.PLATO_LD_QUERY,
+    helpers.AUTHOR_CHAIN_QUERY,
+    helpers.DIRECTOR_STAR_QUERY,
+    helpers.BIRTHDATE_FILTER_QUERY,
+    helpers.PARTY_CHAIN_QUERY,
+)
+
+
+def _compiled_ceiled_total(terms, f1, f2):
+    return _ceil(sum(c * f1**a * f2**b for a, b, c in terms))
+
+
+def _oracle_train_factors(train, catalog, grid):
+    """The grid search as it was before training compiled each plan: one
+    float ``estimate`` per (entry, grid point)."""
+    plans = []
+    for entry in train:
+        try:
+            plans.append((entry.real_cost, plan_query(entry.query)))
+        except NotAnswerable:
+            continue
+    best = None
+    best_score = float("inf")
+    for join_factor in grid:
+        for filter_factor in grid:
+            config = EstimatorConfig(Method.PREDICATE_JOINS_FILTERS, join_factor, filter_factor)
+            pairs = [(real, estimate(plan, catalog, config).ceiled_total) for real, plan in plans]
+            score = avg_abs_diff(pairs)
+            candidate = (join_factor, filter_factor)
+            if score < best_score or (score == best_score and best is not None and candidate > best):
+                best_score = score
+                best = candidate
+    return best
+
+
+def _generated_training_set(rng, n):
+    """A random catalog and ``n`` answerable generated queries whose real
+    costs scatter around the mpjf estimate at a random grid point."""
+    catalog = helpers.random_catalog(rng)
+    truth = EstimatorConfig(
+        Method.PREDICATE_JOINS_FILTERS, rng.choice(DEFAULT_GRID), rng.choice(DEFAULT_GRID)
+    )
+    entries = []
+    for i in range(n):
+        text = helpers.random_answerable_query(rng)
+        cost = estimate(parse_query(text), catalog, truth).total
+        entries.append(_entry(f"q{i:03d}", text, max(1, math.ceil(cost * rng.uniform(0.8, 1.25)))))
+    return entries, catalog
+
+
+class TestCompiledTraining:
+    """Training compiles each plan's mpjf cost to a polynomial in the two
+    factors once; the grid evaluates it.  Checked against the float path."""
+
+    def test_ceiled_totals_equal_estimate_over_the_grid(self, worked_catalog):
+        rng = random.Random(2207)
+        cases = [(parse_query(text), worked_catalog) for text in WORKED_EXAMPLE_QUERIES]
+        for _ in range(100):
+            catalog = helpers.random_catalog(rng)
+            cases += [(parse_query(helpers.random_answerable_query(rng)), catalog) for _ in range(3)]
+        compared = 0
+        for q, catalog in cases:
+            plan = plan_query(q)
+            terms = cost_terms(plan, catalog)
+            for f1 in DEFAULT_GRID:
+                for f2 in DEFAULT_GRID:
+                    config = EstimatorConfig(Method.PREDICATE_JOINS_FILTERS, f1, f2)
+                    assert _compiled_ceiled_total(terms, f1, f2) == estimate(plan, catalog, config).ceiled_total
+                    compared += 1
+        assert compared == (len(WORKED_EXAMPLE_QUERIES) + 300) * 121
+
+    def test_worked_example_polynomials(self, worked_catalog):
+        # the worked example's totals as polynomials in f1 and f2, with
+        # exact-integer coefficients
+        star = plan_query(parse_query(helpers.DIRECTOR_STAR_QUERY))
+        assert cost_terms(star, worked_catalog) == [(0, 0, 10_001.0), (1, 0, 500_000.0)]
+        filtered = plan_query(parse_query(helpers.BIRTHDATE_FILTER_QUERY))
+        assert cost_terms(filtered, worked_catalog) == [(0, 0, 10_001.0), (1, 1, 510_000.0)]
+
+    def test_trained_factors_equal_the_float_grid_search(self, worked_catalog):
+        rng = random.Random(4409)
+        datasets = [_generated_training_set(rng, 40) for _ in range(6)]
+        datasets.append((_forward_model_entries(0.5, 0.3, [worked_catalog, _scaled_catalog(0.7)]), worked_catalog))
+        for entries, catalog in datasets:
+            for grid in (DEFAULT_GRID, [1.0, 0.3, 0.0, 0.5, 0.3]):
+                assert train_factors(entries, catalog, grid=grid) == _oracle_train_factors(entries, catalog, grid)
+
+    def test_the_cost_walk_runs_once_per_training_plan(self, monkeypatch):
+        entries, catalog = _generated_training_set(random.Random(515), 40)
+        calls = []
+        walk = estimator._walk
+
+        def counting_walk(*args):
+            calls.append(args[0])
+            return walk(*args)
+
+        monkeypatch.setattr(estimator, "_walk", counting_walk)
+        train_factors(entries, catalog)  # the default 121-point grid
+        assert len(calls) <= len(entries)
+
+    def test_nan_catalog_value_still_raises(self):
+        catalog = StatsCatalog(
+            per_predicate={EX + "p": PredicateStats(EX + "p", 1.0, float("nan"))}
+        )
+        entries = [_entry("q", f"SELECT * WHERE {{ <{EX}s> <{EX}p> ?o }}", 2)]
+        with pytest.raises(NegativeOrNaNStat):
+            train_factors(entries, catalog)
+
+    @pytest.mark.parametrize("grid", [[], ()])
+    def test_empty_grid_is_an_input_error(self, grid, monkeypatch):
+        def no_work(entries):
+            raise AssertionError("entries prepared before the grid was checked")
+
+        monkeypatch.setattr(evaluation, "_prepare", no_work)
+        with pytest.raises(InputError, match="^empty grid$"):
+            train_factors([_entry("m", helpers.MANDELA_QUERY, 1)], StatsCatalog(), grid=grid)
 
 
 class TestEvaluate:

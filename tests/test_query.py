@@ -159,6 +159,24 @@ class TestRenderQuery:
             q = parse_query(helpers.random_answerable_query(rng))
             assert parse_query(render_query(q)) == q
 
+    def test_prefix_named_underscore_never_renders_a_blank_node(self):
+        # ``_:abc.def`` is a pname as a whole, but the tokenizer reads a
+        # blank node ``_:abc`` first
+        q = parse_query(
+            "PREFIX _: <http://x/> SELECT * WHERE { "
+            "<http://x/abc> <http://x/p> ?o . <http://x/abc.def> <http://x/p> ?o }"
+        )
+        rendered = render_query(q)
+        assert "_:abc" not in rendered and "_:p" not in rendered
+        assert parse_query(rendered) == q
+
+    def test_round_trip_on_random_queries_under_underscore_prefix(self):
+        rng = random.Random(4321)
+        for _ in range(60):
+            text = f"PREFIX _: <{helpers.EX}>\n" + helpers.random_answerable_query(rng)
+            q = parse_query(text)
+            assert parse_query(render_query(q)) == q
+
     def test_prefix_declaration_order_irrelevant(self):
         a = parse_query(
             "PREFIX a: <http://x/a#> PREFIX b: <http://x/b#> "
