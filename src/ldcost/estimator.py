@@ -1,13 +1,16 @@
 """Dereference-count estimation for answerable query patterns.
 
-Four methods of increasing awareness:
+One cost model at four settings.  The methods of increasing awareness
+differ only in the catalog the model reads and in its join (f1) and
+filter (f2) discount factors; a discount of 1.0 is exact:
 
-* ``mnp``  - global averages only (predicate-agnostic);
-* ``mp``   - per-predicate subject/object binding averages;
-* ``mpj``  - additionally discounts star-join checks by a trained factor;
-* ``mpjf`` - additionally discounts positioned FILTER constraints.
+    method  catalog                               f1   f2
+    mnp     StatsCatalog(catalog.global_stats)    1.0  1.0   global averages only
+    mp      catalog                               1.0  1.0   per-predicate averages
+    mpj     catalog                               f1   1.0   + star-join checks
+    mpjf    catalog                               f1   f2    + positioned FILTERs
 
-All methods walk the resolution groups in traversal order, carrying an
+The model walks the resolution groups in traversal order, carrying an
 estimated binding count per variable.  A constant dereference counts once
 query-wide; a variable group costs its variable's count at group start;
 discounts land at group end, before counts propagate to variables bound
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .analysis import ResolutionGroup, TraversalPlan, plan_query
 from .errors import InputError
-from .query import RDF_TYPE, QueryPattern
+from .query import QueryPattern
 from .stats import StatsCatalog
 
 DEFAULT_JOIN_FACTOR = 0.9
@@ -95,8 +98,10 @@ class CostEstimate:
 
 # Totals carry float noise from repeated multiplication (0.01 * 10000 is not
 # exactly 100); snap to 9 decimals before ceiling so exact-integer totals stay
-# exact.
+# exact.  Averages too large for a float overflow the total to inf.
 def _ceil(total: float) -> int:
+    if not math.isfinite(total):
+        raise InputError(f"estimated total is {total!r}: the catalog averages overflow")
     return math.ceil(round(total, 9))
 
 
@@ -113,12 +118,17 @@ def estimate(
 
     ``q`` is a query or a plan of one (``plan_query``); a query is planned
     here.  Raises NotAnswerable when the pattern has no
-    traversal-evaluable order.
+    traversal-evaluable order, and InputError when the catalog's averages
+    overflow the total.
     """
     plan = q if isinstance(q, TraversalPlan) else plan_query(q)
-    accesses, counts = _walk(
-        plan, catalog, config.method, config.join_factor, config.filter_factor
-    )
+    # the method's settings of the one model (see the module docstring)
+    method = config.method.value
+    if method == "mnp":
+        catalog = StatsCatalog(catalog.global_stats)
+    join_factor = config.join_factor if method in ("mpj", "mpjf") else 1.0
+    filter_factor = config.filter_factor if method == "mpjf" else 1.0
+    accesses, counts = _walk(plan, catalog, join_factor, filter_factor)
     total = _total(accesses)
     binding_counts = {
         name: value for name, value in counts.items() if not name.startswith("_:")
@@ -174,13 +184,7 @@ def cost_terms(plan: TraversalPlan, catalog: StatsCatalog) -> list[tuple[int, in
 
     Raises NegativeOrNaNStat as ``estimate`` does.
     """
-    accesses, _ = _walk(
-        plan,
-        catalog,
-        Method.PREDICATE_JOINS_FILTERS,
-        Polynomial({(1, 0): 1.0}),
-        Polynomial({(0, 1): 1.0}),
-    )
+    accesses, _ = _walk(plan, catalog, Polynomial({(1, 0): 1.0}), Polynomial({(0, 1): 1.0}))
     return [(a, b, c) for (a, b), c in sorted(_terms_of(_total(accesses)).items())]
 
 
@@ -191,7 +195,7 @@ def _total(accesses: list):
     return total
 
 
-def _walk(plan: TraversalPlan, catalog: StatsCatalog, method: Method, join_factor, filter_factor):
+def _walk(plan: TraversalPlan, catalog: StatsCatalog, join_factor, filter_factor):
     """The cost model: each group's accesses, in group order, and every
     variable's binding count.
 
@@ -200,7 +204,6 @@ def _walk(plan: TraversalPlan, catalog: StatsCatalog, method: Method, join_facto
     variables give its polynomial in the factors.
     """
     q = plan.query
-    with_filters = method is Method.PREDICATE_JOINS_FILTERS
 
     counts: dict = {}
     dereferenced: set[str] = set()
@@ -221,13 +224,18 @@ def _walk(plan: TraversalPlan, catalog: StatsCatalog, method: Method, join_facto
         # discounts land at group end, before counts derived inside the
         # group are computed, so those counts inherit them ...
         bound_before = set(counts)
-        _apply_star_reductions(group, method, join_factor, plan.stars, counts)
-        ending_filters = plan.ending_filters[gid] if with_filters else ()
+        if not group.is_constant:
+            v = group.variable
+            star_indices = plan.stars.get(v, ())
+            for idx in group.triple_indices:
+                if idx in star_indices and v in counts:
+                    counts[v] *= join_factor
+        ending_filters = plan.ending_filters[gid]
         for clause in ending_filters:
             for v in plan.filter_targets.get(clause, ()):
                 if v in counts:
                     counts[v] *= filter_factor
-        _bind_fresh_variables(q, group, plan.step_by_index, counts, catalog, method)
+        _bind_fresh_variables(q, group, plan.step_by_index, counts, catalog)
         # ... except filter discounts on variables first bound in this very
         # group, which only exist after binding
         for clause in ending_filters:
@@ -240,32 +248,14 @@ def _walk(plan: TraversalPlan, catalog: StatsCatalog, method: Method, join_facto
     return group_accesses, counts
 
 
-def _apply_star_reductions(
-    group: ResolutionGroup,
-    method: Method,
-    join_factor,
-    stars: dict[str, frozenset[int]],
-    counts: dict,
-) -> None:
-    if method not in (Method.PREDICATE_JOINS, Method.PREDICATE_JOINS_FILTERS):
-        return
-    if group.is_constant:
-        return
-    v = group.variable
-    star_indices = stars.get(v, ())
-    for idx in group.triple_indices:
-        if idx in star_indices and v in counts:
-            counts[v] *= join_factor
-
-
 def _bind_fresh_variables(
     q: QueryPattern,
     group: ResolutionGroup,
     steps: dict,
     counts: dict[str, float],
     catalog: StatsCatalog,
-    method: Method,
 ) -> None:
+    g = catalog.global_stats
     for idx in group.triple_indices:
         step = steps[idx]
         if not step.fresh:
@@ -276,25 +266,11 @@ def _bind_fresh_variables(
         else:
             base = counts.get(step.anchor_term.value, 0.0)
         anchored_at_subject = step.anchor_term == t.subject
-        g = catalog.global_stats
 
         if t.predicate.is_iri:
-            if anchored_at_subject:
-                if method is Method.PREDICATE_AGNOSTIC:
-                    node_multiplier = g.avg_obj_bindings
-                else:
-                    node_multiplier = catalog.lookup_object_avg(t.predicate.value)
-            else:
-                is_type = t.predicate.value == RDF_TYPE
-                if method is Method.PREDICATE_AGNOSTIC:
-                    node_multiplier = (
-                        g.avg_instances_per_class if is_type else g.avg_subj_bindings_nontype
-                    )
-                else:
-                    node_multiplier = catalog.lookup_subject_avg(
-                        t.predicate.value, is_rdf_type=is_type
-                    )
-            node_multiplier = _checked(node_multiplier, t.predicate.value)
+            p = t.predicate.value
+            lookup = catalog.lookup_object_avg if anchored_at_subject else catalog.lookup_subject_avg
+            node_multiplier = _checked(lookup(p), p)
             predicate_multiplier = None
         else:
             # variable predicate: every property of the anchor is followed,
@@ -318,7 +294,7 @@ def _bind_fresh_variables(
             if name is None or name not in step.fresh or name in counts:
                 continue
             if term is t.predicate:
-                counts[name] = base * (predicate_multiplier or 1.0)
+                counts[name] = base * predicate_multiplier
             else:
                 counts[name] = base * node_multiplier
 

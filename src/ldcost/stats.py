@@ -9,6 +9,7 @@ fall back to the global averages.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from xml.etree import ElementTree
@@ -73,7 +74,7 @@ class GlobalStats:
     def __post_init__(self):
         for key in GLOBAL_KEYS:
             value = getattr(self, key)
-            if not (value >= 0.0) or value != value or value in (float("inf"),):
+            if not (0.0 <= value < math.inf):
                 raise ValueError(f"{key} must be finite and non-negative, got {value!r}")
 
     def as_dict(self) -> dict[str, float]:
@@ -93,12 +94,13 @@ class StatsCatalog:
     per_predicate: dict[str, PredicateStats] = field(default_factory=dict)
     provenance: str = ""
 
-    def lookup_subject_avg(self, predicate: str, is_rdf_type: bool = False) -> float:
-        """Average subjects per object for a predicate, with global fallback."""
+    def lookup_subject_avg(self, predicate: str) -> float:
+        """Average subjects per object for a predicate, with global fallback
+        (instances per class for ``rdf:type``)."""
         entry = self.per_predicate.get(predicate)
         if entry is not None:
             return entry.avg_subject_bindings
-        if is_rdf_type or predicate == RDF_TYPE:
+        if predicate == RDF_TYPE:
             return self.global_stats.avg_instances_per_class
         return self.global_stats.avg_subj_bindings_nontype
 
@@ -381,6 +383,17 @@ def save_catalog(catalog: StatsCatalog, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _catalog_number(text: str, lineno: int) -> float:
+    """A catalog average: a finite, non-negative number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise FormatError(f"line {lineno}: bad number {text!r}") from None
+    if not (0.0 <= value < math.inf):
+        raise FormatError(f"line {lineno}: {text!r} is not a finite non-negative number")
+    return value
+
+
 def load_catalog(path) -> StatsCatalog:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -411,24 +424,18 @@ def load_catalog(path) -> StatsCatalog:
             parts = line.split("\t")
             if len(parts) != 2 or parts[0] not in GLOBAL_KEYS:
                 raise FormatError(f"line {lineno}: expected 'key<TAB>value' global row")
-            try:
-                globals_seen[parts[0]] = float(parts[1])
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: bad number {parts[1]!r}") from exc
+            globals_seen[parts[0]] = _catalog_number(parts[1], lineno)
         elif section == "predicates":
             parts = line.split("\t")
             if len(parts) != 3:
                 raise FormatError(
                     f"line {lineno}: expected 'IRI<TAB>subjAvg<TAB>objAvg' predicate row"
                 )
-            try:
-                per_predicate[parts[0]] = PredicateStats(
-                    predicate=parts[0],
-                    avg_subject_bindings=float(parts[1]),
-                    avg_object_bindings=float(parts[2]),
-                )
-            except ValueError as exc:
-                raise FormatError(f"line {lineno}: bad number in predicate row") from exc
+            per_predicate[parts[0]] = PredicateStats(
+                predicate=parts[0],
+                avg_subject_bindings=_catalog_number(parts[1], lineno),
+                avg_object_bindings=_catalog_number(parts[2], lineno),
+            )
         else:
             raise FormatError(f"line {lineno}: content before any section header")
 

@@ -86,6 +86,13 @@ SELECT * WHERE {
   ?subject ?predicate ?object FILTER isURI(?object) }
 """
 
+# With a global avg_obj_bindings of 1e200 and no per-predicate rows, the
+# count of ?b is 1e400, which a float holds only as inf.
+OVERFLOW_CHAIN_QUERY = """
+SELECT * WHERE {
+  <http://x/s> <http://x/p> ?a . ?a <http://x/q> ?b . ?b <http://x/r> ?c }
+"""
+
 # Inputs whose only fault is a bad term: a relative IRI (written as such,
 # expanded from a relative prefix, or as a datatype), a bad \u or \U
 # escape, or a selected variable the pattern never mentions.  Each with the

@@ -493,3 +493,53 @@ class TestEmptyGrid:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: empty grid\n"
+
+
+class TestBadCatalogValues:
+    """A catalog number that is not finite and non-negative, or averages
+    whose product overflows a float, is malformed input: one error line
+    and exit 2, never a traceback."""
+
+    def _catalog(self, path, obj_bindings="1.86", predicate_row="http://x/other\t1.0\t2.0"):
+        path.write_text(
+            "[global]\navg_outgoing_props\t25.0\navg_incoming_props\t5.0\n"
+            "avg_subj_bindings_nontype\t1505.0\navg_instances_per_class\t848.0\n"
+            f"avg_obj_bindings\t{obj_bindings}\n[predicates]\n{predicate_row}\n",
+            encoding="utf-8",
+        )
+        return path
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_global_row(self, workspace, tmp_path, capsys, value):
+        catalog = self._catalog(tmp_path / "bad.stats", obj_bindings=value)
+        code = cli.main(["estimate", str(workspace / "mandela.rq"), "--catalog", str(catalog)])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line 6: {value!r} is not a finite non-negative number\n"
+
+    @pytest.mark.parametrize("row", ["http://x/p\tinf\t2.0", "http://x/p\t1.0\tinf"])
+    def test_predicate_row(self, workspace, tmp_path, capsys, row):
+        catalog = self._catalog(tmp_path / "bad.stats", predicate_row=row)
+        code = cli.main(["estimate", str(workspace / "mandela.rq"), "--catalog", str(catalog)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "error: line 8: 'inf' is not a finite non-negative number\n"
+
+    @pytest.mark.parametrize("command", ["estimate", "route", "train", "eval"])
+    def test_overflowing_total(self, tmp_path, capsys, command):
+        catalog = self._catalog(tmp_path / "huge.stats", obj_bindings="1e200")
+        query = tmp_path / "chain.rq"
+        query.write_text(helpers.OVERFLOW_CHAIN_QUERY, encoding="utf-8")
+        dataset = tmp_path / "gt"
+        for i in range(4):
+            helpers.write_ground_truth_entry(dataset, f"c{i}", helpers.OVERFLOW_CHAIN_QUERY, 5)
+        args = {
+            "estimate": ["estimate", str(query), "--method", "mp"],
+            "route": ["route", str(query), "--threshold", "10"],
+            "train": ["train", "--dataset", str(dataset)],
+            "eval": ["eval", "--dataset", str(dataset)],
+        }[command]
+        assert cli.main(args + ["--catalog", str(catalog)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: estimated total is inf: the catalog averages overflow\n"

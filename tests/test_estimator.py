@@ -1,5 +1,7 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,21 +15,21 @@ from ldcost.analysis import (
     plan_query,
     traversal_steps,
 )
+from ldcost.errors import InputError
 from ldcost.estimator import (
     CostEstimate,
     EstimatorConfig,
     GroupCost,
     Method,
     NegativeOrNaNStat,
-    _apply_star_reductions,
-    _bind_fresh_variables,
     _ceil,
+    _checked,
     estimate,
     estimate_all,
 )
 from ldcost.evaluation import GroundTruthEntry, evaluate, train_factors
-from ldcost.query import parse_query, distinct_anchor_iris
-from ldcost.stats import PredicateStats, StatsCatalog, compute_from_dump
+from ldcost.query import RDF_TYPE, parse_query, distinct_anchor_iris
+from ldcost.stats import GlobalStats, PredicateStats, StatsCatalog, compute_from_dump
 from ldcost.traversal import execute, load_store, real_cost
 
 EX = helpers.EX
@@ -134,6 +136,30 @@ class TestErrors:
     def test_factor_out_of_range(self):
         with pytest.raises(ValueError):
             EstimatorConfig(method=Method.PREDICATE_JOINS, join_factor=1.5)
+
+    def test_overflowing_total_is_input_error(self):
+        catalog = StatsCatalog(GlobalStats(avg_obj_bindings=1e200))
+        for method in Method:
+            with pytest.raises(InputError, match="inf"):
+                run(helpers.OVERFLOW_CHAIN_QUERY, catalog, method)
+        entries = [GroundTruthEntry(f"c{i}", helpers.OVERFLOW_CHAIN_QUERY, 5) for i in range(3)]
+        with pytest.raises(InputError, match="inf"):
+            train_factors(entries, catalog)
+
+
+class TestVariablePredicate:
+    QUERY = "SELECT * WHERE { <http://x/s> ?p ?o . ?p <http://x/q> ?z }"
+
+    @pytest.mark.parametrize(
+        "props, p, total", [(0.0, 0.0, 1.0), (1e-9, 1e-9, 1.000000001)]
+    )
+    def test_binding_count_follows_the_property_average(self, props, p, total):
+        # an average of 0.0 properties binds the predicate variable 0 times,
+        # just as 1e-9 binds it 1e-9 times
+        catalog = StatsCatalog(GlobalStats(avg_outgoing_props=props))
+        for method, result in estimate_all(parse_query(self.QUERY), catalog).items():
+            assert result.binding_counts["p"] == p, method
+            assert result.total == total, method
 
 
 class TestProperties:
@@ -288,7 +314,79 @@ class TestChainOracleEquivalence:
 #
 # Replays the analysis through the public helpers on every call, as the
 # estimator once did; the plan-based estimator must give bit-identical
-# results.  The per-group arithmetic helpers are shared with the estimator.
+# results.  The per-group arithmetic helpers are frozen copies of the
+# method-aware ones the estimator had when each method was its own branch
+# of the walk, so the oracle checks the four branches against the one
+# model at four settings.
+
+
+def _oracle_apply_star_reductions(group, method, join_factor, stars, counts) -> None:
+    if method not in (Method.PREDICATE_JOINS, Method.PREDICATE_JOINS_FILTERS):
+        return
+    if group.is_constant:
+        return
+    v = group.variable
+    star_indices = stars.get(v, ())
+    for idx in group.triple_indices:
+        if idx in star_indices and v in counts:
+            counts[v] *= join_factor
+
+
+def _oracle_bind_fresh_variables(q, group, steps, counts, catalog, method) -> None:
+    for idx in group.triple_indices:
+        step = steps[idx]
+        if not step.fresh:
+            continue
+        t = q.triples[idx]
+        if step.anchor_kind == "constant":
+            base = 1.0
+        else:
+            base = counts.get(step.anchor_term.value, 0.0)
+        anchored_at_subject = step.anchor_term == t.subject
+        g = catalog.global_stats
+
+        if t.predicate.is_iri:
+            if anchored_at_subject:
+                if method is Method.PREDICATE_AGNOSTIC:
+                    node_multiplier = g.avg_obj_bindings
+                else:
+                    node_multiplier = catalog.lookup_object_avg(t.predicate.value)
+            else:
+                is_type = t.predicate.value == RDF_TYPE
+                if method is Method.PREDICATE_AGNOSTIC:
+                    node_multiplier = (
+                        g.avg_instances_per_class if is_type else g.avg_subj_bindings_nontype
+                    )
+                else:
+                    node_multiplier = catalog.lookup_subject_avg(t.predicate.value)
+            node_multiplier = _checked(node_multiplier, t.predicate.value)
+            predicate_multiplier = None
+        else:
+            predicate_multiplier = _checked(
+                g.avg_outgoing_props if anchored_at_subject else g.avg_incoming_props,
+                "?" + t.predicate.value,
+            )
+            direction_avg = _checked(
+                g.avg_obj_bindings if anchored_at_subject else g.avg_subj_bindings_nontype,
+                "?" + t.predicate.value,
+            )
+            node_multiplier = predicate_multiplier * direction_avg
+
+        for term in (t.subject, t.predicate, t.object):
+            name = None
+            if term.is_variable:
+                name = term.value
+            elif term.is_blank:
+                name = "_:" + term.value
+            if name is None or name not in step.fresh or name in counts:
+                continue
+            if term is t.predicate:
+                # was `base * (predicate_multiplier or 1.0)`, which bound a
+                # variable predicate to `base` when the catalog's property
+                # average was 0.0; mended in the estimator and here alike
+                counts[name] = base * predicate_multiplier
+            else:
+                counts[name] = base * node_multiplier
 
 
 def _oracle_filter_reduction_targets(q, order):
@@ -351,7 +449,7 @@ def oracle_estimate(q, catalog, config) -> CostEstimate:
                     accesses += 1.0
 
         bound_before = set(counts)
-        _apply_star_reductions(group, config.method, config.join_factor, stars, counts)
+        _oracle_apply_star_reductions(group, config.method, config.join_factor, stars, counts)
         ending_filters = (
             q.filters_after(group.triple_indices[-1])
             if config.method is Method.PREDICATE_JOINS_FILTERS and group.ended_by_filter
@@ -361,7 +459,7 @@ def oracle_estimate(q, catalog, config) -> CostEstimate:
             for v in filter_targets.get(clause, ()):
                 if v in counts:
                     counts[v] *= config.filter_factor
-        _bind_fresh_variables(q, group, steps, counts, catalog, config.method)
+        _oracle_bind_fresh_variables(q, group, steps, counts, catalog, config.method)
         for clause in ending_filters:
             for v in filter_targets.get(clause, ()):
                 if v in counts and v not in bound_before:
@@ -410,6 +508,39 @@ def _oracle_dataset(rng: random.Random, n: int) -> list[GroundTruthEntry]:
         entries.append(GroundTruthEntry(f"q{i:03d}", text, real))
     entries.append(GroundTruthEntry("unanswerable", helpers.ISURI_QUERY, 5))
     return entries
+
+
+class TestOneModelAtFourSettings:
+    """The methods form a hierarchy: each is the next at a neutral setting
+    (the table in the estimator's module docstring), bit for bit."""
+
+    def test_each_method_is_the_next_at_a_neutral_setting(self):
+        rng = random.Random(5051)
+        mnp, mp, mpj, mpjf = Method
+
+        def at(method, catalog, f1, f2):
+            return _exact(estimate(plan, catalog, EstimatorConfig(method, f1, f2)))
+
+        for _ in range(240):
+            plan = plan_query(parse_query(helpers.random_answerable_query(rng)))
+            catalog = helpers.random_catalog(rng)
+            globals_only = StatsCatalog(catalog.global_stats)
+            for f1, f2 in FACTOR_PAIRS:
+                assert at(mnp, catalog, f1, f2) == at(mp, globals_only, f1, f2)
+                assert at(mp, catalog, f1, f2) == at(mpj, catalog, 1.0, f2)
+                assert at(mpj, catalog, f1, f2) == at(mpjf, catalog, f1, 1.0)
+
+    def test_oracle_imports_no_estimator_internals(self):
+        # the oracle below must not share the code it checks
+        tree = ast.parse(Path(__file__).read_text(encoding="utf-8"))
+        private = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "ldcost.estimator"
+            for alias in node.names
+            if alias.name.startswith("_")
+        }
+        assert private <= {"_ceil", "_checked"}
 
 
 class TestPlanEquivalence:

@@ -293,7 +293,6 @@ class TestLookups:
     def test_unknown_predicate_falls_back_to_globals(self):
         catalog = StatsCatalog()
         assert catalog.lookup_subject_avg(EX + "nope") == 1505.0
-        assert catalog.lookup_subject_avg(EX + "nope", is_rdf_type=True) == 848.0
         assert catalog.lookup_object_avg(EX + "nope") == 1.86
 
     def test_rdf_type_recognized_without_flag(self):
