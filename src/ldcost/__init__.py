@@ -7,7 +7,8 @@ passes (:mod:`ldcost.analysis`) -- estimate its cost from predicate
 statistics (:mod:`ldcost.stats`, :mod:`ldcost.estimator`), measure the
 real cost by simulated execution (:mod:`ldcost.traversal`), score
 estimators against ground truth (:mod:`ldcost.evaluation`), and route a
-query to traversal or an endpoint (:mod:`ldcost.routing`).
+query to traversal or an endpoint (:mod:`ldcost.routing`).  Every HTTP
+request goes through :mod:`ldcost.web`.
 :mod:`ldcost.cli` exposes every stage as a command.
 """
 

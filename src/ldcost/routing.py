@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import web
 from .analysis import NotAnswerable, plan_query
 from .errors import InputError
 from .estimator import EstimatorConfig, estimate
@@ -70,14 +71,12 @@ def ask_probe(endpoint_url: str, timeout: float = 2.0):
     """A probe callable that runs ``ASK {}`` against the endpoint."""
 
     def probe() -> bool:
-        import requests
-
-        resp = requests.get(
+        resp = web.get(
             endpoint_url,
-            params={"query": "ASK {}"},
-            headers={"Accept": "application/sparql-results+json"},
+            accept="application/sparql-results+json",
             timeout=timeout,
+            params={"query": "ASK {}"},
         )
-        return resp.status_code == 200
+        return resp.status == 200
 
     return probe

@@ -14,6 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 from xml.etree import ElementTree
 
+from . import web
 from .errors import FormatError, InputError, RemoteError
 from .query import RDF_TYPE
 
@@ -264,24 +265,28 @@ def _parse_average(payload_text: str, content_type: str) -> float | None:
         if not bindings:
             return None
         try:
-            return float(bindings[0]["average"]["value"])
-        except (KeyError, ValueError, TypeError) as exc:
+            value = bindings[0]["average"]["value"]
+        except (KeyError, TypeError) as exc:
             raise ProtocolError(f"non-numeric average in results: {exc}") from exc
-    # XML fallback
+    else:
+        try:
+            root = ElementTree.fromstring(payload_text)
+        except ElementTree.ParseError as exc:
+            raise ProtocolError(f"unparseable SPARQL results: {exc}") from exc
+        ns = {"s": "http://www.w3.org/2005/sparql-results#"}
+        literals = root.findall(".//s:binding[@name='average']/s:literal", ns)
+        if not literals:
+            if root.findall(".//s:result", ns):
+                raise ProtocolError("result row lacks an ?average binding")
+            return None
+        value = literals[0].text or ""
     try:
-        root = ElementTree.fromstring(payload_text)
-    except ElementTree.ParseError as exc:
-        raise ProtocolError(f"unparseable SPARQL results: {exc}") from exc
-    ns = {"s": "http://www.w3.org/2005/sparql-results#"}
-    literals = root.findall(".//s:binding[@name='average']/s:literal", ns)
-    if not literals:
-        if root.findall(".//s:result", ns):
-            raise ProtocolError("result row lacks an ?average binding")
-        return None
-    try:
-        return float(literals[0].text or "")
-    except ValueError as exc:
+        average = float(value)
+    except (ValueError, TypeError) as exc:
         raise ProtocolError(f"non-numeric average in results: {exc}") from exc
+    if not _is_average(average):
+        raise ProtocolError(f"average {value!r} is not a finite non-negative number")
+    return average
 
 
 def fetch_from_endpoint(
@@ -295,30 +300,25 @@ def fetch_from_endpoint(
     global queries that fail keep their default value.  Either case is
     noted in the provenance and raises PartialCatalogWarning.
     """
-    import requests
-
-    session = requests.Session()
     gaps: list[str] = []
 
     def run(query: str) -> float | None:
         try:
-            resp = session.get(
+            resp = web.get(
                 endpoint_url,
-                params={"query": query},
-                headers={
-                    "Accept": "application/sparql-results+json, application/sparql-results+xml"
-                },
+                accept="application/sparql-results+json, application/sparql-results+xml",
                 timeout=timeout,
+                params={"query": query},
             )
-        except requests.exceptions.Timeout as exc:
-            raise TimeoutError(str(exc)) from exc
-        except requests.exceptions.RequestException as exc:
+        except TimeoutError:
+            raise
+        except OSError as exc:
             raise EndpointUnreachable(f"cannot reach {endpoint_url}: {exc}") from exc
-        if resp.status_code >= 500:
-            raise ProtocolError(f"endpoint error {resp.status_code}")
-        if resp.status_code != 200:
-            raise ProtocolError(f"unexpected status {resp.status_code}")
-        return _parse_average(resp.text, resp.headers.get("Content-Type", ""))
+        if resp.status >= 500:
+            raise ProtocolError(f"endpoint error {resp.status}")
+        if resp.status != 200:
+            raise ProtocolError(f"unexpected status {resp.status}")
+        return _parse_average(resp.text, resp.content_type)
 
     globals_kwargs: dict[str, float] = {}
     for parameter, key in zip(GLOBAL_PARAMETERS, GLOBAL_KEYS):
@@ -383,13 +383,19 @@ def save_catalog(catalog: StatsCatalog, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _is_average(value: float) -> bool:
+    """The rule every catalog average keeps, read from a file or an
+    endpoint: finite and non-negative."""
+    return 0.0 <= value < math.inf
+
+
 def _catalog_number(text: str, lineno: int) -> float:
     """A catalog average: a finite, non-negative number."""
     try:
         value = float(text)
     except ValueError:
         raise FormatError(f"line {lineno}: bad number {text!r}") from None
-    if not (0.0 <= value < math.inf):
+    if not _is_average(value):
         raise FormatError(f"line {lineno}: {text!r} is not a finite non-negative number")
     return value
 

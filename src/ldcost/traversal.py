@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import re
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+from . import web
 from .analysis import _binding_name, plan_query
 from .errors import FormatError, InputError, LdcostError, RemoteError
 from .query import (
@@ -30,6 +33,9 @@ from .query import (
     render_query,
 )
 from .rdfio import DocumentParseError, Triple, parse_document
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 
 class ManifestError(FormatError):
@@ -116,30 +122,30 @@ def load_store(
     return store
 
 
-def dereference(store: DerefStore, iri: str):
+def dereference(store: DerefStore, iri: str, fetch: Future | None = None):
     """Fetch and parse the document an IRI maps to.
 
     Returns the triple set, or None for a miss under the empty-graph
-    policy.  In http mode an unmapped IRI is requested at its own address.
+    policy.  In http mode an unmapped IRI is requested at its own address;
+    ``fetch``, if given, is that request already submitted to a thread
+    pool, whose body (or error) this call waits for.  Parsing always runs
+    in the calling thread, so blank-node scopes follow the call order.
     """
     if iri in store._cache:
         return store._cache[iri]
-    location = store.manifest.get(iri)
-    if location is None and store.mode == "http":
-        location = iri
-    if location is None:
-        if store.miss_policy == "error":
-            raise Miss(iri)
-        return None
-
     if store.mode == "local":
+        location = store.manifest.get(iri)
+        if location is None:
+            if store.miss_policy == "error":
+                raise Miss(iri)
+            return None
         path = store.base_dir / location
         try:
             text = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise StoreIoError(f"cannot read document for <{iri}>: {exc}") from exc
     else:
-        text = _http_fetch(store, iri, location)
+        text = fetch.result() if fetch is not None else _http_fetch(store, iri)
         if text is None:
             if store.miss_policy == "error":
                 raise Miss(iri)
@@ -153,26 +159,25 @@ def dereference(store: DerefStore, iri: str):
     return graph
 
 
-def _http_fetch(store: DerefStore, iri: str, url: str) -> str | None:
-    import requests
+_RDF_ACCEPT = "text/turtle, application/n-triples"
 
-    session = requests.Session()
-    session.max_redirects = 5
-    headers = {"Accept": "text/turtle, application/n-triples"}
+
+def _http_fetch(store: DerefStore, iri: str) -> str | None:
+    """The body of the document an IRI maps to in http mode, or None for a
+    404/410.  Runs no parsing, so a pool thread may call it."""
+    url = store.manifest.get(iri, iri)
     last_error = None
     for _ in range(2):  # one retry
         try:
-            resp = session.get(
-                url, headers=headers, timeout=store.timeout, allow_redirects=True
-            )
-        except requests.exceptions.RequestException as exc:
+            resp = web.get(url, accept=_RDF_ACCEPT, timeout=store.timeout)
+        except OSError as exc:
             last_error = exc
             continue
-        if resp.status_code == 200:
+        if resp.status == 200:
             return resp.text
-        if resp.status_code in (404, 410):
+        if resp.status in (404, 410):
             return None
-        last_error = RemoteError(f"status {resp.status_code} for {url}")
+        last_error = RemoteError(f"status {resp.status} for {url}")
     if isinstance(last_error, RemoteError):
         raise last_error
     raise RemoteError(f"cannot fetch {url}: {last_error}")
@@ -301,6 +306,30 @@ def _join_triple(solutions, triple, index: _GraphIndex):
     return out
 
 
+# At most this many documents are fetched at once in http mode.  The
+# standard library's HTTP servers listen with a backlog of 5, so the
+# kernel's accept queue holds 6 connections: a 7th arriving at the same
+# moment has its SYN dropped and retried a second later.  6 is also the
+# usual per-host connection limit of web browsers.
+FETCH_CONNECTIONS = 6
+
+
+@contextmanager
+def _fetch_pool(store: DerefStore):
+    """A pool of ``FETCH_CONNECTIONS`` fetch threads in http mode, else
+    None.  On exit, fetches that have not started are cancelled."""
+    if store.mode != "http":
+        yield None
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(FETCH_CONNECTIONS, thread_name_prefix="ldcost-fetch")
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def execute(q: QueryPattern, store: DerefStore) -> tuple[BindingTable, TraversalTrace]:
     """Evaluate the pattern by link traversal over the store.
 
@@ -310,6 +339,9 @@ def execute(q: QueryPattern, store: DerefStore) -> tuple[BindingTable, Traversal
     match against the union of everything fetched so far; filters apply at
     their textual position.  The trace counts each IRI once query-wide;
     its timestamps are seconds since the call began, on a monotonic clock.
+    In http mode a group's new documents are fetched ahead over at most
+    ``FETCH_CONNECTIONS`` connections; they are still parsed, recorded and
+    their errors raised in the group's order.
     """
     started = time.monotonic()
     plan = plan_query(q)
@@ -322,38 +354,46 @@ def execute(q: QueryPattern, store: DerefStore) -> tuple[BindingTable, Traversal
     misses: list[str] = []
     group_access_total = 0
 
-    for gid, group in enumerate(plan.groups):
-        if group.is_constant:
-            fetch_iris = []
-            for idx in group.triple_indices:
-                iri = plan.step_by_index[idx].anchor_term.value
-                if iri not in fetch_iris:
-                    fetch_iris.append(iri)
-        else:
-            v = group.variable
-            values = {
-                sol[v].value for sol in solutions if v in sol and sol[v].is_iri
-            }
-            fetch_iris = sorted(values)  # deterministic within-group order
-
-        for iri in fetch_iris:
-            group_access_total += 1
-            if iri in seen:
-                continue
-            seen.add(iri)
-            graph = dereference(store, iri)
-            accessed.append((iri, gid, time.monotonic() - started))
-            if graph is None:
-                misses.append(iri)
+    with _fetch_pool(store) as pool:
+        for gid, group in enumerate(plan.groups):
+            if group.is_constant:
+                fetch_iris = []
+                for idx in group.triple_indices:
+                    iri = plan.step_by_index[idx].anchor_term.value
+                    if iri not in fetch_iris:
+                        fetch_iris.append(iri)
             else:
-                index.add_graph(graph)
+                v = group.variable
+                values = {
+                    sol[v].value for sol in solutions if v in sol and sol[v].is_iri
+                }
+                fetch_iris = sorted(values)  # deterministic within-group order
 
-        for idx in group.triple_indices:
-            solutions = _join_triple(solutions, q.triples[idx], index)
-            for clause in q.filters_after(idx):
-                solutions = [
-                    sol for sol in solutions if _filter_passes(clause.expression, sol)
-                ]
+            fetches = {}
+            if pool is not None:  # fetch ahead; dereference parses in order
+                fetches = {
+                    iri: pool.submit(_http_fetch, store, iri)
+                    for iri in fetch_iris
+                    if iri not in seen and iri not in store._cache
+                }
+            for iri in fetch_iris:
+                group_access_total += 1
+                if iri in seen:
+                    continue
+                seen.add(iri)
+                graph = dereference(store, iri, fetches.get(iri))
+                accessed.append((iri, gid, time.monotonic() - started))
+                if graph is None:
+                    misses.append(iri)
+                else:
+                    index.add_graph(graph)
+
+            for idx in group.triple_indices:
+                solutions = _join_triple(solutions, q.triples[idx], index)
+                for clause in q.filters_after(idx):
+                    solutions = [
+                        sol for sol in solutions if _filter_passes(clause.expression, sol)
+                    ]
 
     columns = tuple(q.select_vars) if q.select_vars is not None else tuple(q.variables_in_order())
     rows = {

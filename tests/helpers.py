@@ -385,7 +385,7 @@ class _EndpointHandler(BaseHTTPRequestHandler):
             self.wfile.write(b"this is not json")
             return
         bindings = []
-        if isinstance(behavior, (int, float)):
+        if isinstance(behavior, (int, float, str)):  # served as the literal's text
             bindings = [{"average": {"type": "literal", "value": str(behavior)}}]
         payload = json.dumps(
             {"head": {"vars": ["average"]}, "results": {"bindings": bindings}}
@@ -400,7 +400,12 @@ class _EndpointHandler(BaseHTTPRequestHandler):
 
 
 class FixtureEndpoint:
-    """A local SPARQL endpoint serving canned averages per query text."""
+    """A local SPARQL endpoint serving canned averages per query text.
+
+    An average is a number or the text of its literal; "timeout" answers
+    after 2 s, "garbage" with a body that is not JSON, and a query with no
+    entry with an empty result set.
+    """
 
     def __init__(self, responses: dict[str, object]):
         self.responses = responses
@@ -422,16 +427,32 @@ class FixtureEndpoint:
 
 class _DocHandler(BaseHTTPRequestHandler):
     def do_GET(self):
-        documents = self.server.documents  # type: ignore[attr-defined]
-        self.server.requests.append((self.path, self.headers.get("Accept", "")))  # type: ignore[attr-defined]
-        doc = documents.get(self.path)
-        if doc is None:
-            self.send_response(404)
+        server = self.server.owner  # type: ignore[attr-defined]
+        with server.lock:
+            server.requests.append((self.path, self.headers.get("Accept", "")))
+            server.in_flight += 1
+            server.peak_in_flight = max(server.peak_in_flight, server.in_flight)
+        try:
+            self._respond(server)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the client gave up (timeout)
+        finally:
+            with server.lock:
+                server.in_flight -= 1
+
+    def _respond(self, server):
+        time.sleep(server.delays.get(self.path, server.delay))
+        doc = server.documents.get(self.path)
+        if doc is DocServer.DROP:
+            self.close_connection = True  # close without a response
+            return
+        if doc is None or isinstance(doc, int):
+            self.send_response(404 if doc is None else doc)
             self.end_headers()
             return
-        payload = doc.encode()
+        payload = doc if isinstance(doc, bytes) else doc.encode()
         self.send_response(200)
-        self.send_header("Content-Type", "text/turtle")
+        self.send_header("Content-Type", server.content_type)
         self.end_headers()
         self.wfile.write(payload)
 
@@ -440,18 +461,32 @@ class _DocHandler(BaseHTTPRequestHandler):
 
 
 class DocServer:
-    """Serves RDF documents over HTTP for http-mode store tests."""
+    """Serves RDF documents over HTTP for http-mode store tests.
 
-    def __init__(self, documents: dict[str, str]):
+    A document is text (served as UTF-8), bytes (served as they are), an
+    int (that status, no body) or ``DocServer.DROP`` (the connection is
+    closed without a response); an unknown path answers 404.  Each
+    response waits ``delays[path]``, else ``delay``, seconds.  The server
+    records every request and the peak number of requests in flight.
+    """
+
+    DROP = object()
+
+    def __init__(self, documents: dict[str, object], delay: float = 0.0):
         self.documents = documents
+        self.delay = delay
+        self.delays: dict[str, float] = {}
+        self.content_type = "text/turtle"
         self.requests: list[tuple[str, str]] = []
+        self.in_flight = 0
+        self.peak_in_flight = 0
+        self.lock = threading.Lock()
         self.server = None
         self.thread = None
 
     def __enter__(self) -> str:
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), _DocHandler)
-        self.server.documents = self.documents  # type: ignore[attr-defined]
-        self.server.requests = self.requests  # type: ignore[attr-defined]
+        self.server.owner = self  # type: ignore[attr-defined]
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
         self.thread.start()
         return f"http://127.0.0.1:{self.server.server_address[1]}"

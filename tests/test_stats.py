@@ -1,3 +1,4 @@
+import json
 import random
 import statistics
 
@@ -14,7 +15,9 @@ from ldcost.stats import (
     MissingPredicate,
     PartialCatalogWarning,
     PredicateStats,
+    ProtocolError,
     StatsCatalog,
+    _parse_average,
     collector_query,
     compute_from_dump,
     fetch_from_endpoint,
@@ -347,3 +350,37 @@ class TestFetchFromEndpoint:
             with pytest.warns(PartialCatalogWarning):
                 catalog = fetch_from_endpoint(url, timeout=2.0)
         assert "K5" in catalog.provenance
+
+    @pytest.mark.parametrize("text", ["INF", "NaN", "-3"])
+    def test_average_outside_the_catalog_rule_is_a_gap(self, text):
+        responses = self._responses()
+        responses[collector_query("K3")] = text
+        responses[collector_query("perPredObj", GENRE)] = text
+        with helpers.FixtureEndpoint(responses) as url:
+            with pytest.warns(PartialCatalogWarning):
+                catalog = fetch_from_endpoint(url, predicate_list=[GENRE], timeout=2.0)
+        assert "K3" in catalog.provenance and GENRE in catalog.provenance
+        assert "not a finite non-negative number" in catalog.provenance
+        assert catalog.global_stats.avg_subj_bindings_nontype == GlobalStats().avg_subj_bindings_nontype
+        assert GENRE not in catalog.per_predicate
+        assert catalog.global_stats.avg_instances_per_class == 848.0
+
+
+_XML_RESULT = (
+    '<sparql xmlns="http://www.w3.org/2005/sparql-results#"><results><result>'
+    '<binding name="average"><literal>{}</literal></binding>'
+    "</result></results></sparql>"
+)
+
+
+@pytest.mark.parametrize("text", ["INF", "NaN", "-3", "-0.5", "1e999"])
+@pytest.mark.parametrize("kind", ["json", "xml"])
+def test_parse_average_keeps_the_catalog_rule(kind, text):
+    if kind == "json":
+        payload = json.dumps({"results": {"bindings": [{"average": {"value": text}}]}})
+        content_type = "application/sparql-results+json"
+    else:
+        payload, content_type = _XML_RESULT.format(text), "application/sparql-results+xml"
+    with pytest.raises(ProtocolError, match="not a finite non-negative number"):
+        _parse_average(payload, content_type)
+    assert _parse_average(payload.replace(text, "2.5"), content_type) == 2.5

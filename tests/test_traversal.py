@@ -4,8 +4,9 @@ import time
 import pytest
 
 import helpers
-from ldcost import traversal
+from ldcost import cli, traversal
 from ldcost.analysis import NotAnswerable
+from ldcost.errors import RemoteError
 from ldcost.estimator import EstimatorConfig, Method, estimate
 from ldcost.query import parse_query
 from ldcost.rdfio import DocumentParseError, parse_document
@@ -456,6 +457,208 @@ class TestHttpMode:
             dereference(load_store(manifest, mode="http"), EX + "x")
         (_, accept) = server.requests[0]
         assert "text/turtle" in accept and "application/n-triples" in accept
+
+    def test_utf8_document_reads_as_in_local_mode(self, tmp_path):
+        text = f'<{EX}x> <{EX}name> "Café" .\n'
+        (tmp_path / "x.ttl").write_text(text, encoding="utf-8")
+        local = load_store(helpers.write_manifest(tmp_path, {EX + "x": "x.ttl"}))
+        with helpers.DocServer({"/doc/x": text}) as base:
+            manifest = tmp_path / "http.tsv"
+            manifest.write_text(f"{EX}x\t{base}/doc/x\n")
+            served = dereference(load_store(manifest, mode="http"), EX + "x")
+        assert served == dereference(local, EX + "x")
+
+    def test_charset_of_the_content_type_decodes_the_body(self, tmp_path):
+        server = helpers.DocServer({"/doc/x": f'<{EX}x> <{EX}name> "Café" .\n'.encode("latin-1")})
+        server.content_type = "text/turtle; charset=ISO-8859-1"
+        with server as base:
+            manifest = tmp_path / "m.tsv"
+            manifest.write_text(f"{EX}x\t{base}/doc/x\n")
+            ((_, _, name),) = dereference(load_store(manifest, mode="http"), EX + "x")
+        assert name.value == "Café"
+
+    @pytest.mark.parametrize("location", ["x.ttl", "file://{path}"])
+    def test_location_that_is_not_http_is_a_remote_error(self, tmp_path, location):
+        doc = tmp_path / "x.ttl"
+        doc.write_text(f'<{EX}x> <{EX}name> "X" .\n')
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(f"{EX}x\t{location.format(path=doc)}\n")
+        with pytest.raises(RemoteError, match=r"not an http\(s\) URL"):
+            dereference(load_store(manifest, mode="http"), EX + "x")
+
+    def test_non_ascii_iri_is_requested_percent_encoded(self, tmp_path):
+        server = helpers.DocServer({"/res/Caf%C3%A9": f'<{EX}x> <{EX}name> "X" .\n'})
+        with server as base:
+            manifest = tmp_path / "m.tsv"
+            manifest.write_text("# no mappings\n")
+            graph = dereference(load_store(manifest, mode="http"), f"{base}/res/Café")
+        assert len(graph) == 1
+
+
+# --- http mode: fetching a group's documents in parallel ----------------------
+
+_SPOKES = [f"x{i:02d}" for i in range(24)]
+_GONE = ("x05", "x17")  # linked from the hub, but no document: misses
+_HUB_QUERY = (
+    f"SELECT * WHERE {{ <{EX}hub1> <{EX}link> ?x . <{EX}hub2> <{EX}label> ?l . "
+    f"?x <{EX}name> ?n . ?x <{EX}addr> ?a . ?a <{EX}city> ?c }}"
+)
+
+
+def _hub_documents() -> dict[str, str]:
+    """Two hubs (one constant group with two anchors) and 24 spokes (one
+    variable group), each spoke with a blank-node address, two of them
+    missing."""
+    docs = {
+        "hub1": "".join(f"<{EX}hub1> <{EX}link> <{EX}{x}> .\n" for x in _SPOKES),
+        "hub2": f'<{EX}hub2> <{EX}label> "two" .\n<{EX}hub2> <{EX}label> "zwei"@de .\n',
+    }
+    for i, x in enumerate(_SPOKES):
+        if x not in _GONE:
+            docs[x] = (
+                f'<{EX}{x}> <{EX}name> "N{i}" ; <{EX}addr> _:a .\n'
+                f'_:a <{EX}city> "C{i % 3}" .\n'
+            )
+    return docs
+
+
+def _local_store(root, documents: dict[str, str], **kwargs):
+    root.mkdir()
+    for name, text in documents.items():
+        (root / f"{name}.ttl").write_text(text, encoding="utf-8")
+    entries = {EX + name: f"{name}.ttl" for name in documents}
+    return load_store(helpers.write_manifest(root, entries), **kwargs)
+
+
+def _http_store(root, base: str, names, **kwargs):
+    """An http store mapping every name, served or not, to the server."""
+    root.mkdir(exist_ok=True)
+    entries = {EX + name: f"{base}/{name}" for name in names}
+    return load_store(helpers.write_manifest(root, entries), mode="http", **kwargs)
+
+
+def _served(documents: dict[str, object]) -> dict[str, object]:
+    return {f"/{name}": doc for name, doc in documents.items()}
+
+
+class TestParallelFetch:
+    def test_http_and_local_execution_agree(self, tmp_path):
+        documents = _hub_documents()
+        q = parse_query(_HUB_QUERY)
+        local_table, local_trace = execute(q, _local_store(tmp_path / "local", documents))
+        server = helpers.DocServer(_served(documents), delay=0.02)
+        with server as base:
+            store = _http_store(tmp_path / "http", base, ["hub1", "hub2", *_SPOKES])
+            table, trace = execute(q, store)
+            requests_made = len(server.requests)
+            execute(q, store)  # every document is cached now, misses aside
+            refetched = sorted(path for path, _ in server.requests[requests_made:])
+        assert len(table) == 2 * (len(_SPOKES) - len(_GONE))
+        assert table == local_table
+        assert [(iri, gid) for iri, gid, _ in trace.accessed] == [
+            (iri, gid) for iri, gid, _ in local_trace.accessed
+        ]
+        assert trace.misses == local_trace.misses == tuple(EX + x for x in _GONE)
+        assert trace.group_access_total == local_trace.group_access_total
+        stamps = [ts for _, _, ts in trace.accessed]
+        assert stamps == sorted(stamps)
+        assert 1 < server.peak_in_flight <= traversal.FETCH_CONNECTIONS == 6
+        assert requests_made == 2 + len(_SPOKES)
+        assert refetched == [f"/{x}" for x in _GONE]
+
+    def _spoke_server(self, failing: dict[str, object], miss_policy="empty-graph"):
+        """A hub linking ten spokes; the 3rd spoke of the sorted group fails
+        slowly and the 7th at once, so the 7th fails first in time."""
+        spokes = _SPOKES[:10]
+        documents = {"hub1": "".join(f"<{EX}hub1> <{EX}link> <{EX}{x}> .\n" for x in spokes)}
+        documents.update({x: f'<{EX}{x}> <{EX}name> "{x}" .\n' for x in spokes})
+        documents.update(failing)
+        server = helpers.DocServer(_served(documents))
+        server.delays["/" + spokes[2]] = 0.3
+        return server, ["hub1", *spokes]
+
+    def test_first_remote_error_in_sorted_order_is_raised(self, tmp_path):
+        server, names = self._spoke_server({"x02": 500, "x06": 500})
+        q = parse_query(f"SELECT * WHERE {{ <{EX}hub1> <{EX}link> ?x . ?x <{EX}name> ?n }}")
+        with server as base:
+            store = _http_store(tmp_path, base, names)
+            with pytest.raises(RemoteError) as err:
+                execute(q, store)
+        assert str(err.value) == f"status 500 for {base}/x02"
+        assert ("/x06", "text/turtle, application/n-triples") in server.requests
+
+    def test_first_miss_in_sorted_order_is_raised(self, tmp_path):
+        server, names = self._spoke_server({"x02": 404, "x06": 404})
+        q = parse_query(f"SELECT * WHERE {{ <{EX}hub1> <{EX}link> ?x . ?x <{EX}name> ?n }}")
+        with server as base:
+            store = _http_store(tmp_path, base, names, miss_policy="error")
+            with pytest.raises(Miss) as err:
+                execute(q, store)
+        assert err.value.args == (EX + "x02",)
+
+
+class TestHttpRobustness:
+    """A server slower than the store's timeout, or one that closes the
+    connection without a response, fails the run with a RemoteError within
+    a bounded time: each fetch makes at most two connections (one retry),
+    each bounded by the timeout, and a worker runs its share of the group's
+    fetches one after another."""
+
+    TIMEOUT = 0.3
+    SPOKES = _SPOKES[:8]
+
+    def _server(self, fault: str):
+        spokes = self.SPOKES
+        documents = {"hub1": "".join(f"<{EX}hub1> <{EX}link> <{EX}{x}> .\n" for x in spokes)}
+        if fault == "slow":
+            documents.update({x: f'<{EX}{x}> <{EX}name> "{x}" .\n' for x in spokes})
+            server = helpers.DocServer(_served(documents), delay=3 * self.TIMEOUT)
+            server.delays["/hub1"] = 0.0
+        else:
+            documents.update({x: helpers.DocServer.DROP for x in spokes})
+            server = helpers.DocServer(_served(documents))
+        return server, ["hub1", *spokes]
+
+    def _bound(self) -> float:
+        per_worker = 2 * -(-len(self.SPOKES) // traversal.FETCH_CONNECTIONS)
+        return 2 * self.TIMEOUT * per_worker
+
+    @pytest.mark.parametrize("fault", ["slow", "drop"])
+    def test_execute_raises_remote_error_in_bounded_time(self, tmp_path, fault):
+        server, names = self._server(fault)
+        q = parse_query(f"SELECT * WHERE {{ <{EX}hub1> <{EX}link> ?x . ?x <{EX}name> ?n }}")
+        with server as base:
+            store = _http_store(tmp_path, base, names, timeout=self.TIMEOUT)
+            started = time.monotonic()
+            with pytest.raises(RemoteError) as err:
+                execute(q, store)
+            elapsed = time.monotonic() - started
+        assert str(err.value).startswith(f"cannot fetch {base}/x00: ")
+        assert elapsed <= self._bound()
+
+    @pytest.mark.parametrize("fault", ["slow", "drop"])
+    def test_simulate_exits_four_with_one_line(self, tmp_path, monkeypatch, capsys, fault):
+        server, names = self._server(fault)
+        query_file = tmp_path / "q.rq"
+        query_file.write_text(
+            f"SELECT * WHERE {{ <{EX}hub1> <{EX}link> ?x . ?x <{EX}name> ?n }}"
+        )
+        load = traversal.load_store
+        monkeypatch.setattr(
+            traversal, "load_store", lambda *a, **kw: load(*a, timeout=self.TIMEOUT, **kw)
+        )
+        with server as base:
+            _http_store(tmp_path / "store", base, names)
+            manifest = tmp_path / "store" / "manifest.tsv"
+            started = time.monotonic()
+            code = cli.main(["simulate", str(query_file), "--store", str(manifest), "--mode", "http"])
+            elapsed = time.monotonic() - started
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_REMOTE == 4
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"remote failure: cannot fetch {base}/x00: ")
+        assert elapsed <= self._bound()
 
 
 class TestDocumentReader:
