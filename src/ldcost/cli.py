@@ -168,22 +168,22 @@ def _cmd_simulate(args) -> int:
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             json.dump(trace.as_dict(), fh, indent=2)
+    rows = [[rdfio.term_key(term) for term in row] for row in table.rows]
     payload = {
         "columns": list(table.columns),
-        "rows": [
-            [rdfio.term_key(term) for term in row] for row in table.rows
-        ],
+        "rows": rows,
         "real_cost": traversal.real_cost(trace),
         "group_access_total": trace.group_access_total,
         "misses": list(trace.misses),
     }
-    human_lines = ["\t".join(table.columns)]
-    for row in table.rows:
-        human_lines.append("\t".join(rdfio.term_key(t) for t in row))
-    human_lines.append(f"rows: {len(table.rows)}")
-    human_lines.append(f"real cost (distinct resources): {trace.distinct_count}")
-    if trace.misses:
-        human_lines.append(f"misses: {len(trace.misses)}")
+    human_lines = []
+    if not args.json:  # the table is rendered only to be printed
+        human_lines.append("\t".join(table.columns))
+        human_lines.extend("\t".join(row) for row in rows)
+        human_lines.append(f"rows: {len(rows)}")
+        human_lines.append(f"real cost (distinct resources): {trace.distinct_count}")
+        if trace.misses:
+            human_lines.append(f"misses: {len(trace.misses)}")
     _emit(payload, args.json, "\n".join(human_lines))
     return EXIT_OK
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InputError
 
@@ -53,27 +54,33 @@ class EmptyPattern(InputError):
     """The WHERE clause contains no triple patterns."""
 
 
-@dataclass(frozen=True)
-class Term:
-    """A node of a triple pattern: IRI, literal, variable or blank node.
-
-    For literals, ``value`` holds the lexical form and ``datatype`` /
-    ``language`` are mutually exclusive.  Variables are stored without
-    the leading '?'.
-    """
-
+class _TermFields(NamedTuple):
     kind: str  # one of: iri, literal, variable, blank
     value: str
     datatype: str | None = None
     language: str | None = None
 
-    def __post_init__(self):
-        if self.kind == "iri" and ":" not in self.value:
-            raise ValueError(f"IRI is not absolute: {self.value!r}")
-        if self.kind == "variable" and (not self.value or any(c.isspace() for c in self.value)):
-            raise ValueError(f"bad variable name: {self.value!r}")
-        if self.datatype is not None and self.language is not None:
+
+class Term(_TermFields):
+    """A node of a triple pattern: IRI, literal, variable or blank node.
+
+    For literals, ``value`` holds the lexical form and ``datatype`` /
+    ``language`` are mutually exclusive.  Variables are stored without
+    the leading '?'.  A term is a tuple of its four fields, so it hashes
+    and compares as that tuple does; documents hold one per node, so it
+    is built, hashed and compared often.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, value: str, datatype: str | None = None, language: str | None = None):
+        if kind == "iri" and ":" not in value:
+            raise ValueError(f"IRI is not absolute: {value!r}")
+        if kind == "variable" and (not value or any(c.isspace() for c in value)):
+            raise ValueError(f"bad variable name: {value!r}")
+        if datatype is not None and language is not None:
             raise ValueError("literal cannot carry both a datatype and a language tag")
+        return tuple.__new__(cls, (kind, value, datatype, language))
 
     @staticmethod
     def iri(value: str) -> "Term":

@@ -29,6 +29,25 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# The pattern of each term token, by kind, as ``TERM_TOKENS`` writes it.
+_TERM = dict(re.findall(r"\(\?P<(\w+)>(.*)\)\s*$", TERM_TOKENS, re.MULTILINE))
+# White space and comments.  Unlike the token lexer's, a comment must end
+# in a newline here, so a statement that fails to match backtracks in
+# linear time.
+_GAP = r"\s*(?:\#[^\n]*\n\s*)*"
+# One whole N-Triples statement: subject, predicate, and an IRI, blank node
+# or quoted literal object, then a '.' that does not start a number.  It
+# reads the text as the token lexer would, token by token.
+_STATEMENT_RE = re.compile(
+    rf"""{_GAP} (?P<subject>{_TERM["iri"]}|{_TERM["blank"]})
+    {_GAP} (?P<predicate>{_TERM["iri"]})
+    {_GAP} (?: (?P<node>{_TERM["iri"]}|{_TERM["blank"]})
+             | (?P<string>{_TERM["string"]})
+               (?: {_GAP} (?P<langtag>{_TERM["langtag"]}) | {_GAP} {_TERM["dtype"]} {_GAP} (?P<datatype>{_TERM["iri"]}) )? )
+    {_GAP} \.(?!\d)""",
+    re.VERBOSE,
+)
+
 
 class DocumentParseError(InputError):
     """An RDF document could not be parsed."""
@@ -44,10 +63,41 @@ def _triples(text: str, blank_scope: str) -> Iterator[Triple]:
     Raises DocumentParseError at the first token that does not fit; its
     line is counted only then.
     """
-    tokens = _TOKEN_RE.finditer(text)
     prefixes: dict[str, str] = {}
     nodes: dict[str, Term] = {}  # IRI, prefixed-name and blank-node tokens read so far
     anon = 0
+
+    def new_node(token: str) -> Term:
+        """The IRI or blank node an IRI or blank-node token names, now in ``nodes``.
+
+        Raises ValueError for a relative IRI."""
+        term = Term.iri(token[1:-1]) if token[0] == "<" else Term.blank(token[2:] + blank_scope)
+        nodes[token] = term
+        return term
+
+    # The leading N-Triples statements, one match each.  At the first that
+    # does not match, or names a relative IRI or holds a bad escape, the
+    # token loop below takes over from that statement's start and reports
+    # any error.
+    pos = 0
+    while (m := _STATEMENT_RE.match(text, pos)) is not None:
+        s, p, o, string, language, datatype = m.groups()
+        try:
+            subject = nodes.get(s) or new_node(s)
+            predicate = nodes.get(p) or new_node(p)
+            if o is not None:
+                obj = nodes.get(o) or new_node(o)
+            elif datatype is not None:
+                dt = nodes.get(datatype) or new_node(datatype)
+                obj = Term.literal(unquote(string), datatype=dt.value)
+            else:
+                obj = Term.literal(unquote(string), language=language and language[1:])
+        except ValueError:
+            break
+        yield subject, predicate, obj
+        pos = m.end()
+
+    tokens = _TOKEN_RE.finditer(text, pos)
 
     def fail(message: str, m: re.Match) -> NoReturn:
         kind = m.lastgroup
@@ -64,18 +114,14 @@ def _triples(text: str, blank_scope: str) -> Iterator[Triple]:
             term = nodes.get(token)
             if term is None:
                 try:
-                    if kind == "iri":
-                        term = Term.iri(token[1:-1])
-                    elif kind == "blank":
-                        term = Term.blank(token[2:] + blank_scope)
-                    else:
-                        prefix, _, local = token.partition(":")
-                        if prefix not in prefixes:
-                            fail(f"undeclared prefix {prefix + ':'!r}", m)
-                        term = Term.iri(prefixes[prefix] + local)
+                    if kind != "pname":
+                        return new_node(token)
+                    prefix, _, local = token.partition(":")
+                    if prefix not in prefixes:
+                        fail(f"undeclared prefix {prefix + ':'!r}", m)
+                    term = nodes[token] = Term.iri(prefixes[prefix] + local)
                 except ValueError as exc:  # a relative IRI
                     fail(str(exc), m)
-                nodes[token] = term
             return term
         if kind != "open":
             fail(f"expected {expected}, found {m[kind]!r}", m)
@@ -173,20 +219,35 @@ def parse_document(text: str, blank_scope: str = "") -> frozenset[Triple]:
 def term_key(term: Term) -> str:
     """Stable string key for grouping/counting: IRIs bare, blanks '_:'-prefixed,
     literals quoted with their tag or datatype."""
-    if term.is_iri:
-        return term.value
-    if term.is_blank:
-        return "_:" + term.value
-    if term.language:
-        return f'"{term.value}"@{term.language}'
-    if term.datatype:
-        return f'"{term.value}"^^<{term.datatype}>'
-    return f'"{term.value}"'
+    kind, value, datatype, language = term
+    if kind == "iri":
+        return value
+    if kind == "blank":
+        return "_:" + value
+    if language:
+        return f'"{value}"@{language}'
+    if datatype:
+        return f'"{value}"^^<{datatype}>'
+    return f'"{value}"'
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file, with its line ends read as ``Path.read_text``
+    reads them.  Raises DocumentParseError naming the line of the first byte
+    that is not UTF-8, and OSError if the file cannot be read."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DocumentParseError(f"byte {data[exc.start]:#04x} is not UTF-8", line) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def read_dump(path) -> Iterator[tuple[str, str, str]]:
     """Read an N-Triples/Turtle file; yield its (subject, predicate, object)
-    keys, repeats included, as they are parsed.  A malformed statement
-    raises DocumentParseError when the iteration reaches it."""
-    text = Path(path).read_text(encoding="utf-8")
+    keys, repeats included, as they are parsed.  A file that is not UTF-8
+    raises DocumentParseError at once; a malformed statement raises it
+    when the iteration reaches it."""
+    text = read_text(path)
     return ((term_key(s), term_key(p), term_key(o)) for s, p, o in _triples(text, ""))

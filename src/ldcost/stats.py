@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from operator import itemgetter
 from xml.etree import ElementTree
 
 from . import web
@@ -184,9 +185,9 @@ def collector_query(parameter: str, predicate: str | None = None) -> str:
 
 # --- computing from a dump ----------------------------------------------------
 
-def _per_key(pairs: set[tuple[str, str]]) -> float:
-    """|distinct (key, member) pairs| ÷ |distinct keys|."""
-    return len(pairs) / len({key for key, _ in pairs}) if pairs else 0.0
+def _ratio(pairs: int, keys: int) -> float:
+    """|distinct (key, member) pairs| ÷ |distinct keys|, 0.0 with no pairs."""
+    return pairs / keys if pairs else 0.0
 
 
 def compute_from_dump(triples, provenance: str = "dump") -> StatsCatalog:
@@ -197,9 +198,10 @@ def compute_from_dump(triples, provenance: str = "dump") -> StatsCatalog:
     |distinct keys| (K5 = |distinct (s, o)| ÷ |distinct s|), and being a
     quotient of exact counts it is the same float as the mean of the counts.
     Records stream into one in-memory set of distinct (s, o) per predicate,
-    so the distinct triples must fit in memory.  Records that are not
-    3-tuples of strings are skipped and counted; only an all-malformed
-    stream is an error.
+    so the distinct triples must fit in memory; the counts come from each
+    predicate's subject and object sets by intersection and union.  Records
+    that are not 3-tuples of strings are skipped and counted; only an
+    all-malformed stream is an error.
     """
     by_predicate: dict[str, set[tuple[str, str]]] = {}  # p -> distinct (s, o)
     total = 0
@@ -218,21 +220,24 @@ def compute_from_dump(triples, provenance: str = "dump") -> StatsCatalog:
     if total and malformed == total:
         raise MalformedTriple(f"all {total} records were malformed")
 
+    subjects = {p: set(map(itemgetter(0), pairs)) for p, pairs in by_predicate.items()}
+    objects = {p: set(map(itemgetter(1), pairs)) for p, pairs in by_predicate.items()}
     instances = by_predicate.get(RDF_TYPE, set())
-    typed = {s for s, _ in instances}
-    k1 = _per_key({(s, p) for p, pairs in by_predicate.items() for s, _ in pairs if s in typed})
-    k2 = _per_key({(o, p) for p, pairs in by_predicate.items() for _, o in pairs if o in typed})
-    k3 = _per_key(
-        {(o, s) for p, pairs in by_predicate.items() if p != RDF_TYPE for s, o in pairs}
-    )
-    k4 = _per_key({(o, s) for s, o in instances})
-    k5 = _per_key(set().union(*by_predicate.values()))
+    typed = subjects.get(RDF_TYPE, set())
+    typed_objects = [members & typed for members in objects.values()]
+    others = [p for p in by_predicate if p != RDF_TYPE]
+    other_pairs = set().union(*(by_predicate[p] for p in others))
+    k1 = _ratio(sum(len(members & typed) for members in subjects.values()), len(typed))
+    k2 = _ratio(sum(map(len, typed_objects)), len(set().union(*typed_objects)))
+    k3 = _ratio(len(other_pairs), len(set().union(*(objects[p] for p in others))))
+    k4 = _ratio(len(instances), len(objects.get(RDF_TYPE, ())))
+    k5 = _ratio(len(other_pairs | instances), len(set().union(*subjects.values())))
 
     per_predicate = {
         p: PredicateStats(
             predicate=p,
-            avg_subject_bindings=len(pairs) / len({o for _, o in pairs}),
-            avg_object_bindings=len(pairs) / len({s for s, _ in pairs}),
+            avg_subject_bindings=len(pairs) / len(objects[p]),
+            avg_object_bindings=len(pairs) / len(subjects[p]),
         )
         for p, pairs in by_predicate.items()
     }

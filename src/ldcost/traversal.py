@@ -7,6 +7,7 @@ the estimators are judged against.
 from __future__ import annotations
 
 import re
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -32,7 +33,7 @@ from .query import (
     expression_has_opaque,
     render_query,
 )
-from .rdfio import DocumentParseError, Triple, parse_document
+from .rdfio import DocumentParseError, Triple, parse_document, read_text
 
 if TYPE_CHECKING:
     from concurrent.futures import Future
@@ -141,9 +142,11 @@ def dereference(store: DerefStore, iri: str, fetch: Future | None = None):
             return None
         path = store.base_dir / location
         try:
-            text = path.read_text(encoding="utf-8")
+            text = read_text(path)
         except OSError as exc:
             raise StoreIoError(f"cannot read document for <{iri}>: {exc}") from exc
+        except DocumentParseError as exc:  # not UTF-8
+            raise DocumentError(iri, exc) from exc
     else:
         text = fetch.result() if fetch is not None else _http_fetch(store, iri)
         if text is None:
@@ -162,10 +165,19 @@ def dereference(store: DerefStore, iri: str, fetch: Future | None = None):
 _RDF_ACCEPT = "text/turtle, application/n-triples"
 
 
-def _http_fetch(store: DerefStore, iri: str) -> str | None:
+def _http_fetch(store: DerefStore, iri: str, failed: threading.Event | None = None) -> str | None:
     """The body of the document an IRI maps to in http mode, or None for a
-    404/410.  Runs no parsing, so a pool thread may call it."""
+    404/410.  Runs no parsing, so a pool thread may call it.
+
+    ``failed``, if given, is shared by the fetches of one execution: a
+    failing fetch sets it, and a fetch that finds it set raises RemoteError
+    without a request.  The execution fails at the first failed fetch in
+    its order, and a fetch that starts after it comes later in that order,
+    so its result would never be read.
+    """
     url = store.manifest.get(iri, iri)
+    if failed is not None and failed.is_set():
+        raise RemoteError(f"not fetched after an earlier fetch failed: {url}")
     last_error = None
     for _ in range(2):  # one retry
         try:
@@ -178,6 +190,8 @@ def _http_fetch(store: DerefStore, iri: str) -> str | None:
         if resp.status in (404, 410):
             return None
         last_error = RemoteError(f"status {resp.status} for {url}")
+    if failed is not None:
+        failed.set()
     if isinstance(last_error, RemoteError):
         raise last_error
     raise RemoteError(f"cannot fetch {url}: {last_error}")
@@ -316,16 +330,19 @@ FETCH_CONNECTIONS = 6
 
 @contextmanager
 def _fetch_pool(store: DerefStore):
-    """A pool of ``FETCH_CONNECTIONS`` fetch threads in http mode, else
-    None.  On exit, fetches that have not started are cancelled."""
+    """In http mode, a function that submits the fetch of an IRI to a pool
+    of ``FETCH_CONNECTIONS`` threads and returns its future; else None.
+    After one fetch has failed, no other starts a request.  On exit,
+    fetches that have not started are cancelled."""
     if store.mode != "http":
         yield None
         return
     from concurrent.futures import ThreadPoolExecutor
 
+    failed = threading.Event()
     pool = ThreadPoolExecutor(FETCH_CONNECTIONS, thread_name_prefix="ldcost-fetch")
     try:
-        yield pool
+        yield lambda iri: pool.submit(_http_fetch, store, iri, failed)
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -354,7 +371,7 @@ def execute(q: QueryPattern, store: DerefStore) -> tuple[BindingTable, Traversal
     misses: list[str] = []
     group_access_total = 0
 
-    with _fetch_pool(store) as pool:
+    with _fetch_pool(store) as fetch_ahead:
         for gid, group in enumerate(plan.groups):
             if group.is_constant:
                 fetch_iris = []
@@ -370,9 +387,9 @@ def execute(q: QueryPattern, store: DerefStore) -> tuple[BindingTable, Traversal
                 fetch_iris = sorted(values)  # deterministic within-group order
 
             fetches = {}
-            if pool is not None:  # fetch ahead; dereference parses in order
+            if fetch_ahead is not None:  # dereference parses in order
                 fetches = {
-                    iri: pool.submit(_http_fetch, store, iri)
+                    iri: fetch_ahead(iri)
                     for iri in fetch_iris
                     if iri not in seen and iri not in store._cache
                 }

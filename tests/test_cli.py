@@ -8,7 +8,7 @@ import pytest
 
 import helpers
 import ldcost
-from ldcost import analysis, cli, routing
+from ldcost import analysis, cli, rdfio, routing
 from ldcost.estimator import EstimatorConfig, Method, estimate
 from ldcost.query import parse_query
 from ldcost.stats import save_catalog
@@ -292,6 +292,22 @@ class TestCliCommands:
         trace_doc = json.loads(trace_file.read_text())
         assert trace_doc["distinct_count"] == 15
 
+    def test_simulate_keys_each_cell_once(self, workspace, tmp_path, capsys, monkeypatch):
+        manifest = helpers.build_plato_store(tmp_path / "fixture")
+        calls = []
+        term_key = rdfio.term_key
+        monkeypatch.setattr(rdfio, "term_key", lambda term: calls.append(term) or term_key(term))
+        argv = ["simulate", str(workspace / "plato.rq"), "--store", str(manifest)]
+        assert cli.main(argv + ["--json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        cells = len(payload["rows"]) * len(payload["columns"])
+        assert cells > 0 and len(calls) == cells
+        assert cli.main(argv) == EXIT_OK
+        assert len(calls) == 2 * cells
+        lines = ["\t".join(payload["columns"])] + ["\t".join(row) for row in payload["rows"]]
+        lines += [f"rows: {len(payload['rows'])}", f"real cost (distinct resources): {payload['real_cost']}"]
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
     def test_eval_pipeline(self, workspace, tmp_path, capsys):
         dataset = tmp_path / "gt"
         for i in range(6):
@@ -437,6 +453,26 @@ class TestBadTermsExitTwo:
         err = capsys.readouterr().err
         assert err.startswith("error: document for <http://x/a>: ")
         assert err.endswith(f"(line {line})\n")
+
+
+    def test_stats_collect_dump_not_utf8(self, tmp_path, capsys):
+        dump = tmp_path / "data.nt"
+        dump.write_bytes(b'<http://x/a> <http://x/p> "a" .\n<http://x/a> <http://x/p> "caf\xe9" .\n')
+        out_file = tmp_path / "dump.stats"
+        code = cli.main(["stats", "collect", "--dump", str(dump), "--out", str(out_file)])
+        assert code == EXIT_INPUT
+        assert not out_file.exists()
+        assert capsys.readouterr().err == "error: byte 0xe9 is not UTF-8 (line 2)\n"
+
+    def test_simulate_store_document_not_utf8(self, tmp_path, capsys):
+        (tmp_path / "s.nt").write_bytes(b'<http://x/a> <http://x/p> "caf\xe9" .\n')
+        manifest = helpers.write_manifest(tmp_path, {"http://x/a": "s.nt"})
+        query = tmp_path / "q.rq"
+        query.write_text("SELECT * WHERE { <http://x/a> <http://x/p> ?o }", encoding="utf-8")
+        assert cli.main(["simulate", str(query), "--store", str(manifest)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: document for <http://x/a>: byte 0xe9 is not UTF-8 (line 1)\n"
 
 
 class TestFactorOptions:

@@ -5,6 +5,7 @@ import pytest
 import helpers
 from ldcost.query import (
     RDF_TYPE,
+    XSD,
     EmptyPattern,
     QuerySyntaxError,
     Term,
@@ -207,3 +208,45 @@ class TestDistinctAnchorIris:
         q = parse_query("SELECT * WHERE { ?s <http://x/onlypred> ?o . <http://x/s> <http://x/onlypred> ?y }")
         assert "http://x/onlypred" not in distinct_anchor_iris(q)
         assert distinct_anchor_iris(q) == {"http://x/s"}
+
+
+class TestTerm:
+    """A term is its tuple of fields: it hashes as that tuple did when it
+    was a frozen dataclass, so sets of terms keep their iteration order."""
+
+    @pytest.mark.parametrize("term, fields", [
+        (Term.iri("http://x/a"), ("iri", "http://x/a", None, None)),
+        (Term.blank("b1@3"), ("blank", "b1@3", None, None)),
+        (Term.var("v"), ("variable", "v", None, None)),
+        (Term.literal("chat", language="fr"), ("literal", "chat", None, "fr")),
+        (Term.literal("7", datatype=XSD + "integer"), ("literal", "7", XSD + "integer", None)),
+        (Term.literal("s", datatype=XSD + "string"), ("literal", "s", None, None)),
+    ])
+    def test_fields_hash_and_repr(self, term, fields):
+        assert (term.kind, term.value, term.datatype, term.language) == fields
+        assert hash(term) == hash(fields)
+        assert term == Term(*fields) and term is not Term(*fields)
+        assert repr(term) == "Term(kind={!r}, value={!r}, datatype={!r}, language={!r})".format(*fields)
+        assert [term.is_iri, term.is_blank, term.is_variable, term.is_literal] == [
+            fields[0] == kind for kind in ("iri", "blank", "variable", "literal")
+        ]
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Term.iri("relative"), "IRI is not absolute: 'relative'"),
+        (lambda: Term("iri", "x"), "IRI is not absolute: 'x'"),
+        (lambda: Term.var(""), "bad variable name: ''"),
+        (lambda: Term.var("a b"), "bad variable name: 'a b'"),
+        (lambda: Term.literal("x", datatype=XSD + "integer", language="en"),
+         "literal cannot carry both a datatype and a language tag"),
+    ])
+    def test_factories_check_their_fields(self, make, message):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
+
+    def test_immutable(self):
+        term = Term.iri("http://x/a")
+        for name in ("kind", "value", "datatype", "language", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(term, name, "http://x/b")
+        assert term == Term.iri("http://x/a")

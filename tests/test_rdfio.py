@@ -528,6 +528,153 @@ class TestStreamingReader:
         ]
 
 
+XSD_STRING_IRI = f"<{XSD_STRING}>"
+
+# Documents that start with N-Triples statements, each next to the case it pins.
+STATEMENT_CASES = {
+    "number-after-literal": f'<{EX}s> <{EX}p> "1".5 .\n',
+    "number-after-iri": f"<{EX}s> <{EX}p> <{EX}o>.5 .\n",
+    "comments-and-blank-lines": (
+        f"# header  \n\n<{EX}s> <{EX}p> <{EX}o> .\n\n   \n# between   \n# two lines\n"
+        f'<{EX}s> <{EX}p> "x" . # trailing\n<{EX}s> # inside\n <{EX}p> <{EX}o2> .\n# end'
+    ),
+    "no-white-space": f'<{EX}s><{EX}p><{EX}o>.<{EX}s><{EX}p>"v"@en.<{EX}s><{EX}p>"w"^^<{EX}dt>.',
+    "string-datatype-dropped": f'<{EX}s> <{EX}p> "x"^^{XSD_STRING_IRI} .\n<{EX}s> <{EX}p> "x" .\n',
+    "tags-datatypes-escapes": (
+        f'<{EX}s> <{EX}p> "chat"@fr .\n<{EX}s> <{EX}p> "c"@en-GB .\n'
+        f'<{EX}s> <{EX}p> "7"^^<{XSD_INTEGER}> .\n<{EX}s> <{EX}p> "a\\"b\\u00e9\\n" .\n'
+        f'<{EX}s> <{EX}p> "" .\n<{EX}s> <{EX}p> "x" ^^ <{EX}dt> .\n<{EX}s> <{EX}p> "y" @de .\n'
+    ),
+    "blank-nodes": f"_:a <{EX}p> _:b .\n_:b <{EX}p> _:a .\n<{EX}s> <{EX}p> _:a .\n",
+    "blank-label-then-dot": f"<{EX}s> <{EX}p> _:b.\n_:c.d <{EX}p> <{EX}o> .\n",
+    "turtle-semicolon-after": (
+        f"<{EX}s> <{EX}p> <{EX}o> .\n<{EX}s> <{EX}p> <{EX}o2> ;\n  <{EX}q> \"v\" , 3 .\n"
+        f"<{EX}t> <{EX}p> _:x .\n"
+    ),
+    "turtle-comma-after": f"<{EX}s> <{EX}p> <{EX}o> .\n<{EX}s> <{EX}p> <{EX}o2>, <{EX}o3> .\n",
+    "prefix-after": f"<{EX}s> <{EX}p> <{EX}o> .\n@prefix ex: <{EX}> .\nex:s ex:p ex:o .\n",
+    "commented-turtle": "# c   \n" * 300 + f"@prefix ex: <{EX}> .\nex:s a ex:C .\n",
+    "long-string": f'<{EX}s> <{EX}p> """a\n"b"\n""" .\n<{EX}s> <{EX}p> \'single\' .\n',
+    "truncated": f"<{EX}s> <{EX}p> <{EX}o> .\n<{EX}s> <{EX}p>",
+    "missing-dot": f"<{EX}s> <{EX}p> <{EX}o>\n<{EX}s> <{EX}p> <{EX}o> .\n",
+}
+
+
+def token_loop_outcome(monkeypatch, text: str, blank_scope: str = "@7"):
+    """The triples, or the error's type, message and line, with every
+    statement left to the token loop."""
+    with monkeypatch.context() as patch:
+        patch.setattr(rdfio, "_STATEMENT_RE", re.compile(r"(?!)"))
+        return full_outcome(text, blank_scope)
+
+
+def full_outcome(text: str, blank_scope: str = "@7"):
+    try:
+        return parse_document(text, blank_scope)
+    except DocumentParseError as exc:
+        return type(exc), str(exc), exc.line
+
+
+def random_ntriples(rng: random.Random) -> str:
+    """An N-Triples document with comments, blank lines, blank nodes,
+    escapes, language tags and datatypes, sometimes ending in Turtle."""
+    nodes = [f"<{EX}n{i}>" for i in range(6)] + ["_:b0", "_:b1"]
+    literals = ['"plain"', '"a\\"q\\u00e9\\t"', '"chat"@fr', '"c"@en-GB', '""',
+                f'"7"^^<{XSD_INTEGER}>', f'"s"^^{XSD_STRING_IRI}', '"""long\n"x"\n"""']
+    lines = []
+    for _ in range(rng.randint(1, 30)):
+        gap = rng.choice([" ", "  ", "\t", " # c \n "])
+        obj = rng.choice(nodes + literals)
+        lines.append(gap.join([rng.choice(nodes), rng.choice(nodes[:6]), obj]) + rng.choice([" .", ".", " . # t"]))
+        if rng.random() < 0.15:
+            lines.append(rng.choice(["", "# a comment   ", "   "]))
+    if rng.random() < 0.3:
+        lines.append(f"@prefix ex: <{EX}> .\nex:n0 ex:p ex:n1 ; ex:q 3 .")
+    return "\n".join(lines) + rng.choice(["\n", ""])
+
+
+class TestStatementLoop:
+    """Leading N-Triples statements are matched whole; the token loop reads
+    the rest of the document and reports every error."""
+
+    @pytest.mark.parametrize("text", STATEMENT_CASES.values(), ids=STATEMENT_CASES)
+    def test_cases_match_token_list_reader(self, monkeypatch, text):
+        assert outcome(parse_document, text) == outcome(oracle_parse, text)
+        assert full_outcome(text) == token_loop_outcome(monkeypatch, text)
+
+    def test_random_ntriples_and_their_faults(self, monkeypatch):
+        rng = random.Random(9091)
+        failures = 0
+        for _ in range(150):
+            text = random_ntriples(rng)
+            assert parse_document(text, "@2") == oracle_parse(text, "@2"), text
+            for variant in malformed_variants(rng, text, 4):
+                expected = token_loop_outcome(monkeypatch, variant)
+                assert full_outcome(variant) == expected, variant
+                assert outcome(parse_document, variant) == outcome(oracle_parse, variant), variant
+                failures += isinstance(expected, tuple)
+        assert failures > 100
+
+    @pytest.mark.parametrize("bad, message", [
+        ("<relative> <http://x/p> <http://x/o> .", "IRI is not absolute: 'relative'"),
+        ('<http://x/a> <http://x/p> "x"^^<rel> .', "IRI is not absolute: 'rel'"),
+        ('<http://x/a> <http://x/p> "x\\uZZZZ" .', "bad escape \\uZZZZ"),
+    ], ids=["relative-iri", "relative-datatype", "bad-escape"])
+    def test_error_on_line_1001_of_a_dump(self, tmp_path, monkeypatch, bad, message):
+        good = [f"<{EX}s{i}> <{EX}p> <{EX}o{i}> ." for i in range(1000)]
+        text = "\n".join(good + [bad] + good[:5]) + "\n"
+        expected = (DocumentParseError, f"{message} (line 1001)", 1001)
+        assert full_outcome(text) == token_loop_outcome(monkeypatch, text) == expected
+        path = tmp_path / "dump.nt"
+        path.write_text(text, encoding="utf-8")
+        records = read_dump(path)
+        assert [next(records) for _ in range(1000)][-1] == (f"{EX}s999", f"{EX}p", f"{EX}o999")
+        with pytest.raises(DocumentParseError) as err:
+            next(records)
+        assert (str(err.value), err.value.line) == expected[1:]
+
+    @pytest.mark.parametrize("text, handed_over", [
+        (f"<{EX}s> <{EX}p> <{EX}o> .\n<{EX}s> <{EX}p> \"v\"@en .\n", "\n"),
+        (f"<{EX}s> <{EX}p> <{EX}o> .\n<{EX}s> <{EX}p> 3 .\n", f"\n<{EX}s> <{EX}p> 3 .\n"),
+        (f"@prefix ex: <{EX}> .\n<{EX}s> <{EX}p> <{EX}o> .\n", None),
+    ])
+    def test_token_loop_starts_after_the_leading_statements(self, monkeypatch, text, handed_over):
+        starts = []
+        expected = parse_document(text)
+        with monkeypatch.context() as patch:
+            patch.setattr(rdfio, "_TOKEN_RE", _RecordingTokenRe(starts))
+            assert parse_document(text) == expected
+        (start,) = starts
+        assert text[start:] == (text if handed_over is None else handed_over)
+
+
+class _RecordingTokenRe:
+    """Records where the token loop starts, then lexes as ``rdfio._TOKEN_RE``."""
+
+    def __init__(self, starts: list):
+        self.starts = starts
+        self.pattern = rdfio._TOKEN_RE
+
+    def finditer(self, text: str, pos: int = 0):
+        self.starts.append(pos)
+        return self.pattern.finditer(text, pos)
+
+
+class TestReadText:
+    def test_line_ends_as_text_mode_reads_them(self, tmp_path):
+        path = tmp_path / "dump.nt"
+        path.write_bytes(f'<{EX}s> <{EX}p> """a\r\nb\rc""" .\r\n<{EX}s> <{EX}p> "d" .\r'.encode())
+        assert rdfio.read_text(path) == path.read_text(encoding="utf-8")
+        assert list(read_dump(path)) == [(EX + "s", EX + "p", '"a\nb\nc"'), (EX + "s", EX + "p", '"d"')]
+
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "dump.nt"
+        path.write_bytes(f'<{EX}s> <{EX}p> "caf\u00e9" .\n\n<{EX}s> <{EX}p> "caf'.encode() + b'\xe9" .\n')
+        with pytest.raises(DocumentParseError) as err:
+            read_dump(path)
+        assert (str(err.value), err.value.line) == ("byte 0xe9 is not UTF-8 (line 3)", 3)
+
+
 def test_rdfio_imports_no_private_name_from_query():
     tree = ast.parse(Path(rdfio.__file__).read_text(encoding="utf-8"))
     private = []

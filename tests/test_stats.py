@@ -233,6 +233,84 @@ class TestPairCountingOracle:
         assert compute_from_dump(read_dump(path)) == dict_of_sets_compute(dump)
 
 
+def pair_counting_compute(triples, provenance: str = "dump") -> StatsCatalog:
+    """The previous ``compute_from_dump``: each value counted over a set of
+    (key, member) pairs built for it.  Kept as the oracle of the set algebra
+    that replaced it."""
+    def per_key(pairs: set) -> float:
+        return len(pairs) / len({key for key, _ in pairs}) if pairs else 0.0
+
+    by_predicate: dict[str, set[tuple[str, str]]] = {}
+    total = 0
+    malformed = 0
+    for record in triples:
+        total += 1
+        try:
+            s, p, o = record
+            if not (isinstance(s, str) and isinstance(p, str) and isinstance(o, str)):
+                raise TypeError
+        except (TypeError, ValueError):
+            malformed += 1
+            continue
+        by_predicate.setdefault(p, set()).add((s, o))
+
+    if total and malformed == total:
+        raise MalformedTriple(f"all {total} records were malformed")
+
+    instances = by_predicate.get(RDF_TYPE, set())
+    typed = {s for s, _ in instances}
+    k1 = per_key({(s, p) for p, pairs in by_predicate.items() for s, _ in pairs if s in typed})
+    k2 = per_key({(o, p) for p, pairs in by_predicate.items() for _, o in pairs if o in typed})
+    k3 = per_key({(o, s) for p, pairs in by_predicate.items() if p != RDF_TYPE for s, o in pairs})
+    k4 = per_key({(o, s) for s, o in instances})
+    k5 = per_key(set().union(*by_predicate.values()))
+
+    per_predicate = {
+        p: PredicateStats(
+            predicate=p,
+            avg_subject_bindings=len(pairs) / len({o for _, o in pairs}),
+            avg_object_bindings=len(pairs) / len({s for s, _ in pairs}),
+        )
+        for p, pairs in by_predicate.items()
+    }
+    note = provenance
+    if malformed:
+        note += f" ({malformed} malformed records skipped)"
+    return StatsCatalog(
+        global_stats=GlobalStats(k1, k2, k3, k4, k5),
+        per_predicate=per_predicate,
+        provenance=note,
+    )
+
+
+class TestSetAlgebraOracle:
+    """Counting by intersections and unions of each predicate's subject and
+    object sets gives the same catalog, bit for bit, as counting pairs."""
+
+    def test_random_dumps(self):
+        rng = random.Random(8080)
+        for _ in range(300):
+            records = _with_repeats(rng, helpers.random_dump(rng, max_triples=rng.choice([5, 60, 300])))
+            assert compute_from_dump(records) == pair_counting_compute(records)
+
+    def test_dumps_without_or_with_only_rdf_type(self):
+        rng = random.Random(8081)
+        for _ in range(60):
+            dump = helpers.random_dump(rng, max_triples=200)
+            for records in ([r for r in dump if r[1] != RDF_TYPE], [r for r in dump if r[1] == RDF_TYPE]):
+                if records:
+                    assert compute_from_dump(records) == pair_counting_compute(records)
+
+    def test_typed_objects_and_shared_pairs(self):
+        # c is typed and also an object; (a, c) holds under rdf:type and ex:p
+        dump = [(EX + "a", RDF_TYPE, EX + "c"), (EX + "c", RDF_TYPE, EX + "C"),
+                (EX + "a", EX + "p", EX + "c"), (EX + "b", EX + "q", EX + "a"), ("bad",)]
+        assert compute_from_dump(dump) == pair_counting_compute(dump)
+
+    def test_empty_dump(self):
+        assert compute_from_dump([]) == pair_counting_compute([])
+
+
 class TestCatalogFile:
     def test_round_trip_is_exact(self, tmp_path):
         catalog = StatsCatalog(

@@ -77,6 +77,13 @@ class TestDereference:
             dereference(store, EX + "broken")
         assert EX + "broken" in str(err.value)
 
+    def test_document_that_is_not_utf8_names_the_iri_and_line(self, tmp_path):
+        (tmp_path / "latin1.nt").write_bytes(f'<{EX}s> <{EX}p> "a" .\n<{EX}s> <{EX}p> "caf\xe9" .\n'.encode("latin-1"))
+        store = load_store(helpers.write_manifest(tmp_path, {EX + "s": "latin1.nt"}))
+        with pytest.raises(DocumentError) as err:
+            dereference(store, EX + "s")
+        assert str(err.value) == f"document for <{EX}s>: byte 0xe9 is not UTF-8 (line 2)"
+
     def test_blank_nodes_scoped_per_document(self, tmp_path):
         docs = tmp_path / "docs"
         docs.mkdir()
@@ -659,6 +666,20 @@ class TestHttpRobustness:
         (line,) = captured.err.splitlines()
         assert line.startswith(f"remote failure: cannot fetch {base}/x00: ")
         assert elapsed <= self._bound()
+
+    @pytest.mark.parametrize("fault", ["slow", "drop"])
+    def test_no_fetch_starts_after_one_has_failed(self, tmp_path, fault):
+        """The first ``FETCH_CONNECTIONS`` spokes are fetched at once and
+        fail; the two still queued then make no request."""
+        server, names = self._server(fault)
+        q = parse_query(f"SELECT * WHERE {{ <{EX}hub1> <{EX}link> ?x . ?x <{EX}name> ?n }}")
+        with server as base:
+            store = _http_store(tmp_path, base, names, timeout=self.TIMEOUT)
+            with pytest.raises(RemoteError) as err:
+                execute(q, store)
+        assert str(err.value).startswith(f"cannot fetch {base}/x00: ")
+        spokes = [path for path, _ in server.requests if path != "/hub1"]
+        assert len(spokes) <= 2 * traversal.FETCH_CONNECTIONS < 2 * len(self.SPOKES)
 
 
 class TestDocumentReader:
