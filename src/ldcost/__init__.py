@@ -21,7 +21,6 @@ from .analysis import (
     check_answerability,
     detect_star_joins,
     plan_query,
-    render_service_form,
 )
 from .errors import FormatError, InputError, LdcostError, RemoteError
 from .estimator import (

@@ -18,18 +18,10 @@ that plan instead of replaying the traversal order themselves.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import InputError
-from .query import (
-    FilterClause,
-    QueryPattern,
-    ServiceGroup,
-    Term,
-    TriplePattern,
-    render_query,
-)
+from .query import FilterClause, QueryPattern, Term, TriplePattern
 
 CONSTANT_GROUP = "constant"
 
@@ -194,25 +186,23 @@ class TraversalPlan:
     ending_filters: tuple[tuple[FilterClause, ...], ...]
 
 
-def plan_query(q: QueryPattern, order: tuple[int, ...] | None = None) -> TraversalPlan:
-    """Analyse ``q`` once under ``order`` (by default the answerability order).
+def plan_query(q: QueryPattern) -> TraversalPlan:
+    """Analyse ``q`` once under its answerability order.
 
-    Raises NotAnswerable when no order is given and the pattern has none,
-    and InvalidOrder when the given order cannot be replayed.
+    Raises NotAnswerable when the pattern has no traversal-evaluable order.
     """
-    if order is None:
-        report = check_answerability(q)
-        if not report.answerable:
-            raise NotAnswerable(
-                f"triples {sorted(report.failure_witness or ())} can never be anchored"
-            )
-        order = report.order
+    report = check_answerability(q)
+    if not report.answerable:
+        raise NotAnswerable(
+            f"triples {sorted(report.failure_witness or ())} can never be anchored"
+        )
+    order = report.order
     steps = traversal_steps(q, order)
     consumers = _consumers_by_variable(steps)
     groups = _resolution_groups(q, steps)
     return TraversalPlan(
         query=q,
-        order=tuple(order),
+        order=order,
         steps=tuple(steps),
         step_by_index={s.index: s for s in steps},
         groups=tuple(groups),
@@ -344,33 +334,3 @@ def _resolution_groups(q: QueryPattern, steps: list[TripleStep]) -> list[Resolut
     close(False)
     return groups
 
-
-def render_service_form(q: QueryPattern, order: tuple[int, ...]) -> str:
-    """Rewrite the query with one SERVICE block per dereference pass.
-
-    Constant passes split into one block per distinct anchor IRI; variable
-    passes anchor at their variable.  Raises NotAnswerable when the order
-    cannot be replayed.
-    """
-    try:
-        plan = plan_query(q, order)
-    except InvalidOrder as exc:
-        raise NotAnswerable(str(exc)) from exc
-    services: list[ServiceGroup] = []
-    for group in plan.groups:
-        runs = itertools.groupby(plan.step_by_index[i].anchor_term for i in group.triple_indices)
-        for anchor, run in runs:
-            start = services[-1].stop if services else 0
-            services.append(ServiceGroup(anchor, start, start + len(list(run))))
-    position = {idx: pos for pos, idx in enumerate(plan.order)}
-    return render_query(
-        QueryPattern(
-            select_vars=q.select_vars,
-            triples=tuple(
-                TriplePattern(*q.triples[idx].terms(), index=pos) for pos, idx in enumerate(plan.order)
-            ),
-            filters=tuple(FilterClause(f.expression, position[f.after_triple]) for f in q.filters),
-            prefixes=q.prefixes,
-            service_groups=tuple(services),
-        )
-    )

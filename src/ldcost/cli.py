@@ -31,6 +31,8 @@ EXIT_INPUT = 2
 EXIT_UNANSWERABLE = 3
 EXIT_REMOTE = 4
 
+METHOD_NAMES = tuple(m.value for m in Method)
+
 
 # --- command implementations -----------------------------------------------------
 
@@ -104,7 +106,7 @@ def _cmd_answerable(args) -> int:
 
 def _estimator_config(args) -> EstimatorConfig:
     return EstimatorConfig(
-        method=Method.from_name(args.method),
+        method=Method(args.method),
         join_factor=args.f1,
         filter_factor=args.f2,
     )
@@ -268,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate dereference cost")
     p.add_argument("query")
     p.add_argument("--catalog", help="statistics catalog file")
-    p.add_argument("--method", default="mpjf", help="mnp|mp|mpj|mpjf|all")
+    p.add_argument("--method", type=str.lower, choices=METHOD_NAMES + ("all",), default="mpjf")
     p.add_argument("--f1", type=_factor, default=DEFAULT_JOIN_FACTOR, help="star-join reduction factor")
     p.add_argument("--f2", type=_factor, default=DEFAULT_FILTER_FACTOR, help="filter reduction factor")
     p.add_argument("--breakdown", action="store_true", help="show per-group accesses")
@@ -324,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--catalog", help="statistics catalog file")
     p.add_argument("--threshold", type=int, required=True)
     p.add_argument("--probe-endpoint", help="endpoint to probe with ASK {}")
-    p.add_argument("--method", default="mpjf")
+    p.add_argument("--method", type=str.lower, choices=METHOD_NAMES, default="mpjf")
     p.add_argument("--f1", type=_factor, default=DEFAULT_JOIN_FACTOR)
     p.add_argument("--f2", type=_factor, default=DEFAULT_FILTER_FACTOR)
     p.add_argument("--strict", action="store_true", help="exit 3 when not answerable")

@@ -24,7 +24,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .analysis import ResolutionGroup, TraversalPlan, plan_query
+from .analysis import ResolutionGroup, TraversalPlan, _binding_name, plan_query
 from .errors import InputError
 from .query import QueryPattern
 from .stats import StatsCatalog
@@ -44,13 +44,6 @@ class Method(enum.Enum):
     @property
     def label(self) -> str:
         return {"mnp": "Mnp", "mp": "Mp", "mpj": "Mpj", "mpjf": "Mpjf"}[self.value]
-
-    @classmethod
-    def from_name(cls, name: str) -> "Method":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise InputError(f"unknown estimation method {name!r}") from None
 
 
 class NegativeOrNaNStat(InputError):
@@ -286,11 +279,7 @@ def _bind_fresh_variables(
             node_multiplier = predicate_multiplier * direction_avg
 
         for term in (t.subject, t.predicate, t.object):
-            name = None
-            if term.is_variable:
-                name = term.value
-            elif term.is_blank:
-                name = "_:" + term.value
+            name = _binding_name(term)
             if name is None or name not in step.fresh or name in counts:
                 continue
             if term is t.predicate:

@@ -109,10 +109,14 @@ def load_ground_truth(path) -> GroundTruthLoad:
         if "real_cost" not in meta:
             failures.append(LoadFailure(name, "meta.json lacks real_cost"))
             continue
+        cost = meta["real_cost"]
         try:
-            real_cost = int(meta["real_cost"])
+            # int() alone would read 3.7 as 3 and true as 1
+            if isinstance(cost, bool) or (isinstance(cost, float) and not cost.is_integer()):
+                raise ValueError
+            real_cost = int(cost)
         except (TypeError, ValueError):
-            failures.append(LoadFailure(name, f"bad real_cost {meta['real_cost']!r}"))
+            failures.append(LoadFailure(name, f"bad real_cost {cost!r}"))
             continue
         accessed: tuple[str, ...] | None = None
         accessed_file = child / "accessed.txt"
@@ -202,8 +206,6 @@ class _Scored:
 
     entry: GroundTruthEntry
     plan: TraversalPlan
-    has_star: bool
-    has_filter: bool
 
 
 def _prepare(entries) -> tuple[list[_Scored], list[LoadFailure]]:
@@ -220,14 +222,7 @@ def _prepare(entries) -> tuple[list[_Scored], list[LoadFailure]]:
         except NotAnswerable:
             skipped.append(LoadFailure(entry.id, "not answerable by traversal"))
             continue
-        scored.append(
-            _Scored(
-                entry=entry,
-                plan=plan,
-                has_star=bool(plan.stars),
-                has_filter=bool(q.filters),
-            )
-        )
+        scored.append(_Scored(entry, plan))
     return scored, skipped
 
 
@@ -345,17 +340,16 @@ def evaluate(
     if not test:
         raise EmptyInput("no test entries")
     scored, skipped = _prepare(test)
+    # each entry is estimated once per method; the subsets reuse the figures
+    estimates: dict[Method, list[int]] = {}
+    for method in Method:
+        config = EstimatorConfig(method, join_factor, filter_factor)
+        estimates[method] = [estimate(s.plan, catalog, config).ceiled_total for s in scored]
 
-    def score_block(items: list[_Scored]) -> dict[Method, MethodScore]:
+    def score_block(keep) -> dict[Method, MethodScore]:
         block: dict[Method, MethodScore] = {}
-        for method in Method:
-            config = EstimatorConfig(
-                method=method, join_factor=join_factor, filter_factor=filter_factor
-            )
-            pairs = [
-                (s.entry.real_cost, estimate(s.plan, catalog, config).ceiled_total)
-                for s in items
-            ]
+        for method, costs in estimates.items():
+            pairs = [(s.entry.real_cost, cost) for s, cost in zip(scored, costs) if keep(s.plan)]
             if pairs:
                 block[method] = MethodScore(
                     avg_abs_diff=avg_abs_diff(pairs),
@@ -366,13 +360,11 @@ def evaluate(
                 block[method] = MethodScore(0.0, 0.0, 0)
         return block
 
-    star = [s for s in scored if s.has_star]
-    star_and_filter = [s for s in scored if s.has_star and s.has_filter]
     return EvalReport(
-        per_method=score_block(scored),
+        per_method=score_block(lambda plan: True),
         subsets={
-            "star joins": score_block(star),
-            "star joins and filters": score_block(star_and_filter),
+            "star joins": score_block(lambda plan: plan.stars),
+            "star joins and filters": score_block(lambda plan: plan.stars and plan.query.filters),
         },
         skipped=tuple(skipped),
         join_factor=join_factor,

@@ -617,7 +617,7 @@ class _Parser:
             expr = self.parse_or()
             self.expect_punct(")")
             return expr
-        if tok.kind in ("word", "pname"):
+        if tok.kind in ("word", "pname", "iri"):
             return self.parse_function_call()
         raise self.error("expected '(' or a function call after FILTER", tok)
 
@@ -664,24 +664,24 @@ class _Parser:
             return Term.literal(tok.text.lower(), datatype=XSD_BOOLEAN)
         if tok.kind == "word":
             return self.parse_function_call()
-        if tok.kind in ("iri", "var", "string", "number", "blank"):
-            return self.parse_term(position="filter")
-        if tok.kind == "pname":
-            # could be a prefixed function call or an IRI term
+        if tok.kind in ("iri", "pname"):
+            # could be a function call named by the IRI, or an IRI term
             after = self.tokens[self.i + 1]
             if after.kind == "punct" and after.text == "(":
                 return self.parse_function_call()
+        if tok.kind in ("iri", "pname", "var", "string", "number", "blank"):
             return self.parse_term(position="filter")
         raise self.error(f"expected a filter operand, found {tok.text!r}", tok)
 
     def parse_function_call(self) -> FunctionCall:
-        name_tok = self.next()
-        if name_tok.kind == "word":
+        name_tok = self.peek()
+        if name_tok.kind in ("iri", "pname"):
+            name = self.parse_term(position="function").value  # an opaque call
+        elif name_tok.kind == "word":
+            self.next()
             name = name_tok.text
             if name.lower() in _UNSUPPORTED_KEYWORDS:
                 raise UnsupportedFeature(f"{_UNSUPPORTED_KEYWORDS[name.lower()]} are not supported")
-        elif name_tok.kind == "pname":
-            name = self.expand_pname(name_tok)
         else:
             raise self.error("expected a function name", name_tok)
         self.expect_punct("(")
@@ -848,7 +848,11 @@ def render_query(q: QueryPattern) -> str:
             f"{render_term(t.object, prefixes)} ."
         ]
         for f in q.filters_after(t.index):
-            out.append(f"{indent}FILTER {render_expression(f.expression, prefixes)}")
+            expression = render_expression(f.expression, prefixes)
+            # a bare term must be bracketed; everything else already is, or is a call
+            if isinstance(f.expression, Term):
+                expression = f"({expression})"
+            out.append(f"{indent}FILTER {expression}")
         return out
 
     i = 0

@@ -512,9 +512,19 @@ def _evaluate(node: FilterNode, binding: dict[str, Term]) -> Term:
     if isinstance(node, BoolOp):
         if node.op == "not":
             return _FALSE if _ebv(_evaluate(node.operands[0], binding)) else _TRUE
-        if node.op == "and":
-            return _TRUE if all(_filter_passes(a, binding) for a in node.operands) else _FALSE
-        return _TRUE if any(_filter_passes(a, binding) for a in node.operands) else _FALSE
+        # SPARQL 17.2: an error is overridden only by a true operand of ||
+        # or a false operand of &&; otherwise the result is the error
+        decisive = node.op == "or"
+        error = None
+        for operand in node.operands:
+            try:
+                if _ebv(_evaluate(operand, binding)) == decisive:
+                    return _TRUE if decisive else _FALSE
+            except _EvalError as exc:
+                error = exc
+        if error is not None:
+            raise error
+        return _FALSE if decisive else _TRUE
     raise _EvalError(f"unknown node {node!r}")
 
 

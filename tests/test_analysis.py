@@ -12,11 +12,10 @@ from ldcost.analysis import (
     check_answerability,
     detect_star_joins,
     plan_query,
-    render_service_form,
     traversal_steps,
 )
 from ldcost.estimator import EstimatorConfig, estimate
-from ldcost.query import QueryPattern, Term, parse_query, render_expression, render_term
+from ldcost.query import parse_query
 from ldcost.stats import StatsCatalog
 from ldcost.traversal import execute, load_store
 
@@ -135,9 +134,9 @@ class TestFindNrvs:
     def test_invalid_order_rejected(self):
         q = parse_query(helpers.PLATO_QUERY)
         with pytest.raises(InvalidOrder):
-            plan_query(q, (1, 0))
+            traversal_steps(q, (1, 0))
         with pytest.raises(InvalidOrder):
-            plan_query(q, (0,))
+            traversal_steps(q, (0,))
 
     def test_star_and_filter_flags_populated(self):
         plan = plan_query(parse_query(helpers.BIRTHDATE_FILTER_QUERY))
@@ -170,7 +169,7 @@ class TestFilterAffectedNrvs:
         assert filter_affected(plan) == {"author"}
 
     def test_trailing_filter_affects_nothing(self):
-        q, report = order_of(
+        q, _ = order_of(
             """
             PREFIX : <http://example.org/>
             SELECT * WHERE {
@@ -182,7 +181,7 @@ class TestFilterAffectedNrvs:
             }
             """
         )
-        assert plan_query(q, report.order).filter_targets == {}
+        assert plan_query(q).filter_targets == {}
 
     def test_no_filters(self):
         assert plan_query(parse_query(helpers.AUTHOR_CHAIN_QUERY)).filter_targets == {}
@@ -230,129 +229,6 @@ class TestBuildResolutionGroups:
         assert len(groups) == 1 and groups[0].is_constant
 
 
-def line_writer_service_form(q: QueryPattern, order: tuple[int, ...]) -> str:
-    """The previous ``render_service_form``, which wrote its own PREFIX,
-    SELECT, triple and FILTER lines; kept as the oracle for the one built
-    on ``render_query``."""
-    plan = plan_query(q, order)
-    prefixes = dict(q.prefixes)
-
-    lines = [f"PREFIX {p}: <{iri}>" for p, iri in q.prefixes]
-    select = "*" if q.select_vars is None else " ".join(f"?{v}" for v in q.select_vars)
-    lines.append(f"SELECT {select} WHERE {{")
-
-    def emit_block(anchor: Term, indices: list[int]):
-        lines.append(f"  SERVICE {render_term(anchor, prefixes)} {{")
-        for idx in indices:
-            t = q.triples[idx]
-            lines.append(
-                f"    {render_term(t.subject, prefixes)} "
-                f"{render_term(t.predicate, prefixes)} "
-                f"{render_term(t.object, prefixes)} ."
-            )
-            for f in q.filters_after(idx):
-                lines.append(f"    FILTER {render_expression(f.expression, prefixes)}")
-        lines.append("  }")
-
-    for group in plan.groups:
-        if group.is_constant:
-            run: list[int] = []
-            run_anchor: Term | None = None
-            for idx in group.triple_indices:
-                anchor = plan.step_by_index[idx].anchor_term
-                if run and anchor != run_anchor:
-                    emit_block(run_anchor, run)
-                    run = []
-                run_anchor = anchor
-                run.append(idx)
-            if run:
-                emit_block(run_anchor, run)
-        else:
-            emit_block(Term.var(group.variable), list(group.triple_indices))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def service_form_corpus(rng: random.Random, n: int):
-    """The answerable fixture queries, then ``n`` generated ones, some with a
-    prefix to abbreviate and a projection; each with its answerability
-    order and a shuffled order, which may not be evaluable."""
-    texts = [
-        helpers.MANDELA_QUERY,
-        helpers.PLATO_QUERY,
-        helpers.PLATO_LD_QUERY,
-        helpers.AUTHOR_CHAIN_QUERY,
-        helpers.DIRECTOR_STAR_QUERY,
-        helpers.BIRTHDATE_FILTER_QUERY,
-        helpers.PARTY_CHAIN_QUERY,
-    ]
-    for _ in range(n):
-        text = helpers.random_answerable_query(rng)
-        if rng.random() < 0.5:
-            text = f"PREFIX ex: <{helpers.EX}>\n" + text
-        if rng.random() < 0.5:
-            text = text.replace("SELECT *", "SELECT ?v1", 1)
-        texts.append(text)
-    for text in texts:
-        q = parse_query(text)
-        order = check_answerability(q).order
-        yield q, order
-        yield q, tuple(rng.sample(order, len(order)))
-
-
-class TestRenderServiceForm:
-    def test_byte_identical_to_the_line_writer(self):
-        identical = 0
-        for q, order in service_form_corpus(random.Random(83), 1200):
-            try:
-                expected = line_writer_service_form(q, order)
-            except InvalidOrder:
-                with pytest.raises(NotAnswerable):
-                    render_service_form(q, order)
-                continue
-            assert render_service_form(q, order) == expected
-            identical += 1
-        assert identical > 1200
-
-    def test_plato_two_blocks(self):
-        q, report = order_of(helpers.PLATO_QUERY)
-        text = render_service_form(q, report.order)
-        assert text.count("SERVICE") == 2
-        assert "SERVICE dbr:Plato" in text
-        assert "SERVICE ?influencer" in text
-
-    def test_mandela_single_block(self):
-        q, report = order_of(helpers.MANDELA_QUERY)
-        text = render_service_form(q, report.order)
-        assert text.count("SERVICE") == 1
-
-    def test_filter_query_four_blocks_matching_groups(self):
-        q, report = order_of(helpers.BIRTHDATE_FILTER_QUERY)
-        text = render_service_form(q, report.order)
-        assert text.count("SERVICE") == 4
-        # re-parsing the service form yields the same resolution structure
-        q2 = parse_query(text)
-        report2 = check_answerability(q2)
-        groups2 = build_resolution_groups(q2, report2.order)
-        labels = [g.label for g in groups2]
-        assert labels == ["constant", "author", "author", "publication"]
-
-    def test_not_answerable_raises(self):
-        q = parse_query(helpers.ISURI_QUERY)
-        with pytest.raises(NotAnswerable):
-            render_service_form(q, (0,))
-
-    def test_round_trips_through_parser(self):
-        rng = random.Random(81)
-        for _ in range(60):
-            q = parse_query(helpers.random_answerable_query(rng))
-            report = check_answerability(q)
-            text = render_service_form(q, report.order)
-            q2 = parse_query(text)
-            assert len(q2.triples) == len(q.triples)
-            assert len(q2.service_groups) >= 1
-
-
 class TestNrvConsistency:
     def test_consumer_anchor_is_the_nrv(self):
         rng = random.Random(82)
@@ -382,9 +258,6 @@ class TestPlanQuery:
         q = parse_query(helpers.BIRTHDATE_FILTER_QUERY)
         plan = plan_query(q)
         assert steps_calls == [plan.order]
-        explicit = plan_query(q, plan.order)
-        assert steps_calls == [plan.order, plan.order]
-        assert explicit == plan
 
     def test_agrees_with_the_public_helpers(self):
         rng = random.Random(91)
@@ -417,11 +290,7 @@ class TestPlanQuery:
 
     def test_bad_explicit_order(self):
         q = parse_query(helpers.AUTHOR_CHAIN_QUERY)
-        order = tuple(reversed(check_answerability(q).order))
-        with pytest.raises(InvalidOrder) as invalid:
-            plan_query(q, order)
-        with pytest.raises(NotAnswerable) as rewritten:
-            render_service_form(q, order)
-        assert str(rewritten.value) == str(invalid.value)
-        with pytest.raises(InvalidOrder):
-            plan_query(q, (0,))
+        with pytest.raises(InvalidOrder, match="has no anchor"):
+            traversal_steps(q, tuple(reversed(check_answerability(q).order)))
+        with pytest.raises(InvalidOrder, match="not a permutation"):
+            traversal_steps(q, (0,))

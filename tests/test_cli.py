@@ -516,6 +516,32 @@ class TestFactorOptions:
         assert err.endswith("ldcost eval: error: --f1 and --f2 must be given together\n")
 
 
+class TestMethodOption:
+    """A method outside the choices is a usage error, like a bad factor;
+    the name is read without regard to case."""
+
+    @pytest.mark.parametrize("command, value", [("estimate", "bogus"), ("route", "bogus"), ("route", "all")])
+    def test_bad_method_is_a_usage_error(self, workspace, capsys, command, value):
+        args = {
+            "estimate": ["estimate", str(workspace / "mandela.rq")],
+            "route": ["route", str(workspace / "mandela.rq"), "--threshold", "10"],
+        }[command]
+        assert cli.main(args + ["--method", value]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: ldcost {command} ")
+        last = captured.err.splitlines()[-1]
+        assert last.startswith(f"ldcost {command}: error: argument --method: invalid choice: {value!r}")
+
+    def test_method_name_is_case_insensitive(self, workspace, capsys):
+        outputs = []
+        for value in ("MPJ", "mpj"):
+            args = ["estimate", str(workspace / "star.rq"), "--catalog", str(workspace / "worked.stats")]
+            assert cli.main(args + ["--method", value, "--json"]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
 class TestEmptyGrid:
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_empty_grid_exits_two(self, workspace, tmp_path, capsys, command):

@@ -18,7 +18,10 @@ from ldcost.estimator import (
 )
 from ldcost.evaluation import (
     EmptyInput,
+    EvalReport,
     GroundTruthEntry,
+    LoadFailure,
+    MethodScore,
     ZeroMeanReal,
     avg_abs_diff,
     evaluate,
@@ -167,6 +170,19 @@ class TestLoadGroundTruth:
         assert len(calls) == 4
         assert all(e.query == parse_query(e.query_text) for e in entries)
 
+    @pytest.mark.parametrize("cost", [3.7, 1.5, True, False, math.inf, math.nan, "3.7", [4]])
+    def test_real_cost_that_is_no_integer_is_a_collected_failure(self, tmp_path, cost):
+        helpers.write_ground_truth_entry(tmp_path, "q001", helpers.MANDELA_QUERY, cost)
+        load = load_ground_truth(tmp_path)
+        assert load.entries == ()
+        assert load.failures == (LoadFailure("q001", f"bad real_cost {cost!r}"),)
+
+    @pytest.mark.parametrize("cost", ["4", 4, 4.0])
+    def test_integral_real_cost_loads(self, tmp_path, cost):
+        helpers.write_ground_truth_entry(tmp_path, "q001", helpers.MANDELA_QUERY, cost)
+        (entry,) = load_ground_truth(tmp_path).entries
+        assert entry.real_cost == 4 and type(entry.real_cost) is int
+
     def test_empty_directory(self, tmp_path):
         load = load_ground_truth(tmp_path)
         assert load.entries == () and load.failures == ()
@@ -249,9 +265,9 @@ class TestTrainFactors:
         calls = {"plans": 0, "steps": 0}
         plan_query, traversal_steps = evaluation.plan_query, analysis.traversal_steps
 
-        def counting_plan(q, order=None):
+        def counting_plan(q):
             calls["plans"] += 1
-            return plan_query(q, order)
+            return plan_query(q)
 
         def counting_steps(q, order):
             calls["steps"] += 1
@@ -468,3 +484,81 @@ class TestEvaluate:
         table = report.format_table()
         for label in ("Mnp", "Mp", "Mpj", "Mpjf", "AvgAbsDiff", "%AvgDiff"):
             assert label in table
+
+
+def _oracle_evaluate(test, catalog, join_factor, filter_factor) -> EvalReport:
+    """``evaluate`` as it was before each entry was estimated once: every
+    subset estimated again, method by method."""
+    scored, skipped = evaluation._prepare(test)
+
+    def score_block(items) -> dict[Method, MethodScore]:
+        block: dict[Method, MethodScore] = {}
+        for method in Method:
+            config = EstimatorConfig(method=method, join_factor=join_factor, filter_factor=filter_factor)
+            pairs = [(s.entry.real_cost, estimate(s.plan, catalog, config).ceiled_total) for s in items]
+            if pairs:
+                block[method] = MethodScore(avg_abs_diff(pairs), pct_avg_diff(pairs), len(pairs))
+            else:
+                block[method] = MethodScore(0.0, 0.0, 0)
+        return block
+
+    star = [s for s in scored if s.plan.stars]
+    star_and_filter = [s for s in star if s.entry.query.filters]
+    return EvalReport(
+        per_method=score_block(scored),
+        subsets={
+            "star joins": score_block(star),
+            "star joins and filters": score_block(star_and_filter),
+        },
+        skipped=tuple(skipped),
+        join_factor=join_factor,
+        filter_factor=filter_factor,
+    )
+
+
+def _generated_test_set(rng, n):
+    """``n`` entries: mostly answerable generated queries, some not
+    answerable and some that do not parse, with scattered real costs."""
+    entries = []
+    for i in range(n):
+        roll = rng.random()
+        if roll < 0.1:
+            text = "SELECT * WHERE { ?s ?p ?o }"
+        elif roll < 0.15:
+            text = "SELECT * WHERE {"
+        else:
+            text = helpers.random_answerable_query(rng)
+        entries.append(_entry(f"q{i:03d}", text, rng.randint(1, 5000)))
+    return entries
+
+
+class TestEvaluateOracle:
+    """Each entry is estimated once per method, and the subsets reuse those
+    estimates; the report equals the per-subset oracle's."""
+
+    @pytest.mark.parametrize("factors", [(0.0, 0.0), (1.0, 1.0), (0.5, 0.3), (0.0, 1.0), (0.9, 0.1)])
+    def test_report_equals_the_per_subset_oracle(self, factors):
+        rng = random.Random(97)
+        for _ in range(6):
+            entries = _generated_test_set(rng, 40)
+            catalog = helpers.random_catalog(rng)
+            expected = _oracle_evaluate(entries, catalog, *factors).as_dict()
+            actual = evaluate(entries, catalog, *factors).as_dict()
+            assert actual == expected
+            assert json.dumps(actual) == json.dumps(expected)  # key order too
+            assert expected["subsets"]["star joins and filters"]["Mp"]["n"] > 0
+
+    def test_each_entry_is_estimated_once_per_method(self, monkeypatch, worked_catalog):
+        entries = _generated_test_set(random.Random(98), 40)
+        calls = []
+        original = evaluation.estimate
+
+        def counting(plan, catalog, config):
+            calls.append(config.method)
+            return original(plan, catalog, config)
+
+        monkeypatch.setattr(evaluation, "estimate", counting)
+        report = evaluate(entries, worked_catalog, 0.5, 0.5)
+        usable = report.per_method[Method.PREDICATE_AWARE].n
+        assert usable < len(entries)
+        assert sorted(calls, key=list(Method).index) == [m for m in Method for _ in range(usable)]

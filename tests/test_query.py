@@ -12,6 +12,7 @@ from ldcost.query import (
     UnknownPrefix,
     UnsupportedFeature,
     distinct_anchor_iris,
+    expression_has_opaque,
     parse_query,
     render_query,
 )
@@ -177,6 +178,31 @@ class TestRenderQuery:
             text = f"PREFIX _: <{helpers.EX}>\n" + helpers.random_answerable_query(rng)
             q = parse_query(text)
             assert parse_query(render_query(q)) == q
+
+    @pytest.mark.parametrize("operand", ["?a", "true", '"x"', '"x"@en', "-1", "_:b", "<http://x/o>", "x:o"])
+    def test_filter_on_a_bare_term_round_trips(self, operand):
+        q = parse_query(
+            f"PREFIX x: <http://x/> SELECT * WHERE {{ <http://x/s> <http://x/p> ?a FILTER({operand}) }}"
+        )
+        assert parse_query(render_query(q)) == q
+
+    @pytest.mark.parametrize(
+        "constraint",
+        ["(x:f(?a))", "(<http://x/f>(?a))", "<http://x/f>(?a)", "(<http://x/f>(?a, 1) > x:g())"],
+    )
+    def test_iri_named_filter_call_parses_opaque_and_round_trips(self, constraint):
+        q = parse_query(
+            f"PREFIX x: <http://x/> SELECT * WHERE {{ <http://x/s> <http://x/p> ?a FILTER {constraint} }}"
+        )
+        assert expression_has_opaque(q.filters[0].expression)
+        assert q.filters[0].variables == {"a"}
+        assert parse_query(render_query(q)) == q
+
+    @pytest.mark.parametrize("prologue, name", [("", "<lang>"), ("PREFIX x: <>", "x:lang")])
+    def test_relative_iri_function_name_rejected(self, prologue, name):
+        # it would otherwise read as the supported lang()
+        with pytest.raises(QuerySyntaxError, match="not absolute"):
+            parse_query(f'{prologue} SELECT * WHERE {{ <http://x/s> <http://x/p> ?a FILTER({name}(?a) = "en") }}')
 
     def test_prefix_declaration_order_irrelevant(self):
         a = parse_query(

@@ -227,6 +227,22 @@ class TestExecuteSemantics:
         assert len(t_bare) >= len(t_filtered)
         assert set(t_filtered.rows) <= set(t_bare.rows)
 
+    @pytest.mark.parametrize(
+        "constraint, kept",
+        [
+            ("!(?u = 1 || false)", False),  # error || false is an error, and so is its negation
+            ("!(?u = 1 && true)", False),  # error && true is an error
+            ("!(?u = 1 && false)", True),  # a false operand of && overrides the error
+            ("?u = 1 || true", True),  # a true operand of || overrides the error
+        ],
+    )
+    def test_filter_errors_follow_three_valued_logic(self, tmp_path, constraint, kept):
+        (tmp_path / "s.nt").write_text(f"<{EX}s> <{EX}p> <{EX}o> .\n")
+        manifest = helpers.write_manifest(tmp_path, {EX + "s": "s.nt"})
+        q = parse_query(f"SELECT * WHERE {{ <{EX}s> <{EX}p> ?o FILTER({constraint}) }}")  # ?u is unbound
+        table, _ = execute(q, load_store(manifest))
+        assert len(table) == (1 if kept else 0)
+
     def test_trace_determinism(self, plato_manifest):
         q = parse_query(helpers.PLATO_QUERY)
         t1, tr1 = execute(q, load_store(plato_manifest))
