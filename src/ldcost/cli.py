@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 
 from . import analysis, evaluation, rdfio, stats, traversal
 from .analysis import check_answerability
@@ -37,7 +38,9 @@ METHOD_NAMES = tuple(m.value for m in Method)
 # --- command implementations -----------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    together: tuple[str, ...] = ()  # options given all together or not at all
+    # Each rule reads the parsed options and returns a usage error message,
+    # or None when the options may be given together.
+    rules: tuple[Callable[[argparse.Namespace], str | None], ...] = ()
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -46,10 +49,29 @@ class _Parser(argparse.ArgumentParser):
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
-        given = [o for o in self.together if getattr(namespace, o.lstrip("-")) is not None]
-        if given and len(given) < len(self.together):
-            self.error(f"{' and '.join(self.together)} must be given together")
+        for rule in self.rules:
+            message = rule(namespace)
+            if message is not None:
+                self.error(message)
         return namespace, extras
+
+
+def _both_or_neither(args) -> str | None:
+    if (args.f1 is None) != (args.f2 is None):
+        return "--f1 and --f2 must be given together"
+    return None
+
+
+def _breakdown_of_one_method(args) -> str | None:
+    if args.breakdown and args.method == "all":
+        return "--breakdown cannot be used with --method all"
+    return None
+
+
+def _predicates_for_an_endpoint(args) -> str | None:
+    if args.predicates is not None and args.dump is not None:
+        return "--predicates applies only to --endpoint, not to --dump"
+    return None
 
 
 def _factor(text: str) -> float:
@@ -275,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f2", type=_factor, default=DEFAULT_FILTER_FACTOR, help="filter reduction factor")
     p.add_argument("--breakdown", action="store_true", help="show per-group accesses")
     add_json(p)
+    p.rules = (_breakdown_of_one_method,)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("stats", help="statistics catalog operations")
@@ -285,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--endpoint", help="SPARQL endpoint URL")
     source.add_argument("--dump", help="N-Triples/Turtle dump file")
     pc.add_argument("--out", required=True, help="catalog file to write")
-    pc.add_argument("--predicates", help="file with one predicate IRI per line")
+    pc.add_argument("--predicates", help="file with one predicate IRI per line (--endpoint only)")
+    pc.rules = (_predicates_for_an_endpoint,)
     pc.set_defaults(func=_cmd_stats_collect)
 
     pe = stats_sub.add_parser("emit-queries", help="print the collector queries")
@@ -312,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_dataset_args(p)
     p.add_argument("--f1", type=_factor, default=None, help="skip training, use this factor")
     p.add_argument("--f2", type=_factor, default=None, help="skip training, use this factor")
-    p.together = ("--f1", "--f2")
+    p.rules = (_both_or_neither,)
     add_json(p)
     p.set_defaults(func=_cmd_eval)
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterator
-from pathlib import Path
 from typing import NoReturn
 
 from .errors import InputError
@@ -47,6 +46,17 @@ _STATEMENT_RE = re.compile(
     {_GAP} \.(?!\d)""",
     re.VERBOSE,
 )
+# One whole '@prefix name: <iri> .' directive, read as the token lexer
+# reads it: no letter, digit or '-' continues the '@prefix' tag, and the
+# prefix name is a whole prefixed-name token, as nothing but white space,
+# a comment or the IRI can follow its ':'.
+_PREFIX_RE = re.compile(
+    rf"""{_GAP} @prefix(?![A-Za-z0-9-])
+    {_GAP} (?P<name>{_TERM["pname"]})(?<=:)
+    {_GAP} (?P<iri>{_TERM["iri"]})
+    {_GAP} \.(?!\d)""",
+    re.VERBOSE,
+)
 
 
 class DocumentParseError(InputError):
@@ -75,11 +85,14 @@ def _triples(text: str, blank_scope: str) -> Iterator[Triple]:
         nodes[token] = term
         return term
 
-    # The leading N-Triples statements, one match each.  At the first that
-    # does not match, or names a relative IRI or holds a bad escape, the
-    # token loop below takes over from that statement's start and reports
-    # any error.
+    # The leading '@prefix' directives, then the N-Triples statements after
+    # them, one match each.  At the first that does not match, or names a
+    # relative IRI or holds a bad escape, the token loop below takes over
+    # from that statement's start and reports any error.
     pos = 0
+    while (m := _PREFIX_RE.match(text, pos)) is not None:
+        prefixes[m["name"][:-1]] = m["iri"][1:-1]
+        pos = m.end()
     while (m := _STATEMENT_RE.match(text, pos)) is not None:
         s, p, o, string, language, datatype = m.groups()
         try:
@@ -235,7 +248,8 @@ def read_text(path) -> str:
     """The text of a UTF-8 file, with its line ends read as ``Path.read_text``
     reads them.  Raises DocumentParseError naming the line of the first byte
     that is not UTF-8, and OSError if the file cannot be read."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as file:
+        data = file.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -6,6 +6,7 @@ the estimators are judged against.
 
 from __future__ import annotations
 
+import os
 import re
 import threading
 import time
@@ -117,8 +118,8 @@ def load_store(
     )
     if mode == "local":
         for iri, rel in manifest.items():
-            path = store.base_dir / rel
-            if not path.is_file():
+            if not os.path.isfile(os.path.join(store.base_dir, rel)):
+                path = Path(store.base_dir, rel)
                 raise StoreIoError(f"document for <{iri}> is not a readable file: {path}")
     return store
 
@@ -140,10 +141,10 @@ def dereference(store: DerefStore, iri: str, fetch: Future | None = None):
             if store.miss_policy == "error":
                 raise Miss(iri)
             return None
-        path = store.base_dir / location
         try:
-            text = read_text(path)
+            text = read_text(os.path.join(store.base_dir, location))
         except OSError as exc:
+            exc.filename = str(Path(store.base_dir, location))  # as load_store names it
             raise StoreIoError(f"cannot read document for <{iri}>: {exc}") from exc
         except DocumentParseError as exc:  # not UTF-8
             raise DocumentError(iri, exc) from exc
@@ -270,53 +271,61 @@ class _GraphIndex:
             self.by_subject.setdefault((p.value, s), []).append(triple)
             self.by_object.setdefault((p.value, o), []).append(triple)
 
-    def candidates(self, pattern: TriplePattern, binding: dict[str, Term]) -> list[Triple]:
-        """Triples that may match the pattern under the binding: those
-        sharing its bound subject, else its bound object, else its
-        predicate.  A variable predicate scans everything."""
-        predicate = pattern.predicate
-        if not predicate.is_iri:
-            return self.all
-        subject = _bound_value(pattern.subject, binding)
-        if subject is not None:
-            return self.by_subject.get((predicate.value, subject), [])
-        obj = _bound_value(pattern.object, binding)
-        if obj is not None:
-            return self.by_object.get((predicate.value, obj), [])
-        return self.by_predicate.get(predicate.value, [])
 
+def _join_triple(solutions, triple: TriplePattern, index: _GraphIndex):
+    """Extend each solution by every fetched triple the pattern matches
+    under it: solutions in order, and each one's matches in index order.
 
-def _bound_value(term: Term, binding: dict[str, Term]) -> Term | None:
-    """The ground term a pattern position must equal, or None if it is free."""
-    key = _binding_name(term)
-    return term if key is None else binding.get(key)
-
-
-def _match_term(pattern: Term, ground: Term, binding: dict[str, Term]) -> dict[str, Term] | None:
-    key = _binding_name(pattern)
-    if key is None:
-        return binding if pattern == ground else None
-    bound = binding.get(key)
-    if bound is not None:
-        return binding if bound == ground else None
-    extended = dict(binding)
-    extended[key] = ground
-    return extended
-
-
-def _join_triple(solutions, triple, index: _GraphIndex):
+    The pattern's binding names are read once.  Per solution, each position
+    is fixed (a constant, or a name the solution binds) or binds a name
+    anew; a name that repeats in the triple joins on equal values.  The
+    index lists only triples with the pattern's IRI predicate and, if one
+    is fixed, its subject or else its object, so a candidate is compared
+    at the other fixed positions only.  (The lists are keyed by the
+    predicate's value, and an IRI's value holds a ':' that no blank node
+    label from ``dereference`` does.)
+    """
+    terms = (triple.subject, triple.predicate, triple.object)
+    names = [_binding_name(term) for term in terms]
+    predicate = triple.predicate.value if triple.predicate.is_iri else None
     out = []
     for sol in solutions:
-        for s, p, o in index.candidates(triple, sol):
-            b1 = _match_term(triple.subject, s, sol)
-            if b1 is None:
+        fixed = {}  # position -> the value a candidate must hold there
+        fresh = {}  # name bound anew -> its first position
+        same = []  # (position, earlier position) of a repeated new name
+        for i, name in enumerate(names):
+            if name is None:
+                fixed[i] = terms[i]
+            elif name in sol:
+                fixed[i] = sol[name]
+            elif name in fresh:
+                same.append((i, fresh[name]))
+            else:
+                fresh[name] = i
+        if predicate is None:
+            candidates = index.all
+        else:
+            del fixed[1]  # every candidate has the predicate
+            if 0 in fixed:
+                candidates = index.by_subject.get((predicate, fixed.pop(0)), ())
+            elif 2 in fixed:
+                candidates = index.by_object.get((predicate, fixed.pop(2)), ())
+            else:
+                candidates = index.by_predicate.get(predicate, ())
+        check = fixed or same
+        for ground in candidates:
+            if check and not (
+                all(ground[i] == value for i, value in fixed.items())
+                and all(ground[i] == ground[j] for i, j in same)
+            ):
                 continue
-            b2 = _match_term(triple.predicate, p, b1)
-            if b2 is None:
-                continue
-            b3 = _match_term(triple.object, o, b2)
-            if b3 is not None:
-                out.append(b3)
+            if fresh:
+                extended = sol.copy()
+                for name, i in fresh.items():
+                    extended[name] = ground[i]
+                out.append(extended)
+            else:
+                out.append(sol)
     return out
 
 

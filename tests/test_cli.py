@@ -542,6 +542,40 @@ class TestMethodOption:
         assert outputs[0] == outputs[1]
 
 
+class TestConflictingOptions:
+    """Options that cannot take effect together are a usage error: the
+    usage line, one error line, exit 1 and no output."""
+
+    def test_breakdown_with_every_method(self, workspace, capsys):
+        args = ["estimate", str(workspace / "star.rq"), "--catalog", str(workspace / "worked.stats")]
+        assert cli.main(args + ["--method", "all", "--breakdown"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ldcost estimate ")
+        assert captured.err.endswith("ldcost estimate: error: --breakdown cannot be used with --method all\n")
+        assert cli.main(args + ["--method", "ALL"]) == EXIT_OK
+        assert cli.main(args + ["--breakdown"]) == EXIT_OK
+
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_predicates_with_a_dump(self, workspace, capsys, exists):
+        dump = workspace / "data.nt"
+        dump.write_text("<http://x/a> <http://x/p> <http://x/b> .\n")
+        predicates = workspace / "preds.txt"
+        if exists:
+            predicates.write_text("http://x/p\n")
+        out_file = workspace / "dump.stats"
+        code = cli.main(["stats", "collect", "--dump", str(dump), "--predicates", str(predicates),
+                         "--out", str(out_file)])
+        assert code == EXIT_USAGE
+        assert not out_file.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ldcost stats collect ")
+        assert captured.err.endswith(
+            "ldcost stats collect: error: --predicates applies only to --endpoint, not to --dump\n"
+        )
+
+
 class TestEmptyGrid:
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_empty_grid_exits_two(self, workspace, tmp_path, capsys, command):

@@ -562,8 +562,9 @@ STATEMENT_CASES = {
 
 def token_loop_outcome(monkeypatch, text: str, blank_scope: str = "@7"):
     """The triples, or the error's type, message and line, with every
-    statement left to the token loop."""
+    directive and statement left to the token loop."""
     with monkeypatch.context() as patch:
+        patch.setattr(rdfio, "_PREFIX_RE", re.compile(r"(?!)"))
         patch.setattr(rdfio, "_STATEMENT_RE", re.compile(r"(?!)"))
         return full_outcome(text, blank_scope)
 
@@ -636,16 +637,22 @@ class TestStatementLoop:
     @pytest.mark.parametrize("text, handed_over", [
         (f"<{EX}s> <{EX}p> <{EX}o> .\n<{EX}s> <{EX}p> \"v\"@en .\n", "\n"),
         (f"<{EX}s> <{EX}p> <{EX}o> .\n<{EX}s> <{EX}p> 3 .\n", f"\n<{EX}s> <{EX}p> 3 .\n"),
-        (f"@prefix ex: <{EX}> .\n<{EX}s> <{EX}p> <{EX}o> .\n", None),
+        # the directive and the statement after it are both matched whole
+        (f"@prefix ex: <{EX}> .\n<{EX}s> <{EX}p> <{EX}o> .\n", "\n"),
     ])
     def test_token_loop_starts_after_the_leading_statements(self, monkeypatch, text, handed_over):
-        starts = []
-        expected = parse_document(text)
-        with monkeypatch.context() as patch:
-            patch.setattr(rdfio, "_TOKEN_RE", _RecordingTokenRe(starts))
-            assert parse_document(text) == expected
-        (start,) = starts
-        assert text[start:] == (text if handed_over is None else handed_over)
+        assert text[token_loop_start(monkeypatch, text):] == handed_over
+
+
+def token_loop_start(monkeypatch, text: str) -> int:
+    """The offset where the token loop starts reading ``text``."""
+    starts = []
+    expected = parse_document(text)
+    with monkeypatch.context() as patch:
+        patch.setattr(rdfio, "_TOKEN_RE", _RecordingTokenRe(starts))
+        assert parse_document(text) == expected
+    (start,) = starts
+    return start
 
 
 class _RecordingTokenRe:
@@ -658,6 +665,100 @@ class _RecordingTokenRe:
     def finditer(self, text: str, pos: int = 0):
         self.starts.append(pos)
         return self.pattern.finditer(text, pos)
+
+
+def random_directives(rng: random.Random) -> str:
+    """One to four '@prefix' directives, the empty prefix and redeclarations
+    included, with white space and comments between and inside them; the
+    text ends at the last directive's '.'."""
+    def gap() -> str:
+        return rng.choice([" ", "", "\t", "\n  ", " # note \n", "\n# a line\n\n"])
+
+    names = rng.choice([["ex", "xsd"], ["", "ex"], ["ex", "ex"], ["a.b", "ex"]])
+    iris = {"ex": EX, "xsd": XSD, "": EX, "a.b": "http://other.example/ns#"}
+    out = []
+    for name in names[: rng.randint(0, 2)] + ["ex"] * rng.randint(1, 2):
+        space = rng.choice([" ", "\t", " # c\n "])  # the tag ends before the name
+        out.append(f"{gap()}@prefix{space}{name}:{gap()}<{iris[name]}>{gap()}.")
+    return "".join(out)
+
+
+def random_directive_document(rng: random.Random) -> str:
+    """Leading directives, then prefixed Turtle, N-Triples or both."""
+    body = rng.choice([
+        "\nex:s ex:p ex:o ; ex:q 3 .\n",
+        f"\n<{EX}s> <{EX}p> <{EX}o> .\nex:s a ex:C .\n",
+        f"\n<{EX}s> <{EX}p> \"v\"@en .\n",
+        "\n_:b ex:p [] , \"w\" .\n# end",
+        "",
+    ])
+    return random_directives(rng) + body
+
+
+# Documents with a fault in or near a leading directive, and valid spellings
+# that the directive match leaves to the token loop.
+DIRECTIVE_CASES = {
+    "missing-dot": f"@prefix ex: <{EX}>\nex:s ex:p ex:o .\n",
+    "name-without-colon": f"@prefix ex <{EX}> .\nex:s ex:p ex:o .\n",
+    "name-with-local-part": f"@prefix ex:s <{EX}> .\n",
+    "upper-case-keyword": f"@PREFIX ex: <{EX}> .\nex:s ex:p ex:o .\n",
+    "longer-tag": f"@prefixes ex: <{EX}> .\nex:s ex:p ex:o .\n",
+    "no-space-after-the-tag": f"@prefixex: <{EX}> .\nex:s ex:p ex:o .\n",
+    "tag-with-subtag": f"@prefix-x ex: <{EX}> .\n",
+    "tag-then-digit": f"@prefix0 ex: <{EX}> .\n",
+    "comment-inside": f"@prefix ex: # the vocabulary\n  <{EX}> # ends here\n .\nex:s ex:p ex:o .\n",
+    "comment-to-the-end": f"@prefix ex: <{EX}> # no dot",
+    "relative-iri-unused": f"@prefix ex: <rel/> .\n<{EX}s> <{EX}p> <{EX}o> .\n",
+    "redeclaration-after-statements": (
+        f"@prefix ex: <{EX}> .\nex:s ex:p ex:o .\n@prefix ex: <http://other.example/> .\nex:s ex:p ex:o .\n"
+    ),
+    "redeclaration-in-the-head": f"@prefix ex: <http://other.example/> .\n@prefix ex: <{EX}> .\nex:s ex:p ex:o .\n",
+    "number-after-the-iri": f"@prefix ex: <{EX}> .5 .\n",
+    "no-white-space": f"@prefix ex:<{EX}>.ex:s ex:p ex:o.",
+    "empty-prefix": f"@prefix : <{EX}> .\n:s :p : .\n",
+    "sparql-spelling": f"PREFIX ex: <{EX}>\n@prefix xsd: <{XSD}> .\nex:s ex:p \"1\"^^xsd:int .\n",
+    "sparql-spelling-after": f"@prefix ex: <{EX}> .\nPREFIX xsd: <{XSD}>\nex:s ex:p \"1\"^^xsd:int .\n",
+    "base": f"@base <{EX}> .\n<{EX}s> <{EX}p> <{EX}o> .\n",
+    "iri-not-closed": f"@prefix ex: <{EX} .\n",
+    "undeclared-after-directive": f"@prefix ex: <{EX}> .\nzz:s ex:p ex:o .\n",
+}
+
+
+class TestLeadingDirectives:
+    """Leading '@prefix' directives are matched whole before the N-Triples
+    statements; the token loop reads every other spelling and reports
+    every error, with the same message and line."""
+
+    @pytest.mark.parametrize("text", DIRECTIVE_CASES.values(), ids=DIRECTIVE_CASES)
+    def test_cases_match_token_list_reader(self, monkeypatch, text):
+        assert outcome(parse_document, text) == outcome(oracle_parse, text)
+        assert full_outcome(text) == token_loop_outcome(monkeypatch, text)
+
+    def test_relative_iri_fails_where_it_is_used(self, monkeypatch):
+        text = f"@prefix ex: <rel/> .\n<{EX}s> <{EX}p> <{EX}o> .\nex:s ex:p ex:o .\n"
+        expected = (DocumentParseError, "IRI is not absolute: 'rel/s' (line 3)", 3)
+        assert full_outcome(text) == token_loop_outcome(monkeypatch, text) == expected
+
+    def test_random_documents_and_their_faults(self, monkeypatch):
+        rng = random.Random(6061)
+        failures = 0
+        for _ in range(300):
+            text = random_directive_document(rng)
+            assert parse_document(text, "@2") == oracle_parse(text, "@2"), text
+            assert full_outcome(text) == token_loop_outcome(monkeypatch, text), text
+            for variant in malformed_variants(rng, text, 4):
+                expected = token_loop_outcome(monkeypatch, variant)
+                assert full_outcome(variant) == expected, variant
+                assert outcome(parse_document, variant) == outcome(oracle_parse, variant), variant
+                failures += isinstance(expected, tuple)
+        assert failures > 600
+
+    def test_token_loop_starts_after_the_directives(self, monkeypatch):
+        rng = random.Random(6062)
+        for _ in range(100):
+            head = random_directives(rng)
+            text = head + "\nex:s ex:p ex:o .\n"
+            assert token_loop_start(monkeypatch, text) == len(head), text
 
 
 class TestReadText:

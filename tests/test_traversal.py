@@ -1,4 +1,5 @@
 import json
+import random
 import time
 
 import pytest
@@ -8,7 +9,7 @@ from ldcost import cli, traversal
 from ldcost.analysis import NotAnswerable
 from ldcost.errors import RemoteError
 from ldcost.estimator import EstimatorConfig, Method, estimate
-from ldcost.query import parse_query
+from ldcost.query import XSD_INTEGER, Term, TriplePattern, parse_query
 from ldcost.rdfio import DocumentParseError, parse_document
 from ldcost.stats import compute_from_dump
 from ldcost.traversal import (
@@ -50,6 +51,64 @@ class TestLoadStore:
         with pytest.raises(ManifestError) as err:
             load_store(manifest)
         assert "line 1" in str(err.value)
+
+
+class TestStorePaths:
+    """Local documents are read at the manifest's directory joined with
+    each row's path; an absolute path stands alone."""
+
+    def test_absolute_document_path(self, tmp_path):
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        (elsewhere / "a.nt").write_text(f"<{EX}a> <{EX}p> <{EX}b> .\n")
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        manifest = helpers.write_manifest(store_dir, {EX + "a": str(elsewhere / "a.nt")})
+        assert len(dereference(load_store(manifest), EX + "a")) == 1
+
+    @pytest.mark.parametrize("row", ["docs", "docs/a.nt/"])
+    def test_directory_row_fails_at_load(self, tmp_path, row):
+        # a trailing '/' names a directory, whatever the name before it is
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "a.nt").write_text(f"<{EX}a> <{EX}p> <{EX}b> .\n")
+        manifest = helpers.write_manifest(tmp_path, {EX + "a": row})
+        with pytest.raises(StoreIoError) as err:
+            load_store(manifest)
+        assert str(err.value) == f"document for <{EX}a> is not a readable file: {tmp_path / row}"
+
+    def test_base_dir_given_as_a_string(self, tmp_path):
+        (tmp_path / "a.nt").write_text(f"<{EX}a> <{EX}p> <{EX}b> .\n")
+        store = traversal.DerefStore(manifest={EX + "a": "a.nt"}, base_dir=str(tmp_path))
+        (triple,) = dereference(store, EX + "a")
+        assert triple[2].value == EX + "b"
+
+    @pytest.mark.parametrize("fault", ["deleted", "not-utf8"])
+    def test_unreadable_document_after_load_exits_two(self, tmp_path, monkeypatch, capsys, fault):
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "a.nt").write_text(f"<{EX}a> <{EX}p> <{EX}b> .\n")
+        helpers.write_manifest(tmp_path, {EX + "a": "docs/a.nt"})
+        (tmp_path / "q.rq").write_text(f"SELECT * WHERE {{ <{EX}a> <{EX}p> ?o }}")
+        load = traversal.load_store
+
+        def load_then_spoil(*args, **kwargs):
+            store = load(*args, **kwargs)
+            if fault == "deleted":
+                (docs / "a.nt").unlink()
+            else:
+                (docs / "a.nt").write_bytes(b"<http://x/a> <http://x/p> \"caf\xe9\" .\n")
+            return store
+
+        monkeypatch.setattr(traversal, "load_store", load_then_spoil)
+        monkeypatch.chdir(tmp_path)  # a relative manifest: its directory is '.'
+        assert cli.main(["simulate", "q.rq", "--store", "manifest.tsv"]) == cli.EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        expected = {
+            "deleted": f"error: cannot read document for <{EX}a>: [Errno 2] No such file or directory: 'docs/a.nt'\n",
+            "not-utf8": f"error: document for <{EX}a>: byte 0xe9 is not UTF-8 (line 1)\n",
+        }[fault]
+        assert captured.err == expected
 
 
 class TestDereference:
@@ -313,6 +372,23 @@ def _self_loop_execution(tmp_path):
     return execute(q, load_store(manifest))
 
 
+def _match_term(pattern, ground, binding):
+    """The join's term match before the join was compiled per triple, with
+    its binding-name rule inlined, kept frozen for the oracle below."""
+    if pattern.is_variable:
+        key = pattern.value
+    elif pattern.is_blank:
+        key = "_:" + pattern.value
+    else:
+        return binding if pattern == ground else None
+    bound = binding.get(key)
+    if bound is not None:
+        return binding if bound == ground else None
+    extended = dict(binding)
+    extended[key] = ground
+    return extended
+
+
 def _nested_loop_join(solutions, triple, index):
     """The join before the subject/object index: every solution against
     every fetched triple with the pattern's predicate (all triples for a
@@ -324,13 +400,13 @@ def _nested_loop_join(solutions, triple, index):
     out = []
     for sol in solutions:
         for s, p, o in candidates:
-            b1 = traversal._match_term(triple.subject, s, sol)
+            b1 = _match_term(triple.subject, s, sol)
             if b1 is None:
                 continue
-            b2 = traversal._match_term(triple.predicate, p, b1)
+            b2 = _match_term(triple.predicate, p, b1)
             if b2 is None:
                 continue
-            b3 = traversal._match_term(triple.object, o, b2)
+            b3 = _match_term(triple.object, o, b2)
             if b3 is not None:
                 out.append(b3)
     return out
@@ -441,6 +517,124 @@ class TestIndexedJoin:
         table, trace = _assert_same_as_nested_loop(monkeypatch, query, manifest)
         assert len(table) == 8000
         assert real_cost(trace) == expected == 1641
+
+
+def _random_world(root, rng: random.Random):
+    """A seeded store over nodes n0..n7: links by p0..p2 (self-loops and
+    shared targets included), a year, sometimes a label, a blank node
+    shared by two triples, a node IRI used as a predicate, a blank
+    subject, and nodes with no document.  Returns the manifest."""
+    nodes = [f"{EX}n{i}" for i in range(8)]
+    docs = root / "docs"
+    docs.mkdir(parents=True)
+    entries = {}
+    for i, node in enumerate(nodes):
+        if i and rng.random() < 0.15:
+            continue  # dereferencing it misses
+        lines = [f"<{node}> <{EX}p{rng.randrange(3)}> <{rng.choice(nodes)}> ." for _ in range(rng.randint(1, 6))]
+        lines.append(f'<{node}> <{EX}year> "{rng.randint(1940, 2000)}"^^<{XSD_INTEGER}> .')
+        if rng.random() < 0.5:
+            lines.append(f'<{node}> <{EX}label> "{rng.choice("ab")}" .')
+        if rng.random() < 0.4:
+            lines.append(f"<{node}> <{EX}q> _:k .\n<{node}> <{EX}r> _:k .")
+        if rng.random() < 0.3:
+            lines.append(f"<{node}> <{node}> <{rng.choice(nodes)}> .")
+        if rng.random() < 0.2:
+            lines.append(f"_:x <{EX}p0> <{node}> .")
+        (docs / f"n{i}.nt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        entries[node] = f"docs/n{i}.nt"
+    return helpers.write_manifest(root, entries)
+
+
+def _random_join_query(rng: random.Random) -> str:
+    """An answerable query over ``_random_world``'s vocabulary: chains,
+    object-anchored hops, variable predicates, a variable repeated in one
+    triple, constant objects, blank-node joins and filters."""
+    lines = [rng.choice([f"<{EX}n0> <{EX}p{rng.randrange(3)}> ?v0 .", f"<{EX}n0> ?p0 ?v0 ."])]
+    bound = ["v0"]
+    for k in range(1, rng.randint(2, 5)):
+        a = rng.choice(bound)
+        move = rng.randrange(9)
+        if move == 0:
+            lines.append(f"?{a} <{EX}p{rng.randrange(3)}> ?v{k} .")
+            bound.append(f"v{k}")
+        elif move == 1:
+            lines.append(f"?v{k} <{EX}p{rng.randrange(3)}> ?{a} .")
+            bound.append(f"v{k}")
+        elif move == 2:
+            lines.append(f"?{a} <{EX}p{rng.randrange(3)}> ?{a} .")
+        elif move == 3:
+            lines.append(f"?{a} ?p{k} ?v{k} .")
+            bound.append(f"v{k}")
+        elif move == 4:
+            lines.append(f"?v{k} ?v{k} ?{a} .")
+        elif move == 5:
+            lines.append(rng.choice([
+                f"?{a} <{EX}p{rng.randrange(3)}> <{EX}n{rng.randrange(8)}> .",
+                f'?{a} <{EX}year> "{rng.randint(1940, 2000)}"^^<{XSD_INTEGER}> .',
+                f'?{a} <{EX}label> "a" .',
+            ]))
+        elif move == 6:
+            lines.append(f"?{a} <{EX}q> _:b{k} .\n?{a} <{EX}r> _:b{k} .")
+        elif move == 7:
+            lines.append(f"?{a} <{EX}year> ?y{k} FILTER(?y{k} > {rng.randint(1940, 2000)})")
+        else:
+            lines.append(f"FILTER(?{a} != <{EX}n{rng.randrange(8)}>)")
+    return "SELECT * WHERE {\n" + "\n".join(lines) + "\n}"
+
+
+class TestCompiledJoin:
+    """The join compiled per triple against the nested-loop oracle on
+    seeded generated stores: same solutions, in the same order, with the
+    same multiplicity."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_execute_on_generated_stores(self, tmp_path, monkeypatch, seed):
+        rng = random.Random(seed)
+        manifest = _random_world(tmp_path, rng)
+        rows = 0
+        for _ in range(25):
+            table, _ = _assert_same_as_nested_loop(monkeypatch, _random_join_query(rng), manifest)
+            rows += len(table)
+        assert rows > 0
+
+    def test_any_pattern_over_generated_stores(self, tmp_path):
+        # answerable or not: patterns join over the union of every document
+        subjects = [Term.var("x"), Term.var("y"), Term.blank("b"), Term.iri(EX + "n0"), Term.iri(EX + "n1")]
+        predicates = [Term.var("x"), Term.var("p"), Term.iri(EX + "p0"), Term.iri(EX + "p1"),
+                      Term.iri(EX + "year"), Term.iri(EX + "n2")]
+        objects = subjects + [Term.var("z"), Term.literal("a"), Term.literal("1970", datatype=XSD_INTEGER)]
+        rng = random.Random(77)
+        counted = {"repeated": 0, "variable-predicate": 0, "blank": 0, "constant-object": 0}
+        for world in range(8):
+            store = load_store(_random_world(tmp_path / f"w{world}", rng))
+            index = traversal._GraphIndex()
+            for iri in sorted(store.manifest):
+                index.add_graph(sorted(dereference(store, iri)))
+            patterns = [
+                [TriplePattern(Term.var("x"), Term.iri(EX + "p0"), Term.var("x"), 0)],
+                [TriplePattern(Term.var("x"), Term.var("x"), Term.var("y"), 0)],
+            ]
+            for _ in range(40):
+                patterns.append([
+                    TriplePattern(rng.choice(subjects), rng.choice(predicates), rng.choice(objects), i)
+                    for i in range(rng.randint(1, 3))
+                ])
+            for triples in patterns:
+                solutions = want = [{}]
+                for triple in triples:
+                    solutions = traversal._join_triple(solutions, triple, index)
+                    want = _nested_loop_join(want, triple, index)
+                    assert solutions == want, triples
+                    if not solutions:
+                        break
+                    terms = triple.terms()
+                    names = [t for t in terms if not t.is_iri and not t.is_literal]
+                    counted["repeated"] += len(names) != len(set(names))
+                    counted["variable-predicate"] += triple.predicate.is_variable
+                    counted["blank"] += any(t.is_blank for t in terms)
+                    counted["constant-object"] += triple.object.is_iri or triple.object.is_literal
+        assert min(counted.values()) >= 10, counted
 
 
 class TestHttpMode:
