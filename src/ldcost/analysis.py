@@ -40,6 +40,7 @@ class AnswerabilityReport:
     order: tuple[int, ...] | None = None
     reordered_from_original: bool = False
     failure_witness: frozenset[int] | None = None
+    steps: tuple[TripleStep, ...] = ()  # the placed order's steps; empty when not answerable
 
 
 @dataclass(frozen=True)
@@ -97,13 +98,32 @@ def _anchor(triple: TriplePattern, bound: set[str]) -> tuple[str, Term] | None:
     return None
 
 
-def _triple_names(triple: TriplePattern) -> list[str]:
-    names = []
-    for term in triple.terms():
-        name = _binding_name(term)
-        if name is not None:
-            names.append(name)
-    return names
+def _place(
+    q: QueryPattern, order: tuple[int, ...] | None = None
+) -> tuple[list[TripleStep], list[int]]:
+    """Place triples one at a time, resolving each one's anchor and the
+    names it binds first, until none can be placed.
+
+    With no ``order``, each turn places the earliest-by-index triple that
+    has an anchor given the bindings so far; with one, the next triple of
+    ``order`` or none.  Returns the steps and the indices left unplaced.
+    """
+    remaining = list(range(len(q.triples)) if order is None else order)
+    bound: set[str] = set()
+    steps: list[TripleStep] = []
+    while remaining:
+        for idx in remaining if order is None else remaining[:1]:
+            anchor = _anchor(q.triples[idx], bound)
+            if anchor is not None:
+                break
+        else:
+            break
+        remaining.remove(idx)
+        names = map(_binding_name, q.triples[idx].terms())
+        fresh = frozenset(n for n in names if n is not None and n not in bound)
+        bound |= fresh
+        steps.append(TripleStep(idx, len(steps), anchor[0], anchor[1], fresh))
+    return steps, remaining
 
 
 def check_answerability(q: QueryPattern) -> AnswerabilityReport:
@@ -112,28 +132,18 @@ def check_answerability(q: QueryPattern) -> AnswerabilityReport:
     Repeatedly places the earliest-by-original-index triple that has an
     anchor given the bindings accumulated so far; evaluating a triple binds
     all of its variables (a variable predicate included).  The identity
-    order is returned unchanged whenever it is itself evaluable.
+    order is returned unchanged whenever it is itself evaluable, and the
+    report keeps the steps the search placed.
     """
-    remaining = list(range(len(q.triples)))
-    bound: set[str] = set()
-    order: list[int] = []
-    while remaining:
-        pick = None
-        for idx in remaining:
-            if _anchor(q.triples[idx], bound) is not None:
-                pick = idx
-                break
-        if pick is None:
-            return AnswerabilityReport(
-                answerable=False, failure_witness=frozenset(remaining)
-            )
-        remaining.remove(pick)
-        order.append(pick)
-        bound.update(_triple_names(q.triples[pick]))
+    steps, unplaced = _place(q)
+    if unplaced:
+        return AnswerabilityReport(answerable=False, failure_witness=frozenset(unplaced))
+    order = [s.index for s in steps]
     return AnswerabilityReport(
         answerable=True,
         order=tuple(order),
         reordered_from_original=order != sorted(order),
+        steps=tuple(steps),
     )
 
 
@@ -145,24 +155,9 @@ def traversal_steps(q: QueryPattern, order: tuple[int, ...]) -> list[TripleStep]
     """
     if sorted(order) != list(range(len(q.triples))):
         raise InvalidOrder(f"order {order!r} is not a permutation of the triple indices")
-    bound: set[str] = set()
-    steps: list[TripleStep] = []
-    for position, idx in enumerate(order):
-        triple = q.triples[idx]
-        anchor = _anchor(triple, bound)
-        if anchor is None:
-            raise InvalidOrder(f"triple {idx} has no anchor at position {position}")
-        fresh = frozenset(n for n in _triple_names(triple) if n not in bound)
-        bound.update(fresh)
-        steps.append(
-            TripleStep(
-                index=idx,
-                position=position,
-                anchor_kind=anchor[0],
-                anchor_term=anchor[1],
-                fresh=fresh,
-            )
-        )
+    steps, unplaced = _place(q, order)
+    if unplaced:
+        raise InvalidOrder(f"triple {unplaced[0]} has no anchor at position {len(steps)}")
     return steps
 
 
@@ -196,17 +191,17 @@ def plan_query(q: QueryPattern) -> TraversalPlan:
         raise NotAnswerable(
             f"triples {sorted(report.failure_witness or ())} can never be anchored"
         )
-    order = report.order
-    steps = traversal_steps(q, order)
+    order, steps = report.order, report.steps
+    filtered = {f.after_triple for f in q.filters}
     consumers = _consumers_by_variable(steps)
-    groups = _resolution_groups(q, steps)
+    groups = _resolution_groups(steps, filtered)
     return TraversalPlan(
         query=q,
         order=order,
-        steps=tuple(steps),
+        steps=steps,
         step_by_index={s.index: s for s in steps},
         groups=tuple(groups),
-        stars={v: frozenset(t) for v, t in _star_triples(q, steps, consumers).items()},
+        stars={v: frozenset(t) for v, t in _star_triples(q, steps, consumers, filtered).items()},
         filter_targets=_filter_targets(q, order, consumers),
         ending_filters=tuple(
             tuple(q.filters_after(g.triple_indices[-1])) if g.ended_by_filter else ()
@@ -236,11 +231,15 @@ def detect_star_joins(q: QueryPattern, order: tuple[int, ...]) -> dict[str, set[
     and earn no credit here.
     """
     steps = traversal_steps(q, order)
-    return _star_triples(q, steps, _consumers_by_variable(steps))
+    filtered = {f.after_triple for f in q.filters}
+    return _star_triples(q, steps, _consumers_by_variable(steps), filtered)
 
 
 def _star_triples(
-    q: QueryPattern, steps: list[TripleStep], consumers: dict[str, tuple[int, ...]]
+    q: QueryPattern,
+    steps: list[TripleStep],
+    consumers: dict[str, tuple[int, ...]],
+    filtered: set[int],
 ) -> dict[str, set[int]]:
     binding_pos: dict[str, int] = {}
     for step in steps:
@@ -258,7 +257,7 @@ def _star_triples(
             continue
         if not step.fresh:
             continue
-        if q.filters_after(idx):
+        if idx in filtered:
             continue
         # a step whose fresh binding feeds a later dereference is a chain
         # link, not a narrowing check
@@ -300,37 +299,18 @@ def build_resolution_groups(
     consecutive triples anchored by the same variable; a FILTER attached to
     a triple closes the pass it falls in.
     """
-    return _resolution_groups(q, traversal_steps(q, order))
+    return _resolution_groups(traversal_steps(q, order), {f.after_triple for f in q.filters})
 
 
-def _resolution_groups(q: QueryPattern, steps: list[TripleStep]) -> list[ResolutionGroup]:
-    groups: list[ResolutionGroup] = []
-    run: list[int] = []
-    run_variable: str | None = None
-    run_is_constant = False
-
-    def close(ended_by_filter: bool):
-        nonlocal run
-        if run:
-            groups.append(
-                ResolutionGroup(
-                    variable=None if run_is_constant else run_variable,
-                    triple_indices=tuple(run),
-                    ended_by_filter=ended_by_filter,
-                )
-            )
-            run = []
-
+def _resolution_groups(steps: list[TripleStep], filtered: set[int]) -> list[ResolutionGroup]:
+    """``filtered`` holds the indices of the triples a FILTER follows.  A
+    constant run's variable is None, so a change of variable ends a run."""
+    runs: list[tuple[str | None, list[int]]] = []
+    closed = True
     for step in steps:
-        is_constant = step.anchor_kind == "constant"
-        variable = None if is_constant else step.anchor_term.value
-        if run and (is_constant != run_is_constant or variable != run_variable):
-            close(False)
-        run_is_constant = is_constant
-        run_variable = variable
-        run.append(step.index)
-        if q.filters_after(step.index):
-            close(True)
-    close(False)
-    return groups
-
+        variable = step.anchor_term.value if step.anchor_kind == "variable" else None
+        if closed or variable != runs[-1][0]:
+            runs.append((variable, []))
+        runs[-1][1].append(step.index)
+        closed = step.index in filtered
+    return [ResolutionGroup(v, tuple(run), run[-1] in filtered) for v, run in runs]

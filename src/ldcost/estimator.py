@@ -46,10 +46,6 @@ class Method(enum.Enum):
         return {"mnp": "Mnp", "mp": "Mp", "mpj": "Mpj", "mpjf": "Mpjf"}[self.value]
 
 
-class NegativeOrNaNStat(InputError):
-    """The catalog supplied a negative or NaN average."""
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     method: Method = Method.PREDICATE_JOINS_FILTERS
@@ -96,12 +92,6 @@ def _ceil(total: float) -> int:
     if not math.isfinite(total):
         raise InputError(f"estimated total is {total!r}: the catalog averages overflow")
     return math.ceil(round(total, 9))
-
-
-def _checked(value: float, predicate: str) -> float:
-    if math.isnan(value) or value < 0.0:
-        raise NegativeOrNaNStat(f"catalog average for {predicate!r} is {value!r}")
-    return value
 
 
 def estimate(
@@ -174,8 +164,6 @@ def cost_terms(plan: TraversalPlan, catalog: StatsCatalog) -> list[tuple[int, in
     """The ``mpjf`` total of ``plan`` as terms (a, b, c) of
     Σ c·f1^a·f2^b, from one cost walk with the join factor f1 and the
     filter factor f2 as variables.
-
-    Raises NegativeOrNaNStat as ``estimate`` does.
     """
     accesses, _ = _walk(plan, catalog, Polynomial({(1, 0): 1.0}), Polynomial({(0, 1): 1.0}))
     return [(a, b, c) for (a, b), c in sorted(_terms_of(_total(accesses)).items())]
@@ -263,19 +251,13 @@ def _bind_fresh_variables(
         if t.predicate.is_iri:
             p = t.predicate.value
             lookup = catalog.lookup_object_avg if anchored_at_subject else catalog.lookup_subject_avg
-            node_multiplier = _checked(lookup(p), p)
+            node_multiplier = lookup(p)
             predicate_multiplier = None
         else:
             # variable predicate: every property of the anchor is followed,
             # and each contributes the direction's global average
-            predicate_multiplier = _checked(
-                g.avg_outgoing_props if anchored_at_subject else g.avg_incoming_props,
-                "?" + t.predicate.value,
-            )
-            direction_avg = _checked(
-                g.avg_obj_bindings if anchored_at_subject else g.avg_subj_bindings_nontype,
-                "?" + t.predicate.value,
-            )
+            predicate_multiplier = g.avg_outgoing_props if anchored_at_subject else g.avg_incoming_props
+            direction_avg = g.avg_obj_bindings if anchored_at_subject else g.avg_subj_bindings_nontype
             node_multiplier = predicate_multiplier * direction_avg
 
         for term in (t.subject, t.predicate, t.object):

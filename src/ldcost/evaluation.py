@@ -106,6 +106,9 @@ def load_ground_truth(path) -> GroundTruthLoad:
         except ValueError as exc:
             failures.append(LoadFailure(name, f"bad meta.json: {exc}"))
             continue
+        if not isinstance(meta, dict):
+            failures.append(LoadFailure(name, "bad meta.json: the top level is not an object"))
+            continue
         if "real_cost" not in meta:
             failures.append(LoadFailure(name, "meta.json lacks real_cost"))
             continue

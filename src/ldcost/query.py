@@ -507,8 +507,11 @@ class _Parser:
             triples.append(
                 TriplePattern(t.subject, t.predicate, t.object, index=len(triples))
             )
+        # A FILTER before the block's first triple attaches to that triple;
+        # in a block with no triple it reads as if written outside the block.
+        first = 0 if inner_triples else -1
         for f in inner_filters:
-            filters.append(FilterClause(f.expression, start + f.after_triple if f.after_triple >= 0 else start))
+            filters.append(FilterClause(f.expression, start + max(f.after_triple, first)))
         if len(triples) > start:
             services.append(ServiceGroup(anchor=anchor, start=start, stop=len(triples)))
 

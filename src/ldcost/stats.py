@@ -76,7 +76,7 @@ class GlobalStats:
     def __post_init__(self):
         for key in GLOBAL_KEYS:
             value = getattr(self, key)
-            if not (0.0 <= value < math.inf):
+            if not _is_average(value):
                 raise ValueError(f"{key} must be finite and non-negative, got {value!r}")
 
     def as_dict(self) -> dict[str, float]:
@@ -88,6 +88,12 @@ class PredicateStats:
     predicate: str
     avg_subject_bindings: float
     avg_object_bindings: float
+
+    def __post_init__(self):
+        for key in ("avg_subject_bindings", "avg_object_bindings"):
+            value = getattr(self, key)
+            if not _is_average(value):
+                raise ValueError(f"{key} must be finite and non-negative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -389,8 +395,7 @@ def save_catalog(catalog: StatsCatalog, path) -> None:
 
 
 def _is_average(value: float) -> bool:
-    """The rule every catalog average keeps, read from a file or an
-    endpoint: finite and non-negative."""
+    """The rule every catalog average keeps: finite and non-negative."""
     return 0.0 <= value < math.inf
 
 

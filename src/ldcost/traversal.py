@@ -250,22 +250,22 @@ class BindingTable:
 
 class _GraphIndex:
     """Union of fetched graphs, indexed by predicate and by (predicate,
-    subject) and (predicate, object).  Every list keeps insertion order, so
-    a narrower list is an ordered sublist of the predicate's list."""
+    subject) and (predicate, object).  ``all`` holds each triple once, as
+    a dict's keys, and every list keeps insertion order, so a narrower list
+    is an ordered sublist of the predicate's list."""
 
     def __init__(self):
         self.by_predicate: dict[str, list[Triple]] = {}
         self.by_subject: dict[tuple[str, Term], list[Triple]] = {}
         self.by_object: dict[tuple[str, Term], list[Triple]] = {}
-        self.all: list[Triple] = []
-        self._seen: set[Triple] = set()
+        self.all: dict[Triple, None] = {}
 
     def add_graph(self, graph):
         for triple in graph:
-            if triple in self._seen:
+            known = len(self.all)
+            self.all[triple] = None  # one hash; a triple seen before keeps its place
+            if len(self.all) == known:
                 continue
-            self._seen.add(triple)
-            self.all.append(triple)
             s, p, o = triple
             self.by_predicate.setdefault(p.value, []).append(triple)
             self.by_subject.setdefault((p.value, s), []).append(triple)
@@ -416,10 +416,8 @@ def execute(q: QueryPattern, store: DerefStore) -> tuple[BindingTable, Traversal
 
             for idx in group.triple_indices:
                 solutions = _join_triple(solutions, q.triples[idx], index)
-                for clause in q.filters_after(idx):
-                    solutions = [
-                        sol for sol in solutions if _filter_passes(clause.expression, sol)
-                    ]
+            for clause in plan.ending_filters[gid]:  # a FILTER closes its group
+                solutions = [sol for sol in solutions if _filter_passes(clause.expression, sol)]
 
     columns = tuple(q.select_vars) if q.select_vars is not None else tuple(q.variables_in_order())
     rows = {

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,9 +6,12 @@ import pytest
 import helpers
 from ldcost import analysis
 from ldcost.analysis import (
+    AnswerabilityReport,
     InvalidOrder,
     NotAnswerable,
+    ResolutionGroup,
     TraversalPlan,
+    TripleStep,
     build_resolution_groups,
     check_answerability,
     detect_star_joins,
@@ -27,11 +31,11 @@ def order_of(text):
     return q, report
 
 
-def nrv_consumers(plan: TraversalPlan) -> dict[str, tuple[int, ...]]:
+def nrv_consumers(steps) -> dict[str, tuple[int, ...]]:
     """Each necessary-to-resolve variable (NRV) with the later triples it
-    anchors that bind something new, read from the plan's steps."""
+    anchors that bind something new, read from a plan's steps."""
     consumers: dict[str, tuple[int, ...]] = {}
-    for step in plan.steps:
+    for step in steps:
         if step.anchor_kind == "variable" and step.fresh:
             name = step.anchor_term.value
             consumers[name] = consumers.get(name, ()) + (step.index,)
@@ -121,15 +125,15 @@ class TestFindNrvs:
 
     def test_author_publication_chain(self):
         plan = plan_query(parse_query(helpers.AUTHOR_CHAIN_QUERY))
-        assert nrv_consumers(plan) == {"author": (1,), "publication": (2,)}
+        assert nrv_consumers(plan.steps) == {"author": (1,), "publication": (2,)}
         assert "author" in plan.step_by_index[0].fresh
 
     def test_single_anchor_query_has_none(self):
-        assert nrv_consumers(plan_query(parse_query(helpers.MANDELA_QUERY))) == {}
+        assert nrv_consumers(plan_query(parse_query(helpers.MANDELA_QUERY)).steps) == {}
 
     def test_no_variable_feeds_another(self):
         plan = plan_query(parse_query("SELECT * WHERE { ?s <http://x/p> <http://x/o> }"))
-        assert nrv_consumers(plan) == {}
+        assert nrv_consumers(plan.steps) == {}
 
     def test_invalid_order_rejected(self):
         q = parse_query(helpers.PLATO_QUERY)
@@ -140,7 +144,7 @@ class TestFindNrvs:
 
     def test_star_and_filter_flags_populated(self):
         plan = plan_query(parse_query(helpers.BIRTHDATE_FILTER_QUERY))
-        assert set(nrv_consumers(plan)) == {"author", "publication"}
+        assert set(nrv_consumers(plan.steps)) == {"author", "publication"}
         assert plan.stars == {"author": frozenset({1})}
         assert filter_affected(plan) == {"author"}
 
@@ -242,22 +246,19 @@ class TestNrvConsistency:
 
 
 class TestPlanQuery:
-    @pytest.fixture
-    def steps_calls(self, monkeypatch):
-        calls = []
-        original = analysis.traversal_steps
+    def test_places_each_triple_once(self, monkeypatch):
+        calls = {"check_answerability": [], "traversal_steps": []}
+        for name, calls_of in calls.items():
+            original = getattr(analysis, name)
 
-        def counting(q, order):
-            calls.append(tuple(order))
-            return original(q, order)
+            def counting(q, *args, original=original, calls_of=calls_of):
+                calls_of.append(q)
+                return original(q, *args)
 
-        monkeypatch.setattr(analysis, "traversal_steps", counting)
-        return calls
-
-    def test_replays_the_order_once(self, steps_calls):
+            monkeypatch.setattr(analysis, name, counting)
         q = parse_query(helpers.BIRTHDATE_FILTER_QUERY)
-        plan = plan_query(q)
-        assert steps_calls == [plan.order]
+        plan_query(q)
+        assert calls == {"check_answerability": [q], "traversal_steps": []}
 
     def test_agrees_with_the_public_helpers(self):
         rng = random.Random(91)
@@ -294,3 +295,206 @@ class TestPlanQuery:
             traversal_steps(q, tuple(reversed(check_answerability(q).order)))
         with pytest.raises(InvalidOrder, match="not a permutation"):
             traversal_steps(q, (0,))
+
+
+# --- the analysis before the one placement loop, frozen as oracles ---------
+# ``check_answerability`` searched for an order, ``traversal_steps`` replayed
+# it, and the groups and stars looked each triple's filters up again.
+
+
+def _frozen_anchor(triple, bound):
+    for term in (triple.subject, triple.object):
+        if term.is_iri:
+            return ("constant", term)
+        if term.is_variable and term.value in bound:
+            return ("variable", term)
+    return None
+
+
+def _frozen_triple_names(triple):
+    names = []
+    for term in triple.terms():
+        if term.is_variable:
+            names.append(term.value)
+        elif term.is_blank:
+            names.append("_:" + term.value)
+    return names
+
+
+def frozen_check_answerability(q):
+    remaining = list(range(len(q.triples)))
+    bound = set()
+    order = []
+    while remaining:
+        pick = None
+        for idx in remaining:
+            if _frozen_anchor(q.triples[idx], bound) is not None:
+                pick = idx
+                break
+        if pick is None:
+            return AnswerabilityReport(answerable=False, failure_witness=frozenset(remaining))
+        remaining.remove(pick)
+        order.append(pick)
+        bound.update(_frozen_triple_names(q.triples[pick]))
+    return AnswerabilityReport(
+        answerable=True, order=tuple(order), reordered_from_original=order != sorted(order)
+    )
+
+
+def frozen_traversal_steps(q, order):
+    if sorted(order) != list(range(len(q.triples))):
+        raise InvalidOrder(f"order {order!r} is not a permutation of the triple indices")
+    bound = set()
+    steps = []
+    for position, idx in enumerate(order):
+        triple = q.triples[idx]
+        anchor = _frozen_anchor(triple, bound)
+        if anchor is None:
+            raise InvalidOrder(f"triple {idx} has no anchor at position {position}")
+        fresh = frozenset(n for n in _frozen_triple_names(triple) if n not in bound)
+        bound.update(fresh)
+        steps.append(TripleStep(idx, position, anchor[0], anchor[1], fresh))
+    return steps
+
+
+def frozen_resolution_groups(q, steps):
+    groups = []
+    run = []
+    run_variable = None
+    run_is_constant = False
+
+    def close(ended_by_filter):
+        nonlocal run
+        if run:
+            groups.append(
+                ResolutionGroup(
+                    variable=None if run_is_constant else run_variable,
+                    triple_indices=tuple(run),
+                    ended_by_filter=ended_by_filter,
+                )
+            )
+            run = []
+
+    for step in steps:
+        is_constant = step.anchor_kind == "constant"
+        variable = None if is_constant else step.anchor_term.value
+        if run and (is_constant != run_is_constant or variable != run_variable):
+            close(False)
+        run_is_constant = is_constant
+        run_variable = variable
+        run.append(step.index)
+        if q.filters_after(step.index):
+            close(True)
+    close(False)
+    return groups
+
+
+def frozen_star_triples(q, steps, consumers):
+    binding_pos = {name: step.position for step in steps for name in step.fresh}
+    first, last = steps[0].index, steps[-1].index
+    out = {}
+    for step in steps:
+        idx = step.index
+        triple = q.triples[idx]
+        if idx in (first, last) or not triple.predicate.is_iri or not step.fresh:
+            continue
+        if q.filters_after(idx):
+            continue
+        if any(not name.startswith("_:") and name in consumers for name in step.fresh):
+            continue
+        for term in (triple.subject, triple.object):
+            if term.is_variable and term.value not in step.fresh:
+                v = term.value
+                if v in consumers and binding_pos.get(v, 0) < step.position:
+                    out.setdefault(v, set()).add(idx)
+    return out
+
+
+def frozen_plan(q):
+    """``plan_query`` with its order found, then replayed."""
+    order = frozen_check_answerability(q).order
+    steps = frozen_traversal_steps(q, order)
+    consumers = nrv_consumers(steps)
+    groups = frozen_resolution_groups(q, steps)
+    return TraversalPlan(
+        query=q,
+        order=order,
+        steps=tuple(steps),
+        step_by_index={s.index: s for s in steps},
+        groups=tuple(groups),
+        stars={v: frozenset(t) for v, t in frozen_star_triples(q, steps, consumers).items()},
+        filter_targets=frozen_filter_targets(q, order, consumers),
+        ending_filters=tuple(
+            tuple(q.filters_after(g.triple_indices[-1])) if g.ended_by_filter else ()
+            for g in groups
+        ),
+    )
+
+
+def frozen_filter_targets(q, order, consumers):
+    position = {idx: pos for pos, idx in enumerate(order)}
+    targets = {}
+    for clause in q.filters:
+        fpos = position[clause.after_triple]
+        touched = clause.variables | q.triples[clause.after_triple].variables()
+        affected = frozenset(
+            v for v in touched if any(position[c] > fpos for c in consumers.get(v, ()))
+        )
+        if affected:
+            targets[clause] = affected
+    return targets
+
+
+def shuffled_query_text(rng):
+    """A generated answerable query with its body lines shuffled and, half
+    the time, its constant first triple dropped: some come out reordered,
+    some unanswerable, and some FILTERs move before every triple."""
+    lines = helpers.random_answerable_query(rng).splitlines()
+    body = [line.strip() for line in lines[1:-1]]
+    if rng.random() < 0.5:
+        body.pop(0)
+    rng.shuffle(body)
+    return "SELECT * WHERE {\n  " + "\n  ".join(body) + "\n}"
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except InvalidOrder as exc:
+        return ("InvalidOrder", str(exc))
+
+
+class TestOnePlacementLoop:
+    """The one placement loop against the frozen search-then-replay."""
+
+    def test_matches_the_frozen_analysis_on_generated_queries(self):
+        rng = random.Random(1313)
+        seen = {"answerable": 0, "unanswerable": 0, "reordered": 0, "steps": 0, "invalid": 0}
+        for _ in range(2400):
+            q = parse_query(shuffled_query_text(rng))
+            report, expected = check_answerability(q), frozen_check_answerability(q)
+            for name in ("answerable", "order", "reordered_from_original", "failure_witness"):
+                assert getattr(report, name) == getattr(expected, name), name
+            n = len(q.triples)
+            orders = [tuple(rng.sample(range(n), n)) for _ in range(2)]
+            orders.append(tuple(rng.sample(range(n), n - 1)))
+            if not report.answerable:
+                seen["unanswerable"] += 1
+                assert report.steps == ()
+                with pytest.raises(NotAnswerable):
+                    plan_query(q)
+            else:
+                seen["answerable"] += 1
+                seen["reordered"] += report.reordered_from_original
+                assert report.steps == tuple(frozen_traversal_steps(q, report.order))
+                plan, frozen = plan_query(q), frozen_plan(q)
+                for field in dataclasses.fields(TraversalPlan):
+                    assert getattr(plan, field.name) == getattr(frozen, field.name), field.name
+                assert build_resolution_groups(q, plan.order) == list(plan.groups)
+                assert detect_star_joins(q, plan.order) == plan.stars
+                orders.append(report.order)
+            for order in orders:
+                result = outcome(traversal_steps, q, order)
+                assert result == outcome(frozen_traversal_steps, q, order)
+                seen["invalid" if isinstance(result, tuple) else "steps"] += 1
+        assert min(seen.values()) >= 200, seen

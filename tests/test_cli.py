@@ -105,14 +105,15 @@ class TestDecideStrategy:
         assert decision.probe_error == "boom"
 
     def test_plans_the_query_once(self, monkeypatch, worked_catalog):
-        calls = []
-        original = analysis.traversal_steps
+        calls = {"check_answerability": 0, "traversal_steps": 0}
+        for name in calls:
+            original = getattr(analysis, name)
 
-        def counting(q, order):
-            calls.append(order)
-            return original(q, order)
+            def counting(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
 
-        monkeypatch.setattr(analysis, "traversal_steps", counting)
+            monkeypatch.setattr(analysis, name, counting)
         decision = decide_strategy(
             parse_query(helpers.AUTHOR_CHAIN_QUERY),
             worked_catalog,
@@ -121,7 +122,7 @@ class TestDecideStrategy:
             endpoint_probe=CountingProbe(result=False),
         )
         assert decision.estimated_cost == 510_001
-        assert len(calls) == 1
+        assert calls == {"check_answerability": 1, "traversal_steps": 0}
 
 
 class TestRoutingModule:
@@ -212,6 +213,17 @@ class TestCliCommands:
     def test_estimate_unanswerable_exits_three(self, workspace, capsys):
         code = cli.main(["estimate", str(workspace / "isuri.rq")])
         assert code == EXIT_UNANSWERABLE
+
+    def test_estimate_with_a_filter_alone_in_a_service_block(self, workspace, capsys):
+        query = workspace / "service.rq"
+        query.write_text(
+            "SELECT * WHERE { <http://x/a> <http://x/p> ?o . "
+            "SERVICE <http://x/s> { FILTER(?o > 1) } }"
+        )
+        assert cli.main(["estimate", str(query)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == "estimated dereferences: 1 (exact 1)\n"
+        assert captured.err == ""
 
     def test_usage_error_exit_one(self, capsys):
         assert cli.main(["estimate"]) == EXIT_USAGE
@@ -332,6 +344,18 @@ class TestCliCommands:
         out = capsys.readouterr().out
         for row in ("Mnp", "Mp", "Mpj", "Mpjf"):
             assert row in out
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_meta_that_is_no_object_is_skipped(self, workspace, tmp_path, capsys, command):
+        dataset = tmp_path / "gt"
+        for i in range(4):
+            helpers.write_ground_truth_entry(dataset, f"m{i}", helpers.MANDELA_QUERY, 1)
+        bad = helpers.write_ground_truth_entry(dataset, "bad", helpers.MANDELA_QUERY, 1)
+        (bad / "meta.json").write_text("null", encoding="utf-8")
+        argv = [command, "--dataset", str(dataset), "--catalog", str(workspace / "worked.stats")]
+        assert cli.main(argv + ["--json"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) and captured.err == ""
 
     def test_train_command(self, workspace, tmp_path, capsys):
         dataset = tmp_path / "gt"

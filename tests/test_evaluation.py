@@ -11,7 +11,6 @@ from ldcost.errors import InputError
 from ldcost.estimator import (
     EstimatorConfig,
     Method,
-    NegativeOrNaNStat,
     _ceil,
     cost_terms,
     estimate,
@@ -177,6 +176,17 @@ class TestLoadGroundTruth:
         assert load.entries == ()
         assert load.failures == (LoadFailure("q001", f"bad real_cost {cost!r}"),)
 
+    @pytest.mark.parametrize("meta", ["5", "null", '"x"', '["real_cost"]'])
+    def test_meta_that_is_no_object_is_a_collected_failure(self, tmp_path, meta):
+        entry = helpers.write_ground_truth_entry(tmp_path, "q001", helpers.MANDELA_QUERY, 1)
+        (entry / "meta.json").write_text(meta, encoding="utf-8")
+        helpers.write_ground_truth_entry(tmp_path, "q002", helpers.MANDELA_QUERY, 1)
+        load = load_ground_truth(tmp_path)
+        assert [e.id for e in load.entries] == ["q002"]
+        assert load.failures == (
+            LoadFailure("q001", "bad meta.json: the top level is not an object"),
+        )
+
     @pytest.mark.parametrize("cost", ["4", 4, 4.0])
     def test_integral_real_cost_loads(self, tmp_path, cost):
         helpers.write_ground_truth_entry(tmp_path, "q001", helpers.MANDELA_QUERY, cost)
@@ -262,23 +272,31 @@ class TestTrainFactors:
 
     def test_each_query_is_analysed_once(self, monkeypatch, worked_catalog):
         entries = _forward_model_entries(0.5, 0.3, [worked_catalog, _scaled_catalog(0.7)])
-        calls = {"plans": 0, "steps": 0}
-        plan_query, traversal_steps = evaluation.plan_query, analysis.traversal_steps
+        calls = {"plans": 0, "answerability": 0, "steps": 0}
+        plan_query = evaluation.plan_query
+        check_answerability = analysis.check_answerability
+        traversal_steps = analysis.traversal_steps
 
         def counting_plan(q):
             calls["plans"] += 1
             return plan_query(q)
+
+        def counting_answerability(q):
+            calls["answerability"] += 1
+            return check_answerability(q)
 
         def counting_steps(q, order):
             calls["steps"] += 1
             return traversal_steps(q, order)
 
         monkeypatch.setattr(evaluation, "plan_query", counting_plan)
+        monkeypatch.setattr(analysis, "check_answerability", counting_answerability)
         monkeypatch.setattr(analysis, "traversal_steps", counting_steps)
         train_factors(entries, worked_catalog)  # the default 121-point grid
-        assert calls == {"plans": len(entries), "steps": len(entries)}
+        n = len(entries)
+        assert calls == {"plans": n, "answerability": n, "steps": 0}
         evaluate(entries, worked_catalog, 0.5, 0.3)
-        assert calls == {"plans": 2 * len(entries), "steps": 2 * len(entries)}
+        assert calls == {"plans": 2 * n, "answerability": 2 * n, "steps": 0}
 
     def test_default_factors_are_point_nine(self):
         from ldcost.estimator import DEFAULT_FILTER_FACTOR, DEFAULT_JOIN_FACTOR
@@ -391,12 +409,8 @@ class TestCompiledTraining:
         assert len(calls) <= len(entries)
 
     def test_nan_catalog_value_still_raises(self):
-        catalog = StatsCatalog(
-            per_predicate={EX + "p": PredicateStats(EX + "p", 1.0, float("nan"))}
-        )
-        entries = [_entry("q", f"SELECT * WHERE {{ <{EX}s> <{EX}p> ?o }}", 2)]
-        with pytest.raises(NegativeOrNaNStat):
-            train_factors(entries, catalog)
+        with pytest.raises(ValueError, match="avg_object_bindings"):
+            PredicateStats(EX + "p", 1.0, float("nan"))
 
     @pytest.mark.parametrize("grid", [[], ()])
     def test_empty_grid_is_an_input_error(self, grid, monkeypatch):

@@ -131,6 +131,23 @@ class TestParseQuery:
         q = parse_query("SELECT * WHERE { FILTER(?o > 5) <http://x/s> <http://x/p> ?o }")
         assert q.filters[0].after_triple == 0
 
+    @pytest.mark.parametrize(
+        "body, after",
+        [
+            ("<http://x/a> <http://x/p> ?o . SERVICE <http://x/s> { FILTER(?o > 1) }", 0),
+            ("SERVICE <http://x/s> { FILTER(?o > 1) } <http://x/a> <http://x/p> ?o", 0),
+            ("<http://x/a> <http://x/p> ?o . SERVICE <http://x/s> { FILTER(?o > 1) } "
+             "<http://x/b> <http://x/q> ?x", 0),
+            ("<http://x/a> <http://x/p> ?o . SERVICE <http://x/s> { FILTER(?o > 1) "
+             "<http://x/b> <http://x/q> ?x }", 1),
+        ],
+    )
+    def test_filter_in_a_service_block(self, body, after):
+        # with no triple in its block, a FILTER reads as if written outside it
+        q = parse_query(f"SELECT * WHERE {{ {body} }}")
+        assert [f.after_triple for f in q.filters] == [after]
+        assert parse_query(render_query(q)) == q
+
 
 class TestRenderQuery:
     def test_round_trip_mandela(self):

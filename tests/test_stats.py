@@ -385,6 +385,23 @@ class TestLookups:
         assert catalog.lookup_object_avg(EX + "anything") == 0.0
 
 
+class TestAverageRule:
+    """Every catalog average is finite and non-negative when it is built,
+    global or per predicate."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_bad_average_rejected_when_built(self, value):
+        with pytest.raises(ValueError, match="avg_obj_bindings must be finite"):
+            GlobalStats(avg_obj_bindings=value)
+        with pytest.raises(ValueError, match="avg_subject_bindings must be finite"):
+            PredicateStats(GENRE, value, 1.0)
+        with pytest.raises(ValueError, match="avg_object_bindings must be finite"):
+            PredicateStats(GENRE, 1.0, value)
+
+    def test_zero_is_an_average(self):
+        assert PredicateStats(GENRE, 0.0, 0).avg_object_bindings == 0
+
+
 class TestFetchFromEndpoint:
     def _responses(self, genre_obj=1.8, genre_subj=56.9):
         responses = {

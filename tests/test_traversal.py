@@ -512,6 +512,19 @@ class TestIndexedJoin:
             assert solutions == want
         assert solutions
 
+    def test_index_holds_each_triple_once(self, tmp_path):
+        store = load_store(_join_store(tmp_path))
+        graphs = [dereference(store, EX + name) for name in _JOIN_DOCS]
+        index = traversal._GraphIndex()
+        for graph in graphs:
+            index.add_graph(graph)
+        first_seen = list(dict.fromkeys(t for graph in graphs for t in graph))
+        assert len(first_seen) < sum(len(graph) for graph in graphs)  # a's name is served twice
+        assert list(index.all) == first_seen
+        for lists in (index.by_predicate, index.by_subject, index.by_object):
+            indexed = [t for triples in lists.values() for t in triples]
+            assert sorted(indexed) == sorted(first_seen)
+
     def test_chain_at_scale_matches_nested_loop(self, tmp_path, monkeypatch):
         manifest, query, _, expected = helpers.build_chain_store(tmp_path, [40, 40, 5])
         table, trace = _assert_same_as_nested_loop(monkeypatch, query, manifest)
