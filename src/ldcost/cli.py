@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from collections.abc import Callable
+from dataclasses import asdict
 
 from . import analysis, evaluation, rdfio, stats, traversal
 from .analysis import check_answerability
@@ -62,6 +63,12 @@ def _both_or_neither(args) -> str | None:
     return None
 
 
+def _grid_or_factors(args) -> str | None:
+    if args.grid is not None and args.f1 is not None:
+        return "--grid cannot be used with --f1 and --f2"
+    return None
+
+
 def _breakdown_of_one_method(args) -> str | None:
     if args.breakdown and args.method == "all":
         return "--breakdown cannot be used with --method all"
@@ -87,10 +94,10 @@ def _factor(text: str) -> float:
 
 def _read_query(path: str) -> QueryPattern:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_query(fh.read())
-    except OSError as exc:
+        text = rdfio.read_text(path)
+    except (OSError, rdfio.DocumentParseError) as exc:
         raise InputError(f"cannot read query file {path}: {exc}") from exc
+    return parse_query(text)
 
 
 def _load_catalog(path: str | None) -> StatsCatalog:
@@ -159,8 +166,8 @@ def _cmd_stats_collect(args) -> int:
     else:
         predicates = None
         if args.predicates:
-            with open(args.predicates, "r", encoding="utf-8") as fh:
-                predicates = [line.strip() for line in fh if line.strip()]
+            lines = rdfio.read_text(args.predicates).split("\n")  # as a text-mode file iterates
+            predicates = [line.strip() for line in lines if line.strip()]
         catalog = stats.fetch_from_endpoint(args.endpoint, predicate_list=predicates)
     stats.save_catalog(catalog, args.out)
     print(
@@ -221,12 +228,13 @@ def _split_dataset(args):
 
 
 def _cmd_train(args) -> int:
-    _, train, _ = _split_dataset(args)
+    load, train, _ = _split_dataset(args)
     catalog = _load_catalog(args.catalog)
     join_factor, filter_factor = evaluation.train_factors(
         train, catalog, grid=args.grid
     )
-    payload = {"f1": join_factor, "f2": filter_factor, "train_size": len(train)}
+    payload = {"f1": join_factor, "f2": filter_factor, "train_size": len(train),
+               "load_failures": [asdict(f) for f in load.failures]}
     _emit(payload, args.json, f"f1={join_factor} f2={filter_factor} (trained on {len(train)} queries)")
     return EXIT_OK
 
@@ -253,7 +261,8 @@ def _cmd_eval(args) -> int:
     human = report.format_table()
     if load.failures:
         human += f"\ndataset load failures: {len(load.failures)}\n"
-    _emit(report.as_dict(), args.json, human)
+    payload = {**report.as_dict(), "load_failures": [asdict(f) for f in load.failures]}
+    _emit(payload, args.json, human)
     return EXIT_OK
 
 
@@ -336,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_dataset_args(p)
     p.add_argument("--f1", type=_factor, default=None, help="skip training, use this factor")
     p.add_argument("--f2", type=_factor, default=None, help="skip training, use this factor")
-    p.rules = (_both_or_neither,)
+    p.rules = (_both_or_neither, _grid_or_factors)
     add_json(p)
     p.set_defaults(func=_cmd_eval)
 

@@ -34,6 +34,7 @@ from .estimator import (
     estimate,
 )
 from .query import QueryPattern, parse_query
+from .rdfio import DocumentParseError, read_text
 from .stats import StatsCatalog
 
 
@@ -75,6 +76,58 @@ class GroundTruthLoad:
     failures: tuple[LoadFailure, ...] = ()
 
 
+def _read_entry(entry_dir: Path) -> GroundTruthEntry:
+    """One query directory as a checked entry, its parse kept as ``query``.
+    Raises FormatError with the reason the entry cannot be used."""
+    try:
+        query_text = read_text(entry_dir / "query.rq")
+    except OSError as exc:
+        raise FormatError(f"missing query.rq: {exc}") from exc
+    except DocumentParseError as exc:
+        raise FormatError(f"bad query.rq: {exc}") from exc
+    try:
+        meta = json.loads(read_text(entry_dir / "meta.json"))
+    except OSError as exc:
+        raise FormatError(f"missing meta.json: {exc}") from exc
+    except (ValueError, DocumentParseError) as exc:
+        raise FormatError(f"bad meta.json: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise FormatError("bad meta.json: the top level is not an object")
+    if "real_cost" not in meta:
+        raise FormatError("meta.json lacks real_cost")
+    cost = meta["real_cost"]
+    try:
+        # int() alone would read 3.7 as 3 and true as 1
+        if isinstance(cost, bool) or (isinstance(cost, float) and not cost.is_integer()):
+            raise ValueError
+        real_cost = int(cost)
+    except (TypeError, ValueError):
+        raise FormatError(f"bad real_cost {cost!r}") from None
+    accessed: tuple[str, ...] | None = None
+    if (entry_dir / "accessed.txt").is_file():
+        try:
+            lines = read_text(entry_dir / "accessed.txt").splitlines()
+        except (OSError, DocumentParseError) as exc:
+            raise FormatError(f"bad accessed.txt: {exc}") from exc
+        accessed = tuple(line.strip() for line in lines if line.strip())
+    try:
+        query = parse_query(query_text)
+    except LdcostError as exc:
+        raise FormatError(f"query does not parse: {exc}") from exc
+    try:
+        entry = GroundTruthEntry(
+            id=str(meta.get("id", entry_dir.name)),
+            query_text=query_text,
+            real_cost=real_cost,
+            accessed_iris=accessed,
+            executed_at=meta.get("executed_at"),
+        )
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+    vars(entry)["query"] = query  # fill the cached property with the check's parse
+    return entry
+
+
 def load_ground_truth(path) -> GroundTruthLoad:
     """Load every query directory under ``path``.
 
@@ -88,65 +141,11 @@ def load_ground_truth(path) -> GroundTruthLoad:
     entries: list[GroundTruthEntry] = []
     failures: list[LoadFailure] = []
     for child in sorted(root.iterdir()):
-        if not child.is_dir():
-            continue
-        name = child.name
-        query_file = child / "query.rq"
-        meta_file = child / "meta.json"
-        try:
-            query_text = query_file.read_text(encoding="utf-8")
-        except OSError as exc:
-            failures.append(LoadFailure(name, f"missing query.rq: {exc}"))
-            continue
-        try:
-            meta = json.loads(meta_file.read_text(encoding="utf-8"))
-        except OSError as exc:
-            failures.append(LoadFailure(name, f"missing meta.json: {exc}"))
-            continue
-        except ValueError as exc:
-            failures.append(LoadFailure(name, f"bad meta.json: {exc}"))
-            continue
-        if not isinstance(meta, dict):
-            failures.append(LoadFailure(name, "bad meta.json: the top level is not an object"))
-            continue
-        if "real_cost" not in meta:
-            failures.append(LoadFailure(name, "meta.json lacks real_cost"))
-            continue
-        cost = meta["real_cost"]
-        try:
-            # int() alone would read 3.7 as 3 and true as 1
-            if isinstance(cost, bool) or (isinstance(cost, float) and not cost.is_integer()):
-                raise ValueError
-            real_cost = int(cost)
-        except (TypeError, ValueError):
-            failures.append(LoadFailure(name, f"bad real_cost {cost!r}"))
-            continue
-        accessed: tuple[str, ...] | None = None
-        accessed_file = child / "accessed.txt"
-        if accessed_file.is_file():
-            accessed = tuple(
-                line.strip()
-                for line in accessed_file.read_text(encoding="utf-8").splitlines()
-                if line.strip()
-            )
-        try:
-            query = parse_query(query_text)
-        except LdcostError as exc:
-            failures.append(LoadFailure(name, f"query does not parse: {exc}"))
-            continue
-        try:
-            entry = GroundTruthEntry(
-                id=str(meta.get("id", name)),
-                query_text=query_text,
-                real_cost=real_cost,
-                accessed_iris=accessed,
-                executed_at=meta.get("executed_at"),
-            )
-        except ValueError as exc:
-            failures.append(LoadFailure(name, str(exc)))
-            continue
-        vars(entry)["query"] = query  # fill the cached property with the check's parse
-        entries.append(entry)
+        if child.is_dir():
+            try:
+                entries.append(_read_entry(child))
+            except FormatError as exc:
+                failures.append(LoadFailure(child.name, str(exc)))
     return GroundTruthLoad(entries=tuple(entries), failures=tuple(failures))
 
 
@@ -186,21 +185,23 @@ def pct_avg_diff(pairs) -> float:
 def replay_entry(entry_dir) -> tuple[int, int]:
     """Re-execute one dataset entry against its bundled documents.
 
-    The entry directory must hold ``query.rq``, ``meta.json`` and a
+    The entry directory must hold an entry that ``load_ground_truth``
+    would load, else FormatError names the directory and the reason, and a
     ``docs/manifest.tsv`` mapping each IRI to a document path relative to
     the entry directory.  Returns (recorded real cost, measured cost).
     """
     from .traversal import execute, load_store, real_cost
 
     entry_dir = Path(entry_dir)
-    query_text = (entry_dir / "query.rq").read_text(encoding="utf-8")
-    meta = json.loads((entry_dir / "meta.json").read_text(encoding="utf-8"))
+    try:
+        entry = _read_entry(entry_dir)
+    except FormatError as exc:
+        raise FormatError(f"{entry_dir}: {exc}") from exc
     manifest = entry_dir / "docs" / "manifest.tsv"
     if not manifest.is_file():
         raise FormatError(f"{entry_dir}: no docs/manifest.tsv to replay against")
-    store = load_store(manifest)
-    _, trace = execute(parse_query(query_text), store)
-    return int(meta["real_cost"]), real_cost(trace)
+    _, trace = execute(entry.query, load_store(manifest))
+    return entry.real_cost, real_cost(trace)
 
 
 @dataclass(frozen=True)

@@ -753,7 +753,11 @@ def parse_query(text: str) -> QueryPattern:
     index of the triple they textually follow; SERVICE blocks are flattened
     with their grouping recorded in ``service_groups``.
     """
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise parser.error("expression nested too deeply") from None
 
 
 # --- rendering ----------------------------------------------------------------

@@ -18,6 +18,7 @@ from xml.etree import ElementTree
 from . import web
 from .errors import FormatError, InputError, RemoteError
 from .query import RDF_TYPE
+from .rdfio import DocumentParseError, read_text
 
 # Averages measured on DBpedia; used when no catalog is supplied.
 DEFAULT_AVG_OUTGOING_PROPS = 25.0
@@ -412,9 +413,8 @@ def _catalog_number(text: str, lineno: int) -> float:
 
 def load_catalog(path) -> StatsCatalog:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = fh.read().splitlines()
-    except OSError as exc:
+        raw_lines = read_text(path).splitlines()
+    except (OSError, DocumentParseError) as exc:
         raise InputError(f"cannot read catalog {path}: {exc}") from exc
 
     section = None

@@ -24,7 +24,6 @@ from .query import (
     XSD_DECIMAL,
     XSD_DOUBLE,
     XSD_INTEGER,
-    BoolOp,
     Comparison,
     FilterNode,
     FunctionCall,
@@ -95,8 +94,8 @@ def load_store(
     """
     manifest_path = Path(manifest_path)
     try:
-        raw_lines = manifest_path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+        raw_lines = read_text(manifest_path).splitlines()
+    except (OSError, DocumentParseError) as exc:
         raise StoreIoError(f"cannot read manifest {manifest_path}: {exc}") from exc
 
     manifest: dict[str, str] = {}
@@ -516,23 +515,21 @@ def _evaluate(node: FilterNode, binding: dict[str, Term]) -> Term:
         return _TRUE if _compare(node, binding) else _FALSE
     if isinstance(node, FunctionCall):
         return _call(node, binding)
-    if isinstance(node, BoolOp):
-        if node.op == "not":
-            return _FALSE if _ebv(_evaluate(node.operands[0], binding)) else _TRUE
-        # SPARQL 17.2: an error is overridden only by a true operand of ||
-        # or a false operand of &&; otherwise the result is the error
-        decisive = node.op == "or"
-        error = None
-        for operand in node.operands:
-            try:
-                if _ebv(_evaluate(operand, binding)) == decisive:
-                    return _TRUE if decisive else _FALSE
-            except _EvalError as exc:
-                error = exc
-        if error is not None:
-            raise error
-        return _FALSE if decisive else _TRUE
-    raise _EvalError(f"unknown node {node!r}")
+    if node.op == "not":  # a BoolOp, the last kind of FilterNode
+        return _FALSE if _ebv(_evaluate(node.operands[0], binding)) else _TRUE
+    # SPARQL 17.2: an error is overridden only by a true operand of ||
+    # or a false operand of &&; otherwise the result is the error
+    decisive = node.op == "or"
+    error = None
+    for operand in node.operands:
+        try:
+            if _ebv(_evaluate(operand, binding)) == decisive:
+                return _TRUE if decisive else _FALSE
+        except _EvalError as exc:
+            error = exc
+    if error is not None:
+        raise error
+    return _FALSE if decisive else _TRUE
 
 
 def _compare(node: Comparison, binding: dict[str, Term]) -> bool:
@@ -567,8 +564,6 @@ def _apply_op(op: str, left, right) -> bool:
 
 def _call(node: FunctionCall, binding: dict[str, Term]) -> Term:
     name = node.name.lower()
-    if node.opaque:
-        raise UnsupportedFilter(f"cannot evaluate function {node.name!r}")
     args = [_evaluate(a, binding) for a in node.args]
     if len(args) != 1:
         raise _EvalError(f"{name} expects one argument")

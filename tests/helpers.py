@@ -106,6 +106,12 @@ BAD_TERM_QUERIES = {  # name: (text, line, column)
     "relative-datatype": ('SELECT * WHERE { <http://x/s> <http://x/p> "x"^^<rel> }', 1, 49),
 }
 
+# FILTERs nested deeper than the parser's recursion reaches.
+DEEP_FILTER_QUERIES = {
+    "parentheses": "SELECT * WHERE { <http://x/a> <http://x/p> ?o FILTER(" + "(" * 400 + "?o > 1" + ")" * 400 + ") }",
+    "negations": "SELECT * WHERE { <http://x/a> <http://x/p> ?o FILTER(" + "!" * 2000 + "?o) }",
+}
+
 _GOOD_TRIPLE = "<http://x/a> <http://x/p> <http://x/o> .\n"
 BAD_TERM_DOCUMENTS = {  # name: (text, line)
     "relative-iri": (_GOOD_TRIPLE + "<relative> <http://x/p> <http://x/o> .\n", 2),

@@ -8,10 +8,11 @@ import pytest
 
 import helpers
 import ldcost
-from ldcost import analysis, cli, rdfio, routing
+from ldcost import analysis, cli, evaluation, rdfio, routing, stats, traversal
+from ldcost.errors import LdcostError
 from ldcost.estimator import EstimatorConfig, Method, estimate
 from ldcost.query import parse_query
-from ldcost.stats import save_catalog
+from ldcost.stats import StatsCatalog, save_catalog
 from ldcost.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -467,6 +468,17 @@ class TestBadTermsExitTwo:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.endswith(f"(line {line}, column {column})\n")
 
+    @pytest.mark.parametrize("text", helpers.DEEP_FILTER_QUERIES.values(), ids=helpers.DEEP_FILTER_QUERIES)
+    @pytest.mark.parametrize("command", ["answerable", "estimate"])
+    def test_filter_nested_too_deeply(self, tmp_path, capsys, text, command):
+        path = tmp_path / "deep.rq"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main([command, str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: expression nested too deeply (line 1, column ")
+        assert captured.err.count("\n") == 1
+
     def test_simulate_store_document(self, tmp_path, capsys):
         text, line = helpers.BAD_TERM_DOCUMENTS["relative-iri"]
         (tmp_path / "s.nt").write_text(text, encoding="utf-8")
@@ -599,6 +611,21 @@ class TestConflictingOptions:
             "ldcost stats collect: error: --predicates applies only to --endpoint, not to --dump\n"
         )
 
+    @pytest.mark.parametrize("grid", [["2", "3"], ["0.5"], []])
+    def test_grid_with_factors(self, workspace, tmp_path, capsys, grid):
+        dataset = tmp_path / "gt"
+        for i in range(4):
+            helpers.write_ground_truth_entry(dataset, f"m{i}", helpers.MANDELA_QUERY, 1)
+        args = ["eval", "--dataset", str(dataset), "--catalog", str(workspace / "worked.stats")]
+        factors = ["--f1", "0.5", "--f2", "0.5"]
+        assert cli.main(args + factors + ["--grid", *grid]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ldcost eval ")
+        assert captured.err.endswith("ldcost eval: error: --grid cannot be used with --f1 and --f2\n")
+        assert cli.main(args + factors) == EXIT_OK
+        assert cli.main(args + ["--grid", "0.5"]) == EXIT_OK
+
 
 class TestEmptyGrid:
     @pytest.mark.parametrize("command", ["train", "eval"])
@@ -663,3 +690,209 @@ class TestBadCatalogValues:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: estimated total is inf: the catalog averages overflow\n"
+
+
+class TestInputNotUtf8:
+    """Every input file is read as UTF-8: a byte that is not is malformed
+    input naming its line, with one error line and exit 2, never a
+    traceback; inside a dataset it fails only its entry."""
+
+    @pytest.mark.parametrize("command", ["answerable", "estimate", "simulate", "route"])
+    def test_query_file(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.rq").write_bytes(b'SELECT * WHERE { <http://x/a> <http://x/p> "caf\xe9" }')
+        args = {
+            "answerable": ["answerable", "bad.rq"],
+            "estimate": ["estimate", "bad.rq"],
+            "simulate": ["simulate", "bad.rq", "--store", str(helpers.write_manifest(tmp_path, {}))],
+            "route": ["route", "bad.rq", "--threshold", "10"],
+        }[command]
+        assert cli.main(args) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot read query file bad.rq: byte 0xe9 is not UTF-8 (line 1)\n"
+
+    def test_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_bytes(b"# store\nhttp://x/caf\xe9\tdocs/a.nt\n")
+        query = tmp_path / "q.rq"
+        query.write_text("SELECT * WHERE { <http://x/a> <http://x/p> ?o }", encoding="utf-8")
+        assert cli.main(["simulate", str(query), "--store", str(manifest)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read manifest {manifest}: byte 0xe9 is not UTF-8 (line 2)\n"
+
+    @pytest.mark.parametrize("command", ["estimate", "route", "train", "eval"])
+    def test_catalog(self, workspace, tmp_path, capsys, command):
+        catalog = tmp_path / "bad.stats"
+        catalog.write_bytes(b"# ldcost statistics catalog\n# provenance: caf\xe9\n[global]\n")
+        dataset = tmp_path / "gt"
+        for i in range(4):
+            helpers.write_ground_truth_entry(dataset, f"m{i}", helpers.MANDELA_QUERY, 1)
+        args = {
+            "estimate": ["estimate", str(workspace / "mandela.rq")],
+            "route": ["route", str(workspace / "mandela.rq"), "--threshold", "10"],
+            "train": ["train", "--dataset", str(dataset)],
+            "eval": ["eval", "--dataset", str(dataset)],
+        }[command]
+        assert cli.main(args + ["--catalog", str(catalog)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot read catalog {catalog}: byte 0xe9 is not UTF-8 (line 2)\n"
+
+    def test_predicate_list(self, tmp_path, capsys, monkeypatch):
+        def no_fetch(*args, **kwargs):
+            raise AssertionError("the endpoint is queried only after the list is read")
+
+        monkeypatch.setattr(stats, "fetch_from_endpoint", no_fetch)
+        predicates = tmp_path / "preds.txt"
+        predicates.write_bytes(b"http://x/caf\xe9\n")
+        out_file = tmp_path / "out.stats"
+        code = cli.main(["stats", "collect", "--endpoint", "http://localhost:9/sparql",
+                         "--predicates", str(predicates), "--out", str(out_file)])
+        assert code == EXIT_INPUT
+        assert not out_file.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: byte 0xe9 is not UTF-8 (line 1)\n"
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_dataset_entries(self, workspace, tmp_path, capsys, command):
+        dataset = tmp_path / "gt"
+        for i in range(4):
+            helpers.write_ground_truth_entry(dataset, f"m{i}", helpers.MANDELA_QUERY, 1)
+        bad = {"bad-accessed": "accessed.txt", "bad-meta": "meta.json", "bad-query": "query.rq"}
+        for name, file in bad.items():
+            entry = helpers.write_ground_truth_entry(dataset, name, helpers.MANDELA_QUERY, 1)
+            (entry / file).write_bytes(b"caf\xe9\n")
+        argv = [command, "--dataset", str(dataset), "--catalog", str(workspace / "worked.stats"), "--json"]
+        assert cli.main(argv) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["load_failures"] == [
+            {"entry": name, "reason": f"bad {file}: byte 0xe9 is not UTF-8 (line 1)"}
+            for name, file in bad.items()
+        ]
+
+
+class TestLoadFailuresInJson:
+    """``eval --json`` and ``train --json`` list the dataset entries that
+    failed to load, in load order; the text output does not change."""
+
+    def _dataset(self, tmp_path, failing):
+        dataset = tmp_path / "gt"
+        for i in range(4):
+            helpers.write_ground_truth_entry(dataset, f"m{i}", helpers.MANDELA_QUERY, 1)
+        if failing:
+            null = helpers.write_ground_truth_entry(dataset, "a-null", helpers.MANDELA_QUERY, 1)
+            (null / "meta.json").write_text("null", encoding="utf-8")
+            helpers.write_ground_truth_entry(dataset, "z-deep", helpers.DEEP_FILTER_QUERIES["negations"], 1)
+        return dataset
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_failures_listed_in_load_order(self, workspace, tmp_path, capsys, command):
+        argv = [command, "--dataset", str(self._dataset(tmp_path, True)),
+                "--catalog", str(workspace / "worked.stats")]
+        assert cli.main(argv + ["--json"]) == EXIT_OK
+        null, deep = json.loads(capsys.readouterr().out)["load_failures"]
+        assert null == {"entry": "a-null", "reason": "bad meta.json: the top level is not an object"}
+        assert list(deep) == ["entry", "reason"] and deep["entry"] == "z-deep"
+        assert deep["reason"].startswith("query does not parse: expression nested too deeply (line 1, ")
+        assert cli.main(argv) == EXIT_OK
+        text = capsys.readouterr().out
+        assert "load_failures" not in text and "a-null" not in text
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_no_failures_is_an_empty_list(self, workspace, tmp_path, capsys, command):
+        argv = [command, "--dataset", str(self._dataset(tmp_path, False)),
+                "--catalog", str(workspace / "worked.stats"), "--json"]
+        assert cli.main(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["load_failures"] == []
+
+
+def _text_mode(path) -> str:
+    """A file as Python's text mode reads it, the readers' rule before
+    every input file went through ``rdfio.read_text``."""
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+_LINE_END_VARIANTS = {
+    "lf": lambda text: text.encode(),
+    "crlf": lambda text: text.replace("\n", "\r\n").encode(),
+    "cr": lambda text: text.replace("\n", "\r").encode(),
+    "bom": lambda text: b"\xef\xbb\xbf" + text.encode(),
+}
+
+
+class TestLineEndsAsTextMode:
+    """Every reader gives the same result, or the same error, from a file
+    with LF, CRLF or lone-CR line ends or a leading byte order mark as it
+    gives when the file is read in text mode."""
+
+    @staticmethod
+    def _outcome(read):
+        try:
+            return "ok", read()
+        except LdcostError as exc:
+            return type(exc).__name__, str(exc)
+
+    def _compare(self, monkeypatch, read, valid: bool):
+        got = self._outcome(read)
+        for module in (rdfio, traversal, stats, evaluation):
+            monkeypatch.setattr(module, "read_text", _text_mode)
+        assert got == self._outcome(read)
+        assert (got[0] == "ok") == valid
+        return got[1]
+
+    @pytest.mark.parametrize("variant", _LINE_END_VARIANTS)
+    def test_query_file(self, tmp_path, monkeypatch, variant):
+        path = tmp_path / "q.rq"
+        text = '# a query\nSELECT * WHERE {\n  <http://x/a> <http://x/p> ?o .\n  FILTER(?o != """a\nb""")\n}\n'
+        path.write_bytes(_LINE_END_VARIANTS[variant](text))
+        self._compare(monkeypatch, lambda: cli._read_query(str(path)), variant != "bom")
+
+    @pytest.mark.parametrize("variant", _LINE_END_VARIANTS)
+    def test_predicate_list(self, tmp_path, monkeypatch, variant):
+        path = tmp_path / "preds.txt"
+        # U+2028 ends a line for str.splitlines but not for a text-mode file
+        path.write_bytes(_LINE_END_VARIANTS[variant]("http://x/p\n\n  http://x/q \t\nhttp://x/r\u2028s"))
+        seen = []
+        monkeypatch.setattr(
+            stats, "fetch_from_endpoint", lambda url, predicate_list: seen.append(predicate_list) or StatsCatalog()
+        )
+        argv = ["stats", "collect", "--endpoint", "http://localhost:9/sparql", "--predicates", str(path),
+                "--out", str(tmp_path / "out.stats")]
+
+        def read():
+            assert cli.main(argv) == EXIT_OK
+            return seen.pop()
+
+        got = self._compare(monkeypatch, read, True)
+        assert got[1:] == ["http://x/q", "http://x/r\u2028s"]
+
+    @pytest.mark.parametrize("variant", _LINE_END_VARIANTS)
+    def test_manifest(self, tmp_path, monkeypatch, variant):
+        for name in ("a.nt", "b.nt"):
+            (tmp_path / name).write_text("", encoding="utf-8")
+        path = tmp_path / "m.tsv"
+        path.write_bytes(_LINE_END_VARIANTS[variant]("# store\nhttp://x/a\ta.nt\n\nhttp://x/b\tb.nt\n"))
+        self._compare(monkeypatch, lambda: traversal.load_store(path).manifest, variant != "bom")
+
+    @pytest.mark.parametrize("variant", _LINE_END_VARIANTS)
+    def test_catalog(self, tmp_path, monkeypatch, worked_catalog, variant):
+        saved = tmp_path / "saved.stats"
+        save_catalog(StatsCatalog(worked_catalog.global_stats, worked_catalog.per_predicate, "a\nb"), saved)
+        path = tmp_path / "c.stats"
+        path.write_bytes(_LINE_END_VARIANTS[variant](saved.read_text(encoding="utf-8")))
+        self._compare(monkeypatch, lambda: stats.load_catalog(path), variant != "bom")
+
+    @pytest.mark.parametrize("variant", _LINE_END_VARIANTS)
+    @pytest.mark.parametrize("file", ["query.rq", "meta.json", "accessed.txt"])
+    def test_dataset_entry(self, tmp_path, monkeypatch, variant, file):
+        entry = helpers.write_ground_truth_entry(
+            tmp_path, "q001", helpers.PLATO_LD_QUERY, 15, accessed=["http://x/a", "", "http://x/b "]
+        )
+        (entry / file).write_bytes(_LINE_END_VARIANTS[variant]((entry / file).read_text(encoding="utf-8")))
+        got = self._compare(monkeypatch, lambda: evaluation.load_ground_truth(tmp_path), True)
+        assert len(got.entries) + len(got.failures) == 1

@@ -26,6 +26,7 @@ from ldcost.evaluation import (
     evaluate,
     load_ground_truth,
     pct_avg_diff,
+    replay_entry,
     split,
     train_factors,
 )
@@ -206,6 +207,63 @@ class TestLoadGroundTruth:
         load = load_ground_truth(tmp_path)
         assert load.entries == ()
         assert "real_cost" in load.failures[0].reason
+
+    @pytest.mark.parametrize(
+        "name, data, line",
+        [
+            ("query.rq", b"SELECT * WHERE {\n  ?s <http://x/p> \"caf\xe9\" }", 2),
+            ("meta.json", b'{"id": "q001", "real_cost": 1, "note": "caf\xe9"}', 1),
+            ("accessed.txt", b"http://x/a\nhttp://x/caf\xe9\n", 2),
+        ],
+    )
+    def test_a_byte_that_is_not_utf8_fails_only_its_entry(self, tmp_path, name, data, line):
+        helpers.write_ground_truth_entry(tmp_path, "q000", helpers.MANDELA_QUERY, 1)
+        entry = helpers.write_ground_truth_entry(tmp_path, "q001", helpers.MANDELA_QUERY, 1)
+        (entry / name).write_bytes(data)
+        helpers.write_ground_truth_entry(tmp_path, "q002", helpers.MANDELA_QUERY, 1)
+        load = load_ground_truth(tmp_path)
+        assert [e.id for e in load.entries] == ["q000", "q002"]
+        assert load.failures == (
+            LoadFailure("q001", f"bad {name}: byte 0xe9 is not UTF-8 (line {line})"),
+        )
+
+    @pytest.mark.parametrize("text", helpers.DEEP_FILTER_QUERIES.values(), ids=helpers.DEEP_FILTER_QUERIES)
+    def test_filter_nested_too_deeply_is_a_collected_failure(self, tmp_path, text):
+        helpers.write_ground_truth_entry(tmp_path, "q001", text, 1)
+        (failure,) = load_ground_truth(tmp_path).failures
+        assert failure.reason.startswith("query does not parse: expression nested too deeply (line 1, ")
+
+
+class TestReplayEntry:
+    """``replay_entry`` reads an entry as ``load_ground_truth`` does and
+    names the entry directory when the entry is malformed."""
+
+    def _entry(self, tmp_path):
+        _, query, _, expected = helpers.build_chain_store(tmp_path / "q001" / "docs", [2, 3])
+        return helpers.write_ground_truth_entry(tmp_path, "q001", query, expected), expected
+
+    def test_valid_entry_gives_recorded_and_measured_cost(self, tmp_path):
+        entry, expected = self._entry(tmp_path)
+        assert replay_entry(entry) == (expected, expected)
+
+    @pytest.mark.parametrize(
+        "meta, reason",
+        [
+            ('{"real_cost": 3.7}', "bad real_cost 3.7"),
+            ('{"real_cost": true}', "bad real_cost True"),
+            ('[{"real_cost": 3}]', "bad meta.json: the top level is not an object"),
+            (None, "missing meta.json: "),
+        ],
+    )
+    def test_malformed_meta_is_a_format_error(self, tmp_path, meta, reason):
+        entry, _ = self._entry(tmp_path)
+        if meta is None:
+            (entry / "meta.json").unlink()
+        else:
+            (entry / "meta.json").write_text(meta, encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            replay_entry(entry)
+        assert str(err.value).startswith(f"{entry}: {reason}")
 
 
 def _forward_model_entries(join_factor, filter_factor, catalogs):

@@ -78,6 +78,14 @@ class TestParseQuery:
             parse_query("SELECT ?x WHERE {\n ?x <http://x/p> }")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("text", helpers.DEEP_FILTER_QUERIES.values(), ids=helpers.DEEP_FILTER_QUERIES)
+    def test_filter_nested_too_deeply_is_a_syntax_error(self, text):
+        with pytest.raises(QuerySyntaxError) as err:
+            parse_query(text)
+        assert str(err.value).startswith("expression nested too deeply (line 1, column ")
+        # the error names the token the parser had reached, inside the FILTER
+        assert text.index("FILTER(") < err.value.column <= len(text)
+
     def test_literal_subject_rejected(self):
         with pytest.raises(QuerySyntaxError):
             parse_query('SELECT * WHERE { "lex" <http://x/p> ?o }')

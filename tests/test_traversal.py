@@ -9,7 +9,7 @@ from ldcost import cli, traversal
 from ldcost.analysis import NotAnswerable
 from ldcost.errors import RemoteError
 from ldcost.estimator import EstimatorConfig, Method, estimate
-from ldcost.query import XSD_INTEGER, Term, TriplePattern, parse_query
+from ldcost.query import XSD_INTEGER, FunctionCall, Term, TriplePattern, parse_query
 from ldcost.rdfio import DocumentParseError, parse_document
 from ldcost.stats import compute_from_dump
 from ldcost.traversal import (
@@ -203,6 +203,22 @@ class TestExecuteSemantics:
         )
         with pytest.raises(UnsupportedFilter):
             execute(q, load_store(plato_manifest))
+
+    def test_opaque_filter_rejected_before_any_dereference(self, plato_manifest, monkeypatch):
+        calls = []
+        monkeypatch.setattr(traversal, "dereference", lambda *args, **kwargs: calls.append(args))
+        q = parse_query(
+            f"SELECT * WHERE {{ <{DBR}Plato> <{helpers.DBO}influencedBy> ?i FILTER(<http://x/f>(?i)) }}"
+        )
+        with pytest.raises(UnsupportedFilter):
+            execute(q, load_store(plato_manifest))
+        assert calls == []
+
+    def test_function_outside_the_supported_set_is_an_evaluation_error(self):
+        arg = (Term.iri("http://x/a"),)
+        assert traversal._call(FunctionCall("STR", arg), {}) == Term.literal("http://x/a")
+        with pytest.raises(traversal._EvalError):
+            traversal._call(FunctionCall("strlen", arg), {})
 
     def test_misses_recorded_not_fatal(self, tmp_path):
         docs = tmp_path / "docs"
