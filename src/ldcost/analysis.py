@@ -167,8 +167,8 @@ class TraversalPlan:
     query under one traversal order, derived from a single replay of it.
 
     ``stars`` maps each NRV to the triples that earn it star credit;
-    ``filter_targets`` maps each FILTER to the variables whose counts it
-    narrows; ``ending_filters[g]`` holds the filters that close group ``g``.
+    ``ending_filters[g]`` holds each FILTER that closes group ``g``, paired
+    with the variables whose counts it narrows (none, for some).
     """
 
     query: QueryPattern
@@ -177,8 +177,7 @@ class TraversalPlan:
     step_by_index: dict[int, TripleStep]
     groups: tuple[ResolutionGroup, ...]
     stars: dict[str, frozenset[int]]
-    filter_targets: dict[FilterClause, frozenset[str]]
-    ending_filters: tuple[tuple[FilterClause, ...], ...]
+    ending_filters: tuple[tuple[tuple[FilterClause, frozenset[str]], ...], ...]
 
 
 def plan_query(q: QueryPattern) -> TraversalPlan:
@@ -195,6 +194,9 @@ def plan_query(q: QueryPattern) -> TraversalPlan:
     filtered = {f.after_triple for f in q.filters}
     consumers = _consumers_by_variable(steps)
     groups = _resolution_groups(steps, filtered)
+    closing: dict[int, list] = {}  # triple index -> the FILTERs after it, with their targets
+    for clause, targets in zip(q.filters, _targets_per_filter(q, order, consumers)):
+        closing.setdefault(clause.after_triple, []).append((clause, targets))
     return TraversalPlan(
         query=q,
         order=order,
@@ -202,11 +204,7 @@ def plan_query(q: QueryPattern) -> TraversalPlan:
         step_by_index={s.index: s for s in steps},
         groups=tuple(groups),
         stars={v: frozenset(t) for v, t in _star_triples(q, steps, consumers, filtered).items()},
-        filter_targets=_filter_targets(q, order, consumers),
-        ending_filters=tuple(
-            tuple(q.filters_after(g.triple_indices[-1])) if g.ended_by_filter else ()
-            for g in groups
-        ),
+        ending_filters=tuple(tuple(closing.get(g.triple_indices[-1], ())) for g in groups),
     )
 
 
@@ -271,22 +269,20 @@ def _star_triples(
     return out
 
 
-def _filter_targets(
+def _targets_per_filter(
     q: QueryPattern, order: tuple[int, ...], consumers: dict[str, tuple[int, ...]]
-) -> dict[FilterClause, frozenset[str]]:
-    """Per filter: the variables it touches (in its expression or its
-    attached triple) that some triple after it dereferences.  Filters with
-    no such variable are left out."""
+) -> list[frozenset[str]]:
+    """Per filter of ``q.filters``, in order: the variables it touches (in
+    its expression or its attached triple) that some triple after it
+    dereferences."""
     position = {idx: pos for pos, idx in enumerate(order)}
-    targets: dict[FilterClause, frozenset[str]] = {}
+    targets = []
     for clause in q.filters:
         fpos = position[clause.after_triple]
         touched = clause.variables | q.triples[clause.after_triple].variables()
-        affected = frozenset(
+        targets.append(frozenset(
             v for v in touched if any(position[c] > fpos for c in consumers.get(v, ()))
-        )
-        if affected:
-            targets[clause] = affected
+        ))
     return targets
 
 

@@ -212,15 +212,15 @@ def _walk(plan: TraversalPlan, catalog: StatsCatalog, join_factor, filter_factor
                 if idx in star_indices and v in counts:
                     counts[v] *= join_factor
         ending_filters = plan.ending_filters[gid]
-        for clause in ending_filters:
-            for v in plan.filter_targets.get(clause, ()):
+        for _, targets in ending_filters:
+            for v in targets:
                 if v in counts:
                     counts[v] *= filter_factor
         _bind_fresh_variables(q, group, plan.step_by_index, counts, catalog)
         # ... except filter discounts on variables first bound in this very
         # group, which only exist after binding
-        for clause in ending_filters:
-            for v in plan.filter_targets.get(clause, ()):
+        for _, targets in ending_filters:
+            for v in targets:
                 if v in counts and v not in bound_before:
                     counts[v] *= filter_factor
 

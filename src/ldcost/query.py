@@ -25,11 +25,6 @@ XSD_DOUBLE = XSD + "double"
 XSD_BOOLEAN = XSD + "boolean"
 XSD_STRING = XSD + "string"
 
-# Filter functions the simulator can evaluate.  Anything else still parses,
-# but the resulting node is opaque: usable for position/variable analysis,
-# not for evaluation.
-SUPPORTED_FILTER_FUNCTIONS = frozenset({"lang", "year", "isuri", "isiri", "str"})
-
 COMPARISON_OPS = frozenset({"=", "!=", "<", ">", "<=", ">="})
 
 
@@ -153,10 +148,6 @@ class FunctionCall:
     name: str
     args: tuple["FilterNode", ...]
 
-    @property
-    def opaque(self) -> bool:
-        return self.name.lower() not in SUPPORTED_FILTER_FUNCTIONS
-
 
 @dataclass(frozen=True)
 class BoolOp:
@@ -173,32 +164,17 @@ def expression_variables(node: FilterNode) -> set[str]:
         return {node.value} if node.is_variable else set()
     if isinstance(node, Comparison):
         return expression_variables(node.left) | expression_variables(node.right)
-    if isinstance(node, FunctionCall):
-        out: set[str] = set()
-        for a in node.args:
-            out |= expression_variables(a)
-        return out
-    out = set()
-    for a in node.operands:
+    out: set[str] = set()
+    for a in node.args if isinstance(node, FunctionCall) else node.operands:
         out |= expression_variables(a)
     return out
-
-
-def expression_has_opaque(node: FilterNode) -> bool:
-    if isinstance(node, FunctionCall):
-        return node.opaque or any(expression_has_opaque(a) for a in node.args)
-    if isinstance(node, Comparison):
-        return expression_has_opaque(node.left) or expression_has_opaque(node.right)
-    if isinstance(node, BoolOp):
-        return any(expression_has_opaque(a) for a in node.operands)
-    return False
 
 
 @dataclass(frozen=True)
 class FilterClause:
     expression: FilterNode
     after_triple: int  # index of the triple this filter textually follows
-    variables: frozenset[str] = field(default=frozenset())
+    variables: frozenset[str] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "variables", frozenset(expression_variables(self.expression)))
@@ -274,18 +250,19 @@ def distinct_anchor_iris(q: QueryPattern) -> set[str]:
 # --- tokenizer ---------------------------------------------------------------
 
 # The RDF term tokens, written once for the SPARQL tokenizer and the RDF
-# reader (``rdfio``): a block of verbose-regex alternatives, each group
-# naming its token kind.
-TERM_TOKENS = r"""
-    (?P<iri><[^<>"{}|^`\\\s]*>)
-  | (?P<blank>_:[A-Za-z_0-9]+)
-  | (?P<string>\"\"\"(?:[^"\\]|\\.|\"(?!\"\"))*\"\"\"|'''(?:[^'\\]|\\.|'(?!''))*'''|"(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*')
-  | (?P<langtag>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
-  | (?P<number>[+-]?(?:\d+\.\d+(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?))
-  | (?P<dtype>\^\^)
-  | (?P<pname>(?:[A-Za-z_][A-Za-z_0-9.-]*)?:(?:[A-Za-z_0-9%-]+(?:\.[A-Za-z_0-9%-]+)*)?)
-  | (?P<word>[A-Za-z][A-Za-z_0-9]*)
-"""
+# reader (``rdfio``): each token kind's verbose-regex pattern, and the
+# alternation of them all, each group naming its token kind.
+TERM_PATTERNS = {
+    "iri": r'<[^<>"{}|^`\\\s]*>',
+    "blank": r"_:[A-Za-z_0-9]+",
+    "string": r"""\"\"\"(?:[^"\\]|\\.|\"(?!\"\"))*\"\"\"|'''(?:[^'\\]|\\.|'(?!''))*'''|"(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*'""",
+    "langtag": r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*",
+    "number": r"[+-]?(?:\d+\.\d+(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)",
+    "dtype": r"\^\^",
+    "pname": r"(?:[A-Za-z_][A-Za-z_0-9.-]*)?:(?:[A-Za-z_0-9%-]+(?:\.[A-Za-z_0-9%-]+)*)?",
+    "word": r"[A-Za-z][A-Za-z_0-9]*",
+}
+TERM_TOKENS = " | ".join(f"(?P<{kind}>{pattern})" for kind, pattern in TERM_PATTERNS.items())
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+) | (?P<comment>\#[^\n]*) | (?P<var>[?$][A-Za-z_0-9]+) |"
@@ -810,6 +787,8 @@ def render_term(term: Term, prefixes: dict[str, str] | None = None) -> str:
 
 
 def render_expression(node: FilterNode, prefixes: dict[str, str] | None = None) -> str:
+    """The text of a filter expression.  It recurses by plain loops, one
+    frame per level, so it renders any expression the parser accepts."""
     prefixes = prefixes or {}
     if isinstance(node, Term):
         text = render_term(node, prefixes)
@@ -820,15 +799,16 @@ def render_expression(node: FilterNode, prefixes: dict[str, str] | None = None) 
             f"{render_expression(node.right, prefixes)})"
         )
     if isinstance(node, FunctionCall):
-        args = ", ".join(render_expression(a, prefixes) for a in node.args)
-        name = node.name
-        if ":" in name:  # absolute IRI function name
-            name = f"<{name}>"
-        return f"{name}({args})"
-    if node.op == "not":
+        name = f"<{node.name}>" if ":" in node.name else node.name  # an IRI names the function
+        opening, children, joiner = f"{name}(", node.args, ", "
+    elif node.op == "not":
         return f"(! {render_expression(node.operands[0], prefixes)})"
-    joiner = " && " if node.op == "and" else " || "
-    return "(" + joiner.join(render_expression(a, prefixes) for a in node.operands) + ")"
+    else:
+        opening, children, joiner = "(", node.operands, " && " if node.op == "and" else " || "
+    parts = []
+    for child in children:
+        parts.append(render_expression(child, prefixes))
+    return opening + joiner.join(parts) + ")"
 
 
 def render_query(q: QueryPattern) -> str:

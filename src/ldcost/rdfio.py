@@ -12,7 +12,7 @@ from collections.abc import Iterator
 from typing import NoReturn
 
 from .errors import InputError
-from .query import RDF_TYPE, TERM_TOKENS, XSD_BOOLEAN, Term, number_datatype, unquote
+from .query import RDF_TYPE, TERM_PATTERNS, TERM_TOKENS, XSD_BOOLEAN, Term, number_datatype, unquote
 
 Triple = tuple[Term, Term, Term]
 
@@ -28,8 +28,6 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-# The pattern of each term token, by kind, as ``TERM_TOKENS`` writes it.
-_TERM = dict(re.findall(r"\(\?P<(\w+)>(.*)\)\s*$", TERM_TOKENS, re.MULTILINE))
 # White space and comments.  Unlike the token lexer's, a comment must end
 # in a newline here, so a statement that fails to match backtracks in
 # linear time.
@@ -38,11 +36,12 @@ _GAP = r"\s*(?:\#[^\n]*\n\s*)*"
 # or quoted literal object, then a '.' that does not start a number.  It
 # reads the text as the token lexer would, token by token.
 _STATEMENT_RE = re.compile(
-    rf"""{_GAP} (?P<subject>{_TERM["iri"]}|{_TERM["blank"]})
-    {_GAP} (?P<predicate>{_TERM["iri"]})
-    {_GAP} (?: (?P<node>{_TERM["iri"]}|{_TERM["blank"]})
-             | (?P<string>{_TERM["string"]})
-               (?: {_GAP} (?P<langtag>{_TERM["langtag"]}) | {_GAP} {_TERM["dtype"]} {_GAP} (?P<datatype>{_TERM["iri"]}) )? )
+    rf"""{_GAP} (?P<subject>{TERM_PATTERNS["iri"]}|{TERM_PATTERNS["blank"]})
+    {_GAP} (?P<predicate>{TERM_PATTERNS["iri"]})
+    {_GAP} (?: (?P<node>{TERM_PATTERNS["iri"]}|{TERM_PATTERNS["blank"]})
+             | (?P<string>{TERM_PATTERNS["string"]})
+               (?: {_GAP} (?P<langtag>{TERM_PATTERNS["langtag"]})
+                 | {_GAP} {TERM_PATTERNS["dtype"]} {_GAP} (?P<datatype>{TERM_PATTERNS["iri"]}) )? )
     {_GAP} \.(?!\d)""",
     re.VERBOSE,
 )
@@ -52,8 +51,8 @@ _STATEMENT_RE = re.compile(
 # a comment or the IRI can follow its ':'.
 _PREFIX_RE = re.compile(
     rf"""{_GAP} @prefix(?![A-Za-z0-9-])
-    {_GAP} (?P<name>{_TERM["pname"]})(?<=:)
-    {_GAP} (?P<iri>{_TERM["iri"]})
+    {_GAP} (?P<name>{TERM_PATTERNS["pname"]})(?<=:)
+    {_GAP} (?P<iri>{TERM_PATTERNS["iri"]})
     {_GAP} \.(?!\d)""",
     re.VERBOSE,
 )
@@ -245,11 +244,12 @@ def term_key(term: Term) -> str:
 
 
 def read_text(path) -> str:
-    """The text of a UTF-8 file, with its line ends read as ``Path.read_text``
-    reads them.  Raises DocumentParseError naming the line of the first byte
-    that is not UTF-8, and OSError if the file cannot be read."""
+    """The text of a UTF-8 file, less one leading byte order mark, with its
+    line ends read as ``Path.read_text`` reads them.  Raises
+    DocumentParseError naming the line of the first byte that is not UTF-8,
+    and OSError if the file cannot be read."""
     with open(path, "rb") as file:
-        data = file.read()
+        data = file.read().removeprefix(b"\xef\xbb\xbf")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

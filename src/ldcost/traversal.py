@@ -6,6 +6,7 @@ the estimators are judged against.
 
 from __future__ import annotations
 
+import operator
 import os
 import re
 import threading
@@ -30,7 +31,6 @@ from .query import (
     QueryPattern,
     Term,
     TriplePattern,
-    expression_has_opaque,
     render_query,
 )
 from .rdfio import DocumentParseError, Triple, parse_document, read_text
@@ -415,7 +415,7 @@ def execute(q: QueryPattern, store: DerefStore) -> tuple[BindingTable, Traversal
 
             for idx in group.triple_indices:
                 solutions = _join_triple(solutions, q.triples[idx], index)
-            for clause in plan.ending_filters[gid]:  # a FILTER closes its group
+            for clause, _ in plan.ending_filters[gid]:  # a FILTER closes its group
                 solutions = [sol for sol in solutions if _filter_passes(clause.expression, sol)]
 
     columns = tuple(q.select_vars) if q.select_vars is not None else tuple(q.variables_in_order())
@@ -441,9 +441,9 @@ def _row_key(row: tuple[Term, ...]):
 
 def _reject_opaque_filters(q: QueryPattern) -> None:
     for clause in q.filters:
-        if expression_has_opaque(clause.expression):
+        if _calls_unknown_function(clause.expression):
             raise UnsupportedFilter(
-                "filter uses a function outside the supported set (lang, year, isURI, str)"
+                "filter uses a function outside the supported set (lang, year, isURI, isIRI, str)"
             )
 
 
@@ -512,7 +512,8 @@ def _evaluate(node: FilterNode, binding: dict[str, Term]) -> Term:
             return value
         return node
     if isinstance(node, Comparison):
-        return _TRUE if _compare(node, binding) else _FALSE
+        left, right = _evaluate(node.left, binding), _evaluate(node.right, binding)
+        return _TRUE if _compare(node.op, left, right) else _FALSE
     if isinstance(node, FunctionCall):
         return _call(node, binding)
     if node.op == "not":  # a BoolOp, the last kind of FilterNode
@@ -532,58 +533,84 @@ def _evaluate(node: FilterNode, binding: dict[str, Term]) -> Term:
     return _FALSE if decisive else _TRUE
 
 
-def _compare(node: Comparison, binding: dict[str, Term]) -> bool:
-    left = _evaluate(node.left, binding)
-    right = _evaluate(node.right, binding)
-    op = node.op
+_COMPARE = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
+
+def _compare(op: str, left: Term, right: Term) -> bool:
     ln, rn = _numeric_value(left), _numeric_value(right)
     if ln is not None and rn is not None:
-        return _apply_op(op, ln, rn)
+        return _COMPARE[op](ln, rn)
     if op in ("=", "!="):
-        equal = left == right
-        return equal if op == "=" else not equal
+        return _COMPARE[op](left, right)
     if left.is_literal and right.is_literal and left.datatype is None and right.datatype is None:
-        return _apply_op(op, left.value, right.value)
+        return _COMPARE[op](left.value, right.value)
     raise _EvalError(f"incomparable operands for {op}")
 
 
-def _apply_op(op: str, left, right) -> bool:
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    return left >= right
-
-
-def _call(node: FunctionCall, binding: dict[str, Term]) -> Term:
-    name = node.name.lower()
-    args = [_evaluate(a, binding) for a in node.args]
-    if len(args) != 1:
-        raise _EvalError(f"{name} expects one argument")
-    arg = args[0]
-    if name == "lang":
-        if not arg.is_literal:
-            raise _EvalError("lang() of a non-literal")
-        return Term.literal(arg.language or "")
-    if name == "year":
-        if not arg.is_literal:
-            raise _EvalError("year() of a non-literal")
-        match = _YEAR_RE.match(arg.value)
-        if match is None:
-            raise _EvalError(f"no year in {arg.value!r}")
-        return Term.literal(match.group(1), datatype=XSD_INTEGER)
-    if name in ("isuri", "isiri"):
-        return _TRUE if arg.is_iri else _FALSE
-    if name == "str":
-        return Term.literal(arg.value)
-    raise _EvalError(f"unsupported function {name}")
+def _lang(arg: Term) -> Term:
+    if not arg.is_literal:
+        raise _EvalError("lang() of a non-literal")
+    return Term.literal(arg.language or "")
 
 
 _YEAR_RE = re.compile(r"(-?\d{4,})")
+
+
+def _year(arg: Term) -> Term:
+    if not arg.is_literal:
+        raise _EvalError("year() of a non-literal")
+    match = _YEAR_RE.match(arg.value)
+    if match is None:
+        raise _EvalError(f"no year in {arg.value!r}")
+    return Term.literal(match.group(1), datatype=XSD_INTEGER)
+
+
+def _is_iri(arg: Term) -> Term:
+    return _TRUE if arg.is_iri else _FALSE
+
+
+# The functions the simulator evaluates, by lower-cased name, each of one
+# argument.  A query that calls any other is refused before it executes.
+_FUNCTIONS = {
+    "lang": _lang,
+    "year": _year,
+    "isuri": _is_iri,
+    "isiri": _is_iri,
+    "str": lambda arg: Term.literal(arg.value),
+}
+
+
+def _calls_unknown_function(expression: FilterNode) -> bool:
+    """Whether ``expression`` calls a function outside ``_FUNCTIONS``.  It
+    walks the tree with a list, not by recursion, so any depth will do."""
+    pending = [expression]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, FunctionCall):
+            if node.name.lower() not in _FUNCTIONS:
+                return True
+            pending.extend(node.args)
+        elif isinstance(node, Comparison):
+            pending += (node.left, node.right)
+        elif not isinstance(node, Term):  # a BoolOp
+            pending.extend(node.operands)
+    return False
+
+
+def _call(node: FunctionCall, binding: dict[str, Term]) -> Term:
+    """The call's function in ``_FUNCTIONS`` applied to its one argument."""
+    name = node.name.lower()
+    function = _FUNCTIONS.get(name)
+    if function is None:
+        raise _EvalError(f"unsupported function {name}")
+    if len(node.args) != 1:
+        raise _EvalError(f"{name} expects one argument")
+    return function(_evaluate(node.args[0], binding))
+

@@ -44,7 +44,7 @@ def nrv_consumers(steps) -> dict[str, tuple[int, ...]]:
 
 def filter_affected(plan: TraversalPlan) -> set[str]:
     """The NRVs some FILTER narrows before a later consumer."""
-    return set().union(*plan.filter_targets.values())
+    return set().union(*(targets for closing in plan.ending_filters for _, targets in closing))
 
 
 class TestCheckAnswerability:
@@ -185,10 +185,13 @@ class TestFilterAffectedNrvs:
             }
             """
         )
-        assert plan_query(q).filter_targets == {}
+        plan = plan_query(q)
+        assert plan.ending_filters[-1] == ((q.filters[0], frozenset()),)
+        assert filter_affected(plan) == set()
 
     def test_no_filters(self):
-        assert plan_query(parse_query(helpers.AUTHOR_CHAIN_QUERY)).filter_targets == {}
+        plan = plan_query(parse_query(helpers.AUTHOR_CHAIN_QUERY))
+        assert plan.ending_filters == ((),) * len(plan.groups)
 
 
 class TestBuildResolutionGroups:
@@ -275,7 +278,7 @@ class TestPlanQuery:
             for gid, group in enumerate(plan.groups):
                 last = group.triple_indices[-1]
                 expected = q.filters_after(last) if group.ended_by_filter else []
-                assert list(plan.ending_filters[gid]) == expected
+                assert [clause for clause, _ in plan.ending_filters[gid]] == expected
 
     def test_not_answerable_message_unchanged(self, plato_manifest):
         q = parse_query(helpers.ISURI_QUERY)
@@ -423,26 +426,25 @@ def frozen_plan(q):
         step_by_index={s.index: s for s in steps},
         groups=tuple(groups),
         stars={v: frozenset(t) for v, t in frozen_star_triples(q, steps, consumers).items()},
-        filter_targets=frozen_filter_targets(q, order, consumers),
         ending_filters=tuple(
-            tuple(q.filters_after(g.triple_indices[-1])) if g.ended_by_filter else ()
+            tuple(
+                (clause, frozen_filter_targets(q, order, consumers, clause))
+                for clause in q.filters_after(g.triple_indices[-1])
+            )
+            if g.ended_by_filter
+            else ()
             for g in groups
         ),
     )
 
 
-def frozen_filter_targets(q, order, consumers):
+def frozen_filter_targets(q, order, consumers, clause):
     position = {idx: pos for pos, idx in enumerate(order)}
-    targets = {}
-    for clause in q.filters:
-        fpos = position[clause.after_triple]
-        touched = clause.variables | q.triples[clause.after_triple].variables()
-        affected = frozenset(
-            v for v in touched if any(position[c] > fpos for c in consumers.get(v, ()))
-        )
-        if affected:
-            targets[clause] = affected
-    return targets
+    fpos = position[clause.after_triple]
+    touched = clause.variables | q.triples[clause.after_triple].variables()
+    return frozenset(
+        v for v in touched if any(position[c] > fpos for c in consumers.get(v, ()))
+    )
 
 
 def shuffled_query_text(rng):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import ldcost
 from ldcost import analysis, cli, evaluation, rdfio, routing, stats, traversal
 from ldcost.errors import LdcostError
 from ldcost.estimator import EstimatorConfig, Method, estimate
-from ldcost.query import parse_query
+from ldcost.query import QuerySyntaxError, parse_query
 from ldcost.stats import StatsCatalog, save_catalog
 from ldcost.cli import (
     EXIT_INPUT,
@@ -511,6 +512,90 @@ class TestBadTermsExitTwo:
         assert captured.err == "error: document for <http://x/a>: byte 0xe9 is not UTF-8 (line 1)\n"
 
 
+DEEP_FILTERS = {  # construct: the FILTER's expression at a nesting depth
+    "negations": lambda depth: "!" * depth + "?o",
+    "parentheses": lambda depth: "(" * depth + "?o > 1" + ")" * depth,
+    "str-calls": lambda depth: "str(" * depth + "?o" + ")" * depth,
+}
+
+
+def deep_filter_query(construct: str, depth: int) -> str:
+    return (
+        "SELECT * WHERE { <http://x/a> <http://x/p> ?o "
+        f"FILTER({DEEP_FILTERS[construct](depth)}) ?o <http://x/q> ?z }}"
+    )
+
+
+def deepest_parsed(construct: str) -> int:
+    """The deepest nesting of ``construct`` that ``parse_query`` accepts here."""
+    low, high = 1, 4096  # low parses, high does not
+    while high - low > 1:
+        middle = (low + high) // 2
+        try:
+            parse_query(deep_filter_query(construct, middle))
+            low = middle
+        except QuerySyntaxError as exc:
+            assert "expression nested too deeply" in str(exc)
+            high = middle
+    return low
+
+
+class TestDeepFilters:
+    """Any FILTER the parser accepts is planned, estimated, routed,
+    simulated and evaluated: each command exits 0, or 2 with the parser's
+    one error line, and none ends in a traceback."""
+
+    def _commands(self, root: Path, text: str) -> list[list[str]]:
+        query = root / "deep.rq"
+        query.write_text(text, encoding="utf-8")
+        (root / "a.nt").write_text("<http://x/a> <http://x/p> <http://x/b> .\n", encoding="utf-8")
+        (root / "b.nt").write_text('<http://x/b> <http://x/q> "z" .\n', encoding="utf-8")
+        store = helpers.write_manifest(root, {"http://x/a": "a.nt", "http://x/b": "b.nt"})
+        dataset = root / "gt"
+        for i in range(3):
+            helpers.write_ground_truth_entry(dataset, f"m{i}", helpers.MANDELA_QUERY, 1)
+        helpers.write_ground_truth_entry(dataset, "deep", text, 2)
+        return [
+            ["answerable", str(query)],
+            ["estimate", str(query), "--method", "all"],
+            ["route", str(query), "--threshold", "10"],
+            ["simulate", str(query), "--store", str(store), "--json", "--trace", str(root / "t.json")],
+            ["eval", "--dataset", str(dataset), "--json"],
+        ]
+
+    @staticmethod
+    def _check(argv, code, err):
+        assert code in (EXIT_OK, EXIT_INPUT), (argv[0], err)
+        if code == EXIT_OK:
+            assert err == "", argv[0]
+        else:
+            assert err.startswith("error: expression nested too deeply (line 1, column "), argv[0]
+            assert err.count("\n") == 1, argv[0]
+
+    @pytest.mark.parametrize("construct", DEEP_FILTERS)
+    @pytest.mark.parametrize("depth", [300, 600])
+    def test_at_a_fixed_depth(self, tmp_path, capsys, construct, depth):
+        for argv in self._commands(tmp_path, deep_filter_query(construct, depth)):
+            code = cli.main(argv)
+            self._check(argv, code, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("construct", DEEP_FILTERS)
+    def test_at_the_deepest_parsed_depth_in_a_fresh_process(self, tmp_path, construct):
+        # The child starts with a shallower stack than this test runs on,
+        # so its parser accepts the query too.
+        src = str(Path(ldcost.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        text = deep_filter_query(construct, deepest_parsed(construct))
+        for argv in self._commands(tmp_path, text):
+            child = subprocess.run(
+                [sys.executable, "-m", "ldcost.cli", *argv],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": path},
+            )
+            self._check(argv, child.returncode, child.stderr)
+
+
 class TestFactorOptions:
     """A factor outside [0, 1], or only one of eval's two factors, is a
     usage error: the usage line, one error line and exit 1."""
@@ -811,9 +896,9 @@ class TestLoadFailuresInJson:
 
 
 def _text_mode(path) -> str:
-    """A file as Python's text mode reads it, the readers' rule before
-    every input file went through ``rdfio.read_text``."""
-    with open(path, encoding="utf-8") as fh:
+    """A file as Python's text mode reads it, less a leading byte order
+    mark, as the ``utf-8-sig`` codec drops it: the readers' rule."""
+    with open(path, encoding="utf-8-sig") as fh:
         return fh.read()
 
 
@@ -828,7 +913,7 @@ _LINE_END_VARIANTS = {
 class TestLineEndsAsTextMode:
     """Every reader gives the same result, or the same error, from a file
     with LF, CRLF or lone-CR line ends or a leading byte order mark as it
-    gives when the file is read in text mode."""
+    gives when the file is read in text mode, the mark dropped."""
 
     @staticmethod
     def _outcome(read):
@@ -850,7 +935,7 @@ class TestLineEndsAsTextMode:
         path = tmp_path / "q.rq"
         text = '# a query\nSELECT * WHERE {\n  <http://x/a> <http://x/p> ?o .\n  FILTER(?o != """a\nb""")\n}\n'
         path.write_bytes(_LINE_END_VARIANTS[variant](text))
-        self._compare(monkeypatch, lambda: cli._read_query(str(path)), variant != "bom")
+        self._compare(monkeypatch, lambda: cli._read_query(str(path)), True)
 
     @pytest.mark.parametrize("variant", _LINE_END_VARIANTS)
     def test_predicate_list(self, tmp_path, monkeypatch, variant):
@@ -877,7 +962,7 @@ class TestLineEndsAsTextMode:
             (tmp_path / name).write_text("", encoding="utf-8")
         path = tmp_path / "m.tsv"
         path.write_bytes(_LINE_END_VARIANTS[variant]("# store\nhttp://x/a\ta.nt\n\nhttp://x/b\tb.nt\n"))
-        self._compare(monkeypatch, lambda: traversal.load_store(path).manifest, variant != "bom")
+        self._compare(monkeypatch, lambda: traversal.load_store(path).manifest, True)
 
     @pytest.mark.parametrize("variant", _LINE_END_VARIANTS)
     def test_catalog(self, tmp_path, monkeypatch, worked_catalog, variant):
@@ -885,7 +970,7 @@ class TestLineEndsAsTextMode:
         save_catalog(StatsCatalog(worked_catalog.global_stats, worked_catalog.per_predicate, "a\nb"), saved)
         path = tmp_path / "c.stats"
         path.write_bytes(_LINE_END_VARIANTS[variant](saved.read_text(encoding="utf-8")))
-        self._compare(monkeypatch, lambda: stats.load_catalog(path), variant != "bom")
+        self._compare(monkeypatch, lambda: stats.load_catalog(path), True)
 
     @pytest.mark.parametrize("variant", _LINE_END_VARIANTS)
     @pytest.mark.parametrize("file", ["query.rq", "meta.json", "accessed.txt"])
@@ -896,3 +981,20 @@ class TestLineEndsAsTextMode:
         (entry / file).write_bytes(_LINE_END_VARIANTS[variant]((entry / file).read_text(encoding="utf-8")))
         got = self._compare(monkeypatch, lambda: evaluation.load_ground_truth(tmp_path), True)
         assert len(got.entries) + len(got.failures) == 1
+        assert got.entries and not got.failures
+
+    @pytest.mark.parametrize("variant", _LINE_END_VARIANTS)
+    def test_dump(self, tmp_path, monkeypatch, variant):
+        path = tmp_path / "dump.nt"
+        path.write_bytes(_LINE_END_VARIANTS[variant](helpers.ntriples(helpers.random_dump(random.Random(5)))))
+        assert self._compare(monkeypatch, lambda: list(rdfio.read_dump(path)), True)
+
+    @pytest.mark.parametrize("variant", _LINE_END_VARIANTS)
+    def test_store_document(self, tmp_path, monkeypatch, variant):
+        text = '@prefix x: <http://x/> .\n# a document\nx:a x:p """a\nb""" ;\n  x:q x:b .\n'
+        (tmp_path / "a.ttl").write_bytes(_LINE_END_VARIANTS[variant](text))
+        manifest = helpers.write_manifest(tmp_path, {"http://x/a": "a.ttl"})
+        graph = self._compare(
+            monkeypatch, lambda: traversal.dereference(traversal.load_store(manifest), "http://x/a"), True
+        )
+        assert len(graph) == 2

@@ -768,9 +768,10 @@ class TestReadText:
         assert rdfio.read_text(path) == path.read_text(encoding="utf-8")
         assert list(read_dump(path)) == [(EX + "s", EX + "p", '"a\nb\nc"'), (EX + "s", EX + "p", '"d"')]
 
-    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "after-a-byte-order-mark"])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, bom):
         path = tmp_path / "dump.nt"
-        path.write_bytes(f'<{EX}s> <{EX}p> "caf\u00e9" .\n\n<{EX}s> <{EX}p> "caf'.encode() + b'\xe9" .\n')
+        path.write_bytes(bom + f'<{EX}s> <{EX}p> "caf\u00e9" .\n\n<{EX}s> <{EX}p> "caf'.encode() + b'\xe9" .\n')
         with pytest.raises(DocumentParseError) as err:
             read_dump(path)
         assert (str(err.value), err.value.line) == ("byte 0xe9 is not UTF-8 (line 3)", 3)
@@ -793,7 +794,7 @@ def test_term_tokens_are_written_once():
     its lexer from it and leaves literal typing to ``query``."""
     assert query.TERM_TOKENS in rdfio._TOKEN_RE.pattern
     assert query.TERM_TOKENS in query._TOKEN_RE.pattern
-    patterns = dict(re.findall(r"\(\?P<(\w+)>(.*)\)\s*$", query.TERM_TOKENS, re.MULTILINE))
+    patterns = query.TERM_PATTERNS
     assert list(patterns) == ["iri", "blank", "string", "langtag", "number", "dtype", "pname", "word"]
     package = Path(rdfio.__file__).parent
     sources = {path.name: path.read_text(encoding="utf-8") for path in package.glob("*.py")}

@@ -214,6 +214,17 @@ class TestExecuteSemantics:
             execute(q, load_store(plato_manifest))
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "constraint",
+        ["(x:f(?a))", "(<http://x/f>(?a))", "<http://x/f>(?a)", "(<http://x/f>(?a, 1) > x:g())"],
+    )
+    def test_iri_named_filter_call_rejected(self, plato_manifest, constraint):
+        q = parse_query(
+            f"PREFIX x: <http://x/> SELECT * WHERE {{ <http://x/s> <http://x/p> ?a FILTER {constraint} }}"
+        )
+        with pytest.raises(UnsupportedFilter, match=r"\(lang, year, isURI, isIRI, str\)$"):
+            execute(q, load_store(plato_manifest))
+
     def test_function_outside_the_supported_set_is_an_evaluation_error(self):
         arg = (Term.iri("http://x/a"),)
         assert traversal._call(FunctionCall("STR", arg), {}) == Term.literal("http://x/a")
