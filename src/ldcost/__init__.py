@@ -47,7 +47,6 @@ from .query import (
     TriplePattern,
     distinct_anchor_iris,
     parse_query,
-    render_query,
 )
 from .routing import RouteDecision, ask_probe, decide_strategy
 from .stats import (

@@ -1,11 +1,11 @@
-"""SPARQL subset: term model, parser and renderer.
+"""SPARQL subset: term model and parser.
 
 The supported language is SELECT over a single basic graph pattern:
 triple patterns with ';'/',' abbreviations, FILTER clauses whose position
 is retained, PREFIX declarations, and SERVICE blocks (IRI- or
-variable-anchored) which are flattened into the plain triple list with
-their grouping kept as metadata.  UNION, OPTIONAL, property paths and
-the rest of SPARQL 1.1 are rejected explicitly.
+variable-anchored) which are flattened into the plain triple list.
+UNION, OPTIONAL, property paths and the rest of SPARQL 1.1 are rejected
+explicitly.
 """
 
 from __future__ import annotations
@@ -180,22 +180,12 @@ class FilterClause:
         object.__setattr__(self, "variables", frozenset(expression_variables(self.expression)))
 
 
-@dataclass(frozen=True)
-class ServiceGroup:
-    """One SERVICE block: its anchor term and the triple index range it covered."""
-
-    anchor: Term
-    start: int
-    stop: int  # exclusive
-
-
 @dataclass(frozen=True, eq=True)
 class QueryPattern:
     select_vars: tuple[str, ...] | None  # None means SELECT *
     triples: tuple[TriplePattern, ...]
     filters: tuple[FilterClause, ...]
-    prefixes: tuple[tuple[str, str], ...] = ()
-    service_groups: tuple[ServiceGroup, ...] = ()
+    text: str = field(default="", compare=False, repr=False)  # what parse_query read
 
     def __post_init__(self):
         if not self.triples:
@@ -305,23 +295,23 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 _UNSUPPORTED_KEYWORDS = {
-    "union": "UNION groups",
-    "optional": "OPTIONAL groups",
-    "minus": "MINUS groups",
-    "graph": "GRAPH groups",
-    "bind": "BIND assignments",
-    "values": "VALUES blocks",
-    "group": "GROUP BY",
-    "order": "ORDER BY",
-    "having": "HAVING",
-    "limit": "LIMIT",
-    "offset": "OFFSET",
-    "construct": "CONSTRUCT queries",
-    "ask": "ASK queries",
-    "describe": "DESCRIBE queries",
-    "insert": "updates",
-    "delete": "updates",
-    "exists": "EXISTS filters",
+    "union": "UNION groups are not supported",
+    "optional": "OPTIONAL groups are not supported",
+    "minus": "MINUS groups are not supported",
+    "graph": "GRAPH groups are not supported",
+    "bind": "BIND assignments are not supported",
+    "values": "VALUES blocks are not supported",
+    "group": "GROUP BY is not supported",
+    "order": "ORDER BY is not supported",
+    "having": "HAVING is not supported",
+    "limit": "LIMIT is not supported",
+    "offset": "OFFSET is not supported",
+    "construct": "CONSTRUCT queries are not supported",
+    "ask": "ASK queries are not supported",
+    "describe": "DESCRIBE queries are not supported",
+    "insert": "updates are not supported",
+    "delete": "updates are not supported",
+    "exists": "EXISTS filters are not supported",
 }
 
 
@@ -329,6 +319,7 @@ class _Parser:
     """Recursive-descent parser over the token list."""
 
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.prefixes: dict[str, str] = {}
@@ -360,9 +351,9 @@ class _Parser:
 
     def reject_unsupported(self, tok: _Token):
         if tok.kind == "word":
-            feature = _UNSUPPORTED_KEYWORDS.get(tok.text.lower())
-            if feature:
-                raise UnsupportedFeature(f"{feature} are not supported")
+            message = _UNSUPPORTED_KEYWORDS.get(tok.text.lower())
+            if message:
+                raise UnsupportedFeature(message)
         if tok.kind == "punct" and tok.text in ("/", "|", "*", "+", "["):
             raise UnsupportedFeature("property paths and blank node property lists are not supported")
 
@@ -374,7 +365,7 @@ class _Parser:
         if self.at_keyword("where"):
             self.next()
         self.expect_punct("{")
-        triples, filters, services = self.parse_group()
+        triples, filters, _ = self.parse_group()
         tok = self.peek()
         if tok.kind != "eof":
             self.reject_unsupported(tok)
@@ -394,8 +385,7 @@ class _Parser:
             select_vars=None if selected is None else tuple(var.text[1:] for var in selected),
             triples=tuple(triples),
             filters=tuple(filters),
-            prefixes=tuple(sorted(self.prefixes.items())),
-            service_groups=tuple(services),
+            text=self.text,
         )
 
     def parse_prologue(self):
@@ -434,15 +424,16 @@ class _Parser:
         return selected
 
     def parse_group(self):
-        """Body of a '{...}' group: triples, filters, SERVICE blocks."""
+        """Body of a '{...}' group: its triples, its filters, and whether a
+        SERVICE block in it held a triple."""
         triples: list[TriplePattern] = []
         filters: list[FilterClause] = []
-        services: list[ServiceGroup] = []
+        has_service = False
         while True:
             tok = self.peek()
             if tok.kind == "punct" and tok.text == "}":
                 self.next()
-                return triples, filters, services
+                return triples, filters, has_service
             if tok.kind == "eof":
                 raise self.error("unterminated group: missing '}'")
             if tok.kind == "word" and tok.text.lower() == "filter":
@@ -453,7 +444,7 @@ class _Parser:
                 continue
             if tok.kind == "word" and tok.text.lower() == "service":
                 self.next()
-                self.parse_service(triples, filters, services)
+                has_service |= self.parse_service(triples, filters)
                 self.skip_dot()
                 continue
             if tok.kind == "punct" and tok.text == "{":
@@ -470,15 +461,17 @@ class _Parser:
             self.reject_unsupported(tok)
             raise self.error("expected '.', '}', FILTER or SERVICE after a triple pattern", tok)
 
-    def parse_service(self, triples, filters, services):
+    def parse_service(self, triples, filters) -> bool:
+        """Flatten one SERVICE block into ``triples`` and ``filters``;
+        whether the block held a triple."""
         anchor_tok = self.peek()
         anchor = self.parse_term(position="service")
         if not (anchor.is_iri or anchor.is_variable):
             raise self.error("SERVICE anchor must be an IRI or a variable", anchor_tok)
         self.expect_punct("{")
         start = len(triples)
-        inner_triples, inner_filters, inner_services = self.parse_group()
-        if inner_services:
+        inner_triples, inner_filters, nested = self.parse_group()
+        if nested:
             raise UnsupportedFeature("nested SERVICE blocks are not supported")
         for t in inner_triples:
             triples.append(
@@ -489,8 +482,7 @@ class _Parser:
         first = 0 if inner_triples else -1
         for f in inner_filters:
             filters.append(FilterClause(f.expression, start + max(f.after_triple, first)))
-        if len(triples) > start:
-            services.append(ServiceGroup(anchor=anchor, start=start, stop=len(triples)))
+        return bool(inner_triples)
 
     def skip_dot(self) -> bool:
         if self.peek().kind == "punct" and self.peek().text == ".":
@@ -661,7 +653,7 @@ class _Parser:
             self.next()
             name = name_tok.text
             if name.lower() in _UNSUPPORTED_KEYWORDS:
-                raise UnsupportedFeature(f"{_UNSUPPORTED_KEYWORDS[name.lower()]} are not supported")
+                raise UnsupportedFeature(_UNSUPPORTED_KEYWORDS[name.lower()])
         else:
             raise self.error("expected a function name", name_tok)
         self.expect_punct("(")
@@ -727,133 +719,11 @@ def parse_query(text: str) -> QueryPattern:
     """Parse SPARQL text in the supported subset into a QueryPattern.
 
     Prefixed names are expanded to absolute IRIs; FILTER clauses carry the
-    index of the triple they textually follow; SERVICE blocks are flattened
-    with their grouping recorded in ``service_groups``.
+    index of the triple they textually follow; SERVICE blocks are flattened.
+    The pattern keeps ``text`` as it was given.
     """
     parser = _Parser(text)
     try:
         return parser.parse()
     except RecursionError:
         raise parser.error("expression nested too deeply") from None
-
-
-# --- rendering ----------------------------------------------------------------
-
-def _abbreviate(iri: str, prefixes: dict[str, str]) -> str | None:
-    best: tuple[int, str] | None = None
-    for prefix, base in prefixes.items():
-        if iri.startswith(base) and len(base) > (best[0] if best else -1):
-            # the whole name must re-tokenize as one pname token: under a
-            # prefix named ``_`` it could read back as a blank node
-            pname = f"{prefix}:{iri[len(base):]}"
-            m = _TOKEN_RE.match(pname)
-            if m and m.lastgroup == "pname" and m.end() == len(pname):
-                best = (len(base), pname)
-    return best[1] if best else None
-
-
-def _escape_literal(lexical: str) -> str:
-    out = lexical.replace("\\", "\\\\").replace('"', '\\"')
-    out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
-    return f'"{out}"'
-
-
-def _numeric_shape(lexical: str) -> str | None:
-    """The datatype a bare numeral with this lexical form would parse to."""
-    m = _TOKEN_RE.fullmatch(lexical)
-    return number_datatype(lexical) if m and m.lastgroup == "number" else None
-
-
-def render_term(term: Term, prefixes: dict[str, str] | None = None) -> str:
-    prefixes = prefixes or {}
-    if term.is_iri:
-        if term.value == RDF_TYPE:
-            return "a"
-        pname = _abbreviate(term.value, prefixes)
-        return pname if pname is not None else f"<{term.value}>"
-    if term.is_variable:
-        return f"?{term.value}"
-    if term.is_blank:
-        return f"_:{term.value}"
-    if term.datatype and _numeric_shape(term.value) == term.datatype:
-        return term.value
-    body = _escape_literal(term.value)
-    if term.language:
-        return f"{body}@{term.language}"
-    if term.datatype:
-        dt = _abbreviate(term.datatype, prefixes)
-        return f"{body}^^{dt}" if dt is not None else f"{body}^^<{term.datatype}>"
-    return body
-
-
-def render_expression(node: FilterNode, prefixes: dict[str, str] | None = None) -> str:
-    """The text of a filter expression.  It recurses by plain loops, one
-    frame per level, so it renders any expression the parser accepts."""
-    prefixes = prefixes or {}
-    if isinstance(node, Term):
-        text = render_term(node, prefixes)
-        return f"<{node.value}>" if node.is_iri and text == "a" else text
-    if isinstance(node, Comparison):
-        return (
-            f"({render_expression(node.left, prefixes)} {node.op} "
-            f"{render_expression(node.right, prefixes)})"
-        )
-    if isinstance(node, FunctionCall):
-        name = f"<{node.name}>" if ":" in node.name else node.name  # an IRI names the function
-        opening, children, joiner = f"{name}(", node.args, ", "
-    elif node.op == "not":
-        return f"(! {render_expression(node.operands[0], prefixes)})"
-    else:
-        opening, children, joiner = "(", node.operands, " && " if node.op == "and" else " || "
-    parts = []
-    for child in children:
-        parts.append(render_expression(child, prefixes))
-    return opening + joiner.join(parts) + ")"
-
-
-def render_query(q: QueryPattern) -> str:
-    """Emit parseable text for a QueryPattern.
-
-    Round-trips: parse_query(render_query(q)) is structurally identical to
-    q up to whitespace and prefix re-abbreviation.  SERVICE grouping is
-    reproduced from ``service_groups``.
-    """
-    prefixes = dict(q.prefixes)
-    lines = [f"PREFIX {p}: <{iri}>" for p, iri in q.prefixes]
-    select = "*" if q.select_vars is None else " ".join(f"?{v}" for v in q.select_vars)
-    lines.append(f"SELECT {select} WHERE {{")
-
-    covered: dict[int, ServiceGroup] = {}
-    for g in q.service_groups:
-        for i in range(g.start, g.stop):
-            covered[i] = g
-
-    def triple_line(t: TriplePattern, indent: str) -> list[str]:
-        out = [
-            f"{indent}{render_term(t.subject, prefixes)} "
-            f"{render_term(t.predicate, prefixes)} "
-            f"{render_term(t.object, prefixes)} ."
-        ]
-        for f in q.filters_after(t.index):
-            expression = render_expression(f.expression, prefixes)
-            # a bare term must be bracketed; everything else already is, or is a call
-            if isinstance(f.expression, Term):
-                expression = f"({expression})"
-            out.append(f"{indent}FILTER {expression}")
-        return out
-
-    i = 0
-    n = len(q.triples)
-    while i < n:
-        group = covered.get(i)
-        if group is not None and group.start == i:
-            lines.append(f"  SERVICE {render_term(group.anchor, prefixes)} {{")
-            for j in range(group.start, group.stop):
-                lines.extend(triple_line(q.triples[j], "    "))
-            lines.append("  }")
-            i = group.stop
-        else:
-            lines.extend(triple_line(q.triples[i], "  "))
-            i += 1
-    lines.append("}")
-    return "\n".join(lines) + "\n"

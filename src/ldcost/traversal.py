@@ -31,7 +31,6 @@ from .query import (
     QueryPattern,
     Term,
     TriplePattern,
-    render_query,
 )
 from .rdfio import DocumentParseError, Triple, parse_document, read_text
 
@@ -201,8 +200,10 @@ def _http_fetch(store: DerefStore, iri: str, failed: threading.Event | None = No
 class TraversalTrace:
     """Record of the dereferences one execution performed.
 
-    ``accessed`` holds the first access of each distinct IRI; a pass that
-    revisits an IRI fetched by an earlier group adds to
+    ``query`` is the text the pattern was parsed from, as given to
+    ``parse_query`` (``QueryPattern.text``; empty for a pattern built in
+    code).  ``accessed`` holds the first access of each distinct IRI; a
+    pass that revisits an IRI fetched by an earlier group adds to
     ``group_access_total`` only.
     """
 
@@ -426,7 +427,7 @@ def execute(q: QueryPattern, store: DerefStore) -> tuple[BindingTable, Traversal
     }
     table = BindingTable(columns=columns, rows=tuple(sorted(rows, key=_row_key)))
     trace = TraversalTrace(
-        query=render_query(q),
+        query=q.text,
         order=plan.order,
         accessed=tuple(accessed),
         misses=tuple(misses),

@@ -11,7 +11,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
-from ldcost.query import RDF_TYPE
+from ldcost.query import RDF_TYPE, Comparison, FilterNode, FunctionCall, QueryPattern, Term
 from ldcost.stats import GlobalStats, PredicateStats, StatsCatalog
 
 DBR = "http://dbpedia.org/resource/"
@@ -346,6 +346,50 @@ def random_answerable_query(rng: random.Random) -> str:
             lines.append(f"FILTER(year(?{rng.choice(bound)}) > {rng.randint(1900, 2000)})")
 
     return "SELECT * WHERE {\n  " + "\n  ".join(lines) + "\n}"
+
+
+# --- a frozen query writer ---------------------------------------------------------
+
+def _frozen_term(term: Term) -> str:
+    if term.is_iri:
+        return f"<{term.value}>"
+    if term.is_variable:
+        return f"?{term.value}"
+    if term.is_blank:
+        return f"_:{term.value}"
+    escaped = term.value.replace("\\", "\\\\").replace('"', '\\"')
+    escaped = escaped.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
+    if term.language:
+        return f'"{escaped}"@{term.language}'
+    if term.datatype:
+        return f'"{escaped}"^^<{term.datatype}>'
+    return f'"{escaped}"'
+
+
+def _frozen_expression(node: FilterNode) -> str:
+    if isinstance(node, Term):
+        return _frozen_term(node)
+    if isinstance(node, Comparison):
+        return f"({_frozen_expression(node.left)} {node.op} {_frozen_expression(node.right)})"
+    if isinstance(node, FunctionCall):
+        name = f"<{node.name}>" if ":" in node.name else node.name  # an IRI names the function
+        return f"{name}({', '.join(_frozen_expression(a) for a in node.args)})"
+    if node.op == "not":
+        return "!" + _frozen_expression(node.operands[0])
+    joiner = " && " if node.op == "and" else " || "
+    return "(" + joiner.join(_frozen_expression(o) for o in node.operands) + ")"
+
+
+def frozen_render(q: QueryPattern) -> str:
+    """Query text that parses back to ``q``: full IRIs and typed literals
+    only, no PREFIX, no SERVICE, each FILTER after the triple it follows.
+    An oracle for the parser, independent of the package."""
+    select = "*" if q.select_vars is None else " ".join(f"?{v}" for v in q.select_vars)
+    lines = [f"SELECT {select} WHERE {{"]
+    for t in q.triples:
+        lines.append("  " + " ".join(_frozen_term(term) for term in t.terms()) + " .")
+        lines.extend(f"  FILTER({_frozen_expression(f.expression)})" for f in q.filters_after(t.index))
+    return "\n".join(lines + ["}"]) + "\n"
 
 
 def random_catalog(rng: random.Random) -> StatsCatalog:

@@ -998,3 +998,61 @@ class TestLineEndsAsTextMode:
             monkeypatch, lambda: traversal.dereference(traversal.load_store(manifest), "http://x/a"), True
         )
         assert len(graph) == 2
+
+
+class TestTraceQueryText:
+    """The trace's ``query`` is the query file's text as ``read_text``
+    returns it: a byte order mark dropped, CRLF and CR read as LF."""
+
+    @pytest.mark.parametrize("variant", _LINE_END_VARIANTS)
+    @pytest.mark.parametrize(
+        "text, build",
+        [(helpers.MANDELA_QUERY, helpers.build_mandela_store), (helpers.PLATO_LD_QUERY, helpers.build_plato_store)],
+        ids=["mandela", "plato-ld"],
+    )
+    def test_simulate_writes_the_text_as_read(self, tmp_path, capsys, text, build, variant):
+        query = tmp_path / "q.rq"
+        query.write_bytes(_LINE_END_VARIANTS[variant](text))
+        manifest = build(tmp_path / "store")
+        trace_file = tmp_path / "trace.json"
+        argv = ["simulate", str(query), "--store", str(manifest), "--trace", str(trace_file)]
+        assert cli.main(argv) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert json.loads(trace_file.read_text(encoding="utf-8"))["query"] == rdfio.read_text(query) == text
+
+    @staticmethod
+    def _simulate(root: Path, text: str) -> list[str]:
+        argv = next(a for a in TestDeepFilters()._commands(root, text) if a[0] == "simulate")
+        assert argv[-2:] == ["--trace", str(root / "t.json")]
+        return argv
+
+    def test_a_200_level_negation_chain(self, tmp_path, capsys):
+        text = deep_filter_query("negations", 200)
+        assert cli.main(self._simulate(tmp_path, text)) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert json.loads((tmp_path / "t.json").read_text(encoding="utf-8"))["query"] == text
+
+    def test_the_deepest_parsed_negation_chain_in_a_fresh_process(self, tmp_path):
+        src = str(Path(ldcost.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        text = deep_filter_query("negations", deepest_parsed("negations"))
+        child = subprocess.run(
+            [sys.executable, "-m", "ldcost.cli", *self._simulate(tmp_path, text)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (child.returncode, child.stderr) == (EXIT_OK, "")
+        assert json.loads((tmp_path / "t.json").read_text(encoding="utf-8"))["query"] == text
+
+
+@pytest.mark.parametrize(
+    "clause, message",
+    [("LIMIT 5", "LIMIT is not supported"), ("ORDER BY ?o", "ORDER BY is not supported"),
+     ("OPTIONAL { ?o <http://x/q> ?z }", "OPTIONAL groups are not supported")],
+)
+def test_unsupported_keyword_error_line(tmp_path, capsys, clause, message):
+    query = tmp_path / "q.rq"
+    query.write_text(f"SELECT * WHERE {{ <http://x/a> <http://x/p> ?o }} {clause}", encoding="utf-8")
+    assert cli.main(["estimate", str(query)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"

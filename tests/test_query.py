@@ -11,9 +11,9 @@ from ldcost.query import (
     Term,
     UnknownPrefix,
     UnsupportedFeature,
+    _UNSUPPORTED_KEYWORDS,
     distinct_anchor_iris,
     parse_query,
-    render_query,
 )
 
 
@@ -92,14 +92,41 @@ class TestParseQuery:
     def test_sparql_ld_service_form_flattened(self):
         q = parse_query(helpers.PLATO_LD_QUERY)
         assert len(q.triples) == 2
-        assert len(q.service_groups) == 2
-        first, second = q.service_groups
-        assert first.anchor.is_iri and first.anchor.value.endswith("Plato")
-        assert (first.start, first.stop) == (0, 1)
-        assert second.anchor == Term.var("influencer")
-        assert (second.start, second.stop) == (1, 2)
         # filter inside the second block keeps its textual attachment
         assert q.filters[0].after_triple == 1
+        # the same triples and FILTER written without SERVICE
+        assert q == parse_query(helpers.PLATO_QUERY)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "SERVICE <http://x/s> { SERVICE <http://x/t> { ?s <http://x/p> ?o } }",
+            "SERVICE ?a { <http://x/a> <http://x/p> ?a . SERVICE ?a { ?a <http://x/q> ?o } ?o <http://x/r> ?z }",
+        ],
+    )
+    def test_nested_service_rejected(self, body):
+        with pytest.raises(UnsupportedFeature) as err:
+            parse_query(f"SELECT * WHERE {{ {body} }}")
+        assert str(err.value) == "nested SERVICE blocks are not supported"
+
+    @pytest.mark.parametrize(
+        "body, flat",
+        [
+            ("?s <http://x/p> ?o SERVICE <http://x/s> { ?o <http://x/p> ?z SERVICE ?z { FILTER(?z > 1) } }",
+             "?s <http://x/p> ?o . ?o <http://x/p> ?z FILTER(?z > 1)"),
+            ("SERVICE <http://x/s> { SERVICE <http://x/t> { } ?s <http://x/p> ?o }", "?s <http://x/p> ?o"),
+        ],
+    )
+    def test_nested_service_without_a_triple_is_flattened(self, body, flat):
+        q = parse_query(f"SELECT * WHERE {{ {body} }}")
+        assert q == parse_query(f"SELECT * WHERE {{ {flat} }}")
+
+    @pytest.mark.parametrize("anchor", ['"x"', '"x"@en', "1", "true", "_:b", "[]"])
+    def test_service_anchor_must_be_an_iri_or_a_variable(self, anchor):
+        with pytest.raises(QuerySyntaxError) as err:
+            parse_query(f"SELECT * WHERE {{ SERVICE {anchor} {{ ?s <http://x/p> ?o }} }}")
+        assert str(err.value) == "SERVICE anchor must be an IRI or a variable (line 1, column 26)"
+        assert (err.value.line, err.value.column) == (1, 26)
 
     def test_blank_nodes_parse(self):
         q = parse_query("SELECT * WHERE { _:b <http://x/p> ?o . ?o <http://x/q> [] }")
@@ -153,13 +180,16 @@ class TestParseQuery:
         # with no triple in its block, a FILTER reads as if written outside it
         q = parse_query(f"SELECT * WHERE {{ {body} }}")
         assert [f.after_triple for f in q.filters] == [after]
-        assert parse_query(render_query(q)) == q
+        assert parse_query(helpers.frozen_render(q)) == q
 
 
-class TestRenderQuery:
+class TestRoundTrip:
+    """``parse_query`` reads back what the frozen writer in ``helpers``
+    writes for a parsed query: the same pattern, spelled with full IRIs."""
+
     def test_round_trip_mandela(self):
         q = parse_query(helpers.MANDELA_QUERY)
-        assert parse_query(render_query(q)) == q
+        assert parse_query(helpers.frozen_render(q)) == q
 
     def test_filter_position_preserved(self):
         text = (
@@ -167,48 +197,25 @@ class TestRenderQuery:
             "FILTER(year(?a) > 1999) ?a <http://x/q> ?b }"
         )
         q = parse_query(text)
-        rendered = render_query(q)
-        assert parse_query(rendered).filters[0].after_triple == 0
-        # the FILTER line sits between the two triple lines
-        lines = [ln.strip() for ln in rendered.splitlines()]
-        assert lines.index("FILTER (year(?a) > 1999)") < len(lines) - 2
+        assert q.filters[0].after_triple == 0
+        assert parse_query(helpers.frozen_render(q)) == q
 
     def test_service_blocks_reproduced(self):
         q = parse_query(helpers.PLATO_LD_QUERY)
-        rendered = render_query(q)
-        assert rendered.count("SERVICE") == 2
-        assert parse_query(rendered) == q
+        assert parse_query(helpers.frozen_render(q)) == q
 
     def test_round_trip_idempotent_on_random_queries(self):
         rng = random.Random(1234)
         for _ in range(60):
             q = parse_query(helpers.random_answerable_query(rng))
-            assert parse_query(render_query(q)) == q
-
-    def test_prefix_named_underscore_never_renders_a_blank_node(self):
-        # ``_:abc.def`` is a pname as a whole, but the tokenizer reads a
-        # blank node ``_:abc`` first
-        q = parse_query(
-            "PREFIX _: <http://x/> SELECT * WHERE { "
-            "<http://x/abc> <http://x/p> ?o . <http://x/abc.def> <http://x/p> ?o }"
-        )
-        rendered = render_query(q)
-        assert "_:abc" not in rendered and "_:p" not in rendered
-        assert parse_query(rendered) == q
-
-    def test_round_trip_on_random_queries_under_underscore_prefix(self):
-        rng = random.Random(4321)
-        for _ in range(60):
-            text = f"PREFIX _: <{helpers.EX}>\n" + helpers.random_answerable_query(rng)
-            q = parse_query(text)
-            assert parse_query(render_query(q)) == q
+            assert parse_query(helpers.frozen_render(q)) == q
 
     @pytest.mark.parametrize("operand", ["?a", "true", '"x"', '"x"@en', "-1", "_:b", "<http://x/o>", "x:o"])
     def test_filter_on_a_bare_term_round_trips(self, operand):
         q = parse_query(
             f"PREFIX x: <http://x/> SELECT * WHERE {{ <http://x/s> <http://x/p> ?a FILTER({operand}) }}"
         )
-        assert parse_query(render_query(q)) == q
+        assert parse_query(helpers.frozen_render(q)) == q
 
     @pytest.mark.parametrize(
         "constraint",
@@ -219,7 +226,7 @@ class TestRenderQuery:
             f"PREFIX x: <http://x/> SELECT * WHERE {{ <http://x/s> <http://x/p> ?a FILTER {constraint} }}"
         )
         assert q.filters[0].variables == {"a"}
-        assert parse_query(render_query(q)) == q
+        assert parse_query(helpers.frozen_render(q)) == q
 
     @pytest.mark.parametrize("prologue, name", [("", "<lang>"), ("PREFIX x: <>", "x:lang")])
     def test_relative_iri_function_name_rejected(self, prologue, name):
@@ -238,6 +245,56 @@ class TestRenderQuery:
         )
         assert a == b
         assert [f.after_triple for f in a.filters] == [f.after_triple for f in b.filters]
+
+    def test_the_pattern_keeps_its_text_out_of_equality(self):
+        a_text = "PREFIX x: <http://x/> SELECT * WHERE { x:s x:p ?o }"
+        b_text = "SELECT *\nWHERE {\n  <http://x/s> <http://x/p> ?o .\n}\n"
+        a, b = parse_query(a_text), parse_query(b_text)
+        assert (a.text, b.text) == (a_text, b_text)
+        assert a == b and hash(a) == hash(b)
+        assert "text" not in repr(a)
+
+
+# keyword: the error for a query that uses it
+UNSUPPORTED_KEYWORD_MESSAGES = {
+    "UNION": "UNION groups are not supported",
+    "OPTIONAL": "OPTIONAL groups are not supported",
+    "MINUS": "MINUS groups are not supported",
+    "GRAPH": "GRAPH groups are not supported",
+    "BIND": "BIND assignments are not supported",
+    "VALUES": "VALUES blocks are not supported",
+    "GROUP": "GROUP BY is not supported",
+    "ORDER": "ORDER BY is not supported",
+    "HAVING": "HAVING is not supported",
+    "LIMIT": "LIMIT is not supported",
+    "OFFSET": "OFFSET is not supported",
+    "CONSTRUCT": "CONSTRUCT queries are not supported",
+    "ASK": "ASK queries are not supported",
+    "DESCRIBE": "DESCRIBE queries are not supported",
+    "INSERT": "updates are not supported",
+    "DELETE": "updates are not supported",
+    "EXISTS": "EXISTS filters are not supported",
+}
+
+
+class TestUnsupportedKeywords:
+    def test_every_keyword_is_pinned(self):
+        assert {k.lower() for k in UNSUPPORTED_KEYWORD_MESSAGES} == set(_UNSUPPORTED_KEYWORDS)
+
+    @pytest.mark.parametrize("keyword", UNSUPPORTED_KEYWORD_MESSAGES)
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "SELECT * WHERE { ?s <http://x/p> ?o } %s",  # after the pattern
+            "SELECT * WHERE { ?s <http://x/p> ?o %s }",  # after a triple
+            "SELECT * WHERE { ?s <http://x/p> ?o FILTER(%s(?o)) }",  # as a function name
+        ],
+    )
+    def test_exact_message(self, keyword, template):
+        for spelled in (keyword, keyword.lower()):
+            with pytest.raises(UnsupportedFeature) as err:
+                parse_query(template % spelled)
+            assert str(err.value) == UNSUPPORTED_KEYWORD_MESSAGES[keyword]
 
 
 class TestDistinctAnchorIris:

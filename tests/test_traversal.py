@@ -171,6 +171,13 @@ class TestExecuteHubFixtures:
         _, trace = execute(parse_query(helpers.PLATO_LD_QUERY), store)
         assert real_cost(trace) == 15
 
+    @pytest.mark.parametrize(
+        "text", [helpers.MANDELA_QUERY, helpers.PLATO_QUERY, helpers.PLATO_LD_QUERY], ids=["mandela", "plato", "plato-ld"]
+    )
+    def test_trace_keeps_the_query_text(self, plato_manifest, text):
+        _, trace = execute(parse_query(text), load_store(plato_manifest))
+        assert trace.query == text and trace.as_dict()["query"] == text
+
     def test_mandela_single_access(self, mandela_manifest):
         store = load_store(mandela_manifest)
         table, trace = execute(parse_query(helpers.MANDELA_QUERY), store)
