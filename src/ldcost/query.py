@@ -424,8 +424,8 @@ class _Parser:
         return selected
 
     def parse_group(self):
-        """Body of a '{...}' group: its triples, its filters, and whether a
-        SERVICE block in it held a triple."""
+        """Body of a '{...}' group: its triples, its filters, and whether it
+        held a SERVICE block."""
         triples: list[TriplePattern] = []
         filters: list[FilterClause] = []
         has_service = False
@@ -444,7 +444,8 @@ class _Parser:
                 continue
             if tok.kind == "word" and tok.text.lower() == "service":
                 self.next()
-                has_service |= self.parse_service(triples, filters)
+                self.parse_service(triples, filters)
+                has_service = True
                 self.skip_dot()
                 continue
             if tok.kind == "punct" and tok.text == "{":
@@ -461,9 +462,8 @@ class _Parser:
             self.reject_unsupported(tok)
             raise self.error("expected '.', '}', FILTER or SERVICE after a triple pattern", tok)
 
-    def parse_service(self, triples, filters) -> bool:
-        """Flatten one SERVICE block into ``triples`` and ``filters``;
-        whether the block held a triple."""
+    def parse_service(self, triples, filters) -> None:
+        """Flatten one SERVICE block into ``triples`` and ``filters``."""
         anchor_tok = self.peek()
         anchor = self.parse_term(position="service")
         if not (anchor.is_iri or anchor.is_variable):
@@ -482,7 +482,6 @@ class _Parser:
         first = 0 if inner_triples else -1
         for f in inner_filters:
             filters.append(FilterClause(f.expression, start + max(f.after_triple, first)))
-        return bool(inner_triples)
 
     def skip_dot(self) -> bool:
         if self.peek().kind == "punct" and self.peek().text == ".":

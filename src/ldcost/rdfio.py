@@ -45,6 +45,27 @@ _STATEMENT_RE = re.compile(
     {_GAP} \.(?!\d)""",
     re.VERBOSE,
 )
+# The terms of a Turtle statement, each read as the token lexer reads it.
+# Python 3.10 has no atomic groups, so lookaheads keep a failed match from
+# reading a token another way: a blank node or prefixed name may not stop
+# where the lexer's token goes on, a prefixed name may not start where the
+# lexer reads a blank node, and 'a' is the keyword only where no prefixed
+# name starts.
+_PNAME = rf"(?!_:[A-Za-z_0-9]){TERM_PATTERNS['pname']}(?![A-Za-z_0-9%-]|\.[A-Za-z_0-9%-])"
+_NODE = rf"{TERM_PATTERNS['iri']}|{TERM_PATTERNS['blank']}(?![A-Za-z_0-9])|{_PNAME}"
+_VERB = rf"{_NODE}|a(?![A-Za-z_0-9:]|[.-][A-Za-z_0-9.-]*:)"
+# An object, a literal's language tag or datatype, and the mark after it:
+# ',' or ';' goes on, '.' or '; .' ends the statement.
+_OBJECT = rf"""(?: (?P<node>{_NODE})
+             | (?P<string>{TERM_PATTERNS["string"]})
+               (?: {_GAP} (?P<langtag>{TERM_PATTERNS["langtag"]})
+                 | {_GAP} {TERM_PATTERNS["dtype"]} {_GAP} (?P<datatype>{TERM_PATTERNS["iri"]}|{_PNAME}) )? )
+    {_GAP} (?P<end>,|;(?:{_GAP}\.(?!\d))?|\.(?!\d))"""
+# The first triple of a Turtle statement; then each next one of its lists,
+# a predicate and an object after ';', an object after ',': the mark just
+# matched decides which.
+_TURTLE_RE = re.compile(rf"{_GAP} (?P<subject>{_NODE}) {_GAP} (?P<predicate>{_VERB}) {_GAP} {_OBJECT}", re.VERBOSE)
+_LIST_RE = re.compile(rf"(?: (?<=,) | (?<=;) {_GAP} (?P<predicate>{_VERB}) ) {_GAP} {_OBJECT}", re.VERBOSE)
 # One whole '@prefix name: <iri> .' directive, read as the token lexer
 # reads it: no letter, digit or '-' continues the '@prefix' tag, and the
 # prefix name is a whole prefixed-name token, as nothing but white space,
@@ -56,6 +77,8 @@ _PREFIX_RE = re.compile(
     {_GAP} \.(?!\d)""",
     re.VERBOSE,
 )
+# Nothing left but white space and comments.
+_END_RE = re.compile(rf"{_GAP}(?:\#[^\n]*)?\Z")
 
 
 class DocumentParseError(InputError):
@@ -74,42 +97,100 @@ def _triples(text: str, blank_scope: str) -> Iterator[Triple]:
     """
     prefixes: dict[str, str] = {}
     nodes: dict[str, Term] = {}  # IRI, prefixed-name and blank-node tokens read so far
-    anon = 0
 
-    def new_node(token: str) -> Term:
-        """The IRI or blank node an IRI or blank-node token names, now in ``nodes``.
-
-        Raises ValueError for a relative IRI."""
-        term = Term.iri(token[1:-1]) if token[0] == "<" else Term.blank(token[2:] + blank_scope)
-        nodes[token] = term
-        return term
-
-    # The leading '@prefix' directives, then the N-Triples statements after
-    # them, one match each.  At the first that does not match, or names a
-    # relative IRI or holds a bad escape, the token loop below takes over
-    # from that statement's start and reports any error.
+    # The fast path: the leading '@prefix' directives, then the statements
+    # after them, plain N-Triples first, else Turtle whose terms are IRIs,
+    # blank-node labels, prefixed names, 'a' and quoted literals.  A
+    # statement is one match, a triple of its ';' or ',' lists one more,
+    # and its triples are kept back until its '.' matches.  At the first
+    # statement that does not match, names a relative IRI or an undeclared
+    # prefix, or holds a bad escape, the token loop takes over from that
+    # statement's start and reports any error.  A document read to its end
+    # never starts the token loop.
     pos = 0
     while (m := _PREFIX_RE.match(text, pos)) is not None:
         prefixes[m["name"][:-1]] = m["iri"][1:-1]
         pos = m.end()
-    while (m := _STATEMENT_RE.match(text, pos)) is not None:
-        s, p, o, string, language, datatype = m.groups()
+    while True:
+        m = _STATEMENT_RE.match(text, pos)
+        if m is not None:  # one triple, yielded at once: a dump pays for no list
+            s, p, o, string, language, datatype = m.groups()
+            try:
+                subject = nodes.get(s) or _node(s, prefixes, nodes, blank_scope)
+                predicate = nodes.get(p) or _node(p, prefixes, nodes, blank_scope)
+                if o is not None:
+                    obj = nodes.get(o) or _node(o, prefixes, nodes, blank_scope)
+                elif datatype is not None:
+                    dt = nodes.get(datatype) or _node(datatype, prefixes, nodes, blank_scope)
+                    obj = Term.literal(unquote(string), datatype=dt.value)
+                else:
+                    obj = Term.literal(unquote(string), language=language and language[1:])
+            except ValueError:
+                break
+            yield subject, predicate, obj
+            pos = m.end()
+            continue
+        m = _TURTLE_RE.match(text, pos)
+        if m is None:
+            break
+        s, p, o, string, language, datatype, end = m.groups()
+        kept: list[Triple] = []  # the statement's triples before its last
         try:
-            subject = nodes.get(s) or new_node(s)
-            predicate = nodes.get(p) or new_node(p)
-            if o is not None:
-                obj = nodes.get(o) or new_node(o)
-            elif datatype is not None:
-                dt = nodes.get(datatype) or new_node(datatype)
-                obj = Term.literal(unquote(string), datatype=dt.value)
-            else:
-                obj = Term.literal(unquote(string), language=language and language[1:])
+            subject = nodes.get(s) or _node(s, prefixes, nodes, blank_scope)
+            while True:
+                if p is not None:
+                    predicate = nodes.get(p) or (_TYPE if p == "a" else _node(p, prefixes, nodes, blank_scope))
+                if o is not None:
+                    obj = nodes.get(o) or _node(o, prefixes, nodes, blank_scope)
+                elif datatype is not None:
+                    dt = nodes.get(datatype) or _node(datatype, prefixes, nodes, blank_scope)
+                    obj = Term.literal(unquote(string), datatype=dt.value)
+                else:
+                    obj = Term.literal(unquote(string), language=language and language[1:])
+                if end[-1] == ".":
+                    break
+                kept.append((subject, predicate, obj))
+                m = _LIST_RE.match(text, m.end())
+                if m is None:
+                    raise ValueError("the statement does not end in '.'")
+                p, o, string, language, datatype, end = m.groups()
         except ValueError:
             break
+        yield from kept
         yield subject, predicate, obj
         pos = m.end()
+    if _END_RE.match(text, pos) is None:
+        yield from _token_loop(text, pos, prefixes, nodes, blank_scope)
 
+
+def _node(token: str, prefixes: dict[str, str], nodes: dict[str, Term], blank_scope: str) -> Term:
+    """The IRI or blank node an IRI, blank-node or prefixed-name token
+    names, now in ``nodes``.  The lexer reads '_:' and a label character as
+    a blank node, so a token that starts '_:' is a prefixed name only when
+    nothing, '%' or '-' follows.
+
+    Raises ValueError for a relative IRI or an undeclared prefix."""
+    if token[0] == "<":
+        term = Term.iri(token[1:-1])
+    elif token[:2] == "_:" and token[2:3] not in "%-":
+        term = Term.blank(token[2:] + blank_scope)
+    else:
+        prefix, _, local = token.partition(":")
+        if prefix not in prefixes:
+            raise ValueError(f"undeclared prefix {prefix + ':'!r}")
+        term = Term.iri(prefixes[prefix] + local)
+    nodes[token] = term
+    return term
+
+
+def _token_loop(
+    text: str, pos: int, prefixes: dict[str, str], nodes: dict[str, Term], blank_scope: str
+) -> Iterator[Triple]:
+    """Yield the triples of ``text`` from ``pos`` on, token by token, with
+    the prefixes and nodes read before ``pos``; raises DocumentParseError at
+    the first token that does not fit."""
     tokens = _TOKEN_RE.finditer(text, pos)
+    anon = 0
 
     def fail(message: str, m: re.Match) -> NoReturn:
         kind = m.lastgroup
@@ -123,18 +204,10 @@ def _triples(text: str, blank_scope: str) -> Iterator[Triple]:
         kind = m.lastgroup
         if kind == "iri" or kind == "pname" or kind == "blank":
             token = m[kind]
-            term = nodes.get(token)
-            if term is None:
-                try:
-                    if kind != "pname":
-                        return new_node(token)
-                    prefix, _, local = token.partition(":")
-                    if prefix not in prefixes:
-                        fail(f"undeclared prefix {prefix + ':'!r}", m)
-                    term = nodes[token] = Term.iri(prefixes[prefix] + local)
-                except ValueError as exc:  # a relative IRI
-                    fail(str(exc), m)
-            return term
+            try:
+                return nodes.get(token) or _node(token, prefixes, nodes, blank_scope)
+            except ValueError as exc:  # a relative IRI or an undeclared prefix
+                fail(str(exc), m)
         if kind != "open":
             fail(f"expected {expected}, found {m[kind]!r}", m)
         if next(tokens).lastgroup != "close":

@@ -298,6 +298,25 @@ def ntriples(records) -> str:
     return "\n".join(lines) + "\n"
 
 
+def turtle(records, header: str = f"@prefix ex: <{EX}> .") -> str:
+    """The same records as Turtle after ``header``: prefixed names, 'a', and
+    each subject's triples in one statement of ';' and ',' lists."""
+    def short(key: str) -> str:
+        if key.startswith('"'):
+            return key
+        return "ex:" + key[len(EX):] if key.startswith(EX) else f"<{key}>"
+
+    by_subject: dict[str, dict[str, list[str]]] = {}
+    for s, p, o in records:
+        by_subject.setdefault(s, {}).setdefault(p, []).append(o)
+    lines = [header]
+    for s, by_predicate in by_subject.items():
+        parts = [("a" if p == RDF_TYPE else short(p)) + " " + " , ".join(map(short, objs))
+                 for p, objs in by_predicate.items()]
+        lines.append(short(s) + " " + " ;\n    ".join(parts) + " .")
+    return "\n".join(lines) + "\n"
+
+
 # --- random answerable queries ---------------------------------------------------
 
 def random_answerable_query(rng: random.Random) -> str:

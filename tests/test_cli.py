@@ -252,6 +252,26 @@ class TestCliCommands:
         assert out_file.is_file()
         assert "1 predicates" in capsys.readouterr().out
 
+    def test_stats_collect_dump_in_turtle(self, tmp_path, capsys):
+        """A Turtle dump with prefixed names, 'a', ';' and ',' gives the
+        catalog its N-Triples spelling gives."""
+        rng = random.Random(8081)
+        texts = ""
+        for _ in range(5):
+            records = helpers.random_dump(rng, max_triples=400)
+            catalogs = []
+            for name, text in [("dump.nt", helpers.ntriples(records)), ("dump.ttl", helpers.turtle(records))]:
+                dump = tmp_path / name
+                dump.write_text(text, encoding="utf-8")
+                out_file = tmp_path / (name + ".stats")
+                assert cli.main(["stats", "collect", "--dump", str(dump), "--out", str(out_file)]) == EXIT_OK
+                catalog = stats.load_catalog(out_file)
+                catalogs.append((catalog.global_stats, catalog.per_predicate))
+            assert catalogs[0] == catalogs[1]
+            texts += text
+        assert " a ex:C" in texts and " ;\n" in texts and " , " in texts
+        capsys.readouterr()
+
     def test_stats_collect_malformed_dump_exit_two_and_no_catalog(self, workspace, capsys):
         dump = workspace / "data.nt"
         dump.write_text(

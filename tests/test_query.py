@@ -3,6 +3,7 @@ import random
 import pytest
 
 import helpers
+from ldcost import cli
 from ldcost.query import (
     RDF_TYPE,
     XSD,
@@ -110,16 +111,21 @@ class TestParseQuery:
         assert str(err.value) == "nested SERVICE blocks are not supported"
 
     @pytest.mark.parametrize(
-        "body, flat",
+        "body",
         [
-            ("?s <http://x/p> ?o SERVICE <http://x/s> { ?o <http://x/p> ?z SERVICE ?z { FILTER(?z > 1) } }",
-             "?s <http://x/p> ?o . ?o <http://x/p> ?z FILTER(?z > 1)"),
-            ("SERVICE <http://x/s> { SERVICE <http://x/t> { } ?s <http://x/p> ?o }", "?s <http://x/p> ?o"),
+            "?s <http://x/p> ?o SERVICE <http://x/s> { ?o <http://x/p> ?z SERVICE ?z { FILTER(?z > 1) } }",
+            "SERVICE <http://x/s> { SERVICE <http://x/t> { } ?s <http://x/p> ?o }",
         ],
     )
-    def test_nested_service_without_a_triple_is_flattened(self, body, flat):
-        q = parse_query(f"SELECT * WHERE {{ {body} }}")
-        assert q == parse_query(f"SELECT * WHERE {{ {flat} }}")
+    def test_nested_service_without_a_triple_is_rejected(self, body, tmp_path, capsys):
+        """A SERVICE block inside another is rejected whatever it holds."""
+        with pytest.raises(UnsupportedFeature) as err:
+            parse_query(f"SELECT * WHERE {{ {body} }}")
+        assert str(err.value) == "nested SERVICE blocks are not supported"
+        path = tmp_path / "nested.rq"
+        path.write_text(f"SELECT * WHERE {{ {body} }}", encoding="utf-8")
+        assert cli.main(["estimate", str(path)]) == 2
+        assert capsys.readouterr().err == "error: nested SERVICE blocks are not supported\n"
 
     @pytest.mark.parametrize("anchor", ['"x"', '"x"@en', "1", "true", "_:b", "[]"])
     def test_service_anchor_must_be_an_iri_or_a_variable(self, anchor):

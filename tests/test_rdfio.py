@@ -318,20 +318,9 @@ def random_turtle(rng: random.Random) -> str:
 
 
 def turtle(records) -> str:
-    """The same records as Turtle: prefixed names, 'a', ';' and ','."""
-    def short(key: str) -> str:
-        if key == RDF_TYPE:
-            return "a"
-        return "ex:" + key[len(EX):] if key.startswith(EX) else key
-
-    by_subject: dict[str, dict[str, list[str]]] = {}
-    for s, p, o in records:
-        by_subject.setdefault(s, {}).setdefault(p, []).append(o)
-    lines = [f"PREFIX ex: <{EX}>"]
-    for s, by_predicate in by_subject.items():
-        parts = [short(p) + " " + " , ".join(map(short, objs)) for p, objs in by_predicate.items()]
-        lines.append(short(s) + " " + " ;\n    ".join(parts) + " .")
-    return "\n".join(lines) + "\n"
+    """The same records as Turtle after a SPARQL-style 'PREFIX': prefixed
+    names, 'a', ';' and ','."""
+    return helpers.turtle(records, header=f"PREFIX ex: <{EX}>")
 
 
 def chain_and_star_documents(root: Path) -> list[str]:
@@ -529,8 +518,10 @@ class TestStreamingReader:
 
 
 XSD_STRING_IRI = f"<{XSD_STRING}>"
+OTHER = "http://other.example/ns#"
 
-# Documents that start with N-Triples statements, each next to the case it pins.
+# Documents that start with statements the fast path reads, each next to
+# the case it pins.
 STATEMENT_CASES = {
     "number-after-literal": f'<{EX}s> <{EX}p> "1".5 .\n',
     "number-after-iri": f"<{EX}s> <{EX}p> <{EX}o>.5 .\n",
@@ -557,23 +548,60 @@ STATEMENT_CASES = {
     "long-string": f'<{EX}s> <{EX}p> """a\n"b"\n""" .\n<{EX}s> <{EX}p> \'single\' .\n',
     "truncated": f"<{EX}s> <{EX}p> <{EX}o> .\n<{EX}s> <{EX}p>",
     "missing-dot": f"<{EX}s> <{EX}p> <{EX}o>\n<{EX}s> <{EX}p> <{EX}o> .\n",
+    # Turtle statements, at the boundaries where the lexer reads a token
+    # another way than a backtracking match would
+    "turtle-blank-label-then-dot": f"@prefix _: <{OTHER}> .\n@prefix ex: <{EX}> .\nex:s ex:p _:c.d .\n",
+    "turtle-dotted-prefix-not-a": f"@prefix a.b: <{OTHER}> .\n@prefix ex: <{EX}> .\nex:s a.b:c ex:o ; a ex:C.\n",
+    "turtle-a-then-prefixed-name": f"@prefix a: <{OTHER}> .\n@prefix ex: <{EX}> .\nex:s a:b ex:o ; a ex:C , a:D .\n",
+    "turtle-a-then-colon": f"@prefix : <{EX}> .\n@prefix ex: <{EX}> .\nex:s a:b .\n",
+    "turtle-blank-label-ending-in-a": f"@prefix ex: <{EX}> .\n_:xa ex:o .\n",
+    "turtle-dot-in-local-name": f"@prefix ex: <{EX}> .\nex:s0.5 ex:p ex:s0.\nex:s0 ex:p ex:s0.5.\n",
+    "turtle-colon-in-local-name": f"@prefix : <{EX}> .\n@prefix ex: <{EX}> .\nex:a:b ex:o .\n",
+    "turtle-bare-blank-prefix": f"@prefix ex: <{EX}> .\nex:s ex:p ex:o .\nex:s ex:p _: .\n",
+    "turtle-declared-blank-prefix": (
+        f"@prefix _: <{OTHER}> .\n@prefix ex: <{EX}> .\nex:s ex:p _: , _:%41 , _:-b , _:b .\n"
+    ),
+    "turtle-percent-in-local-name": f"@prefix ex: <{EX}> .\nex:s ex:p ex:a%20b , ex:%7E ; ex:q ex:50%25 .\n",
+    "turtle-undeclared-prefix": f"@prefix ex: <{EX}> .\nex:s ex:p ex:o ;\n  zz:p ex:o .\n",
+    "turtle-lists": (
+        f"@prefix ex: <{EX}> .\n@prefix xsd: <{XSD}> .\nex:s a ex:C ;\n  ex:p ex:o , _:b , <{EX}o2> ;\n"
+        f'  ex:q "v"@en , "7"^^xsd:integer,"w" ^^ <{EX}dt> ; .\n_:b ex:p ex:s;ex:q"x".\n'
+    ),
+    "turtle-semicolon-twice": f"@prefix ex: <{EX}> .\nex:s ex:p ex:o ; ; ex:q ex:o .\n",
+    "turtle-comma-after-semicolon": f"@prefix ex: <{EX}> .\nex:s ex:p ex:o ; , ex:o2 .\n",
+    "turtle-number-after-semicolon": f"@prefix ex: <{EX}> .\nex:s ex:p ex:o ; .5 .\n",
+    "turtle-prefixed-name-then-string": f"@prefix ex: <{EX}> .\nex:s ex:p ex:o.a\"x\" .\n",
+    "turtle-directive-after": f"@prefix ex: <{EX}> .\nex:s ex:p ex:o .\n@prefix ex: <{OTHER}> .\nex:s ex:p ex:o .\n",
 }
 
 
-def token_loop_outcome(monkeypatch, text: str, blank_scope: str = "@7"):
-    """The triples, or the error's type, message and line, with every
-    directive and statement left to the token loop."""
+def disable_fast_paths(patch) -> None:
+    """Make every compiled pattern of ``rdfio`` but the token lexer match
+    nothing, so that the token loop reads each document from its start."""
+    for name, value in vars(rdfio).items():
+        if isinstance(value, re.Pattern) and name != "_TOKEN_RE":
+            patch.setattr(rdfio, name, re.compile(r"(?!)"))
+
+
+def token_loop_outcome(monkeypatch, text: str, blank_scope: str = "@7", parse=parse_document):
+    """``full_outcome`` with every directive and statement left to the
+    token loop."""
     with monkeypatch.context() as patch:
-        patch.setattr(rdfio, "_PREFIX_RE", re.compile(r"(?!)"))
-        patch.setattr(rdfio, "_STATEMENT_RE", re.compile(r"(?!)"))
-        return full_outcome(text, blank_scope)
+        disable_fast_paths(patch)
+        return full_outcome(text, blank_scope, parse)
 
 
-def full_outcome(text: str, blank_scope: str = "@7"):
+def full_outcome(text: str, blank_scope: str = "@7", parse=parse_document):
+    """The triples, or the error's type, message and line."""
     try:
-        return parse_document(text, blank_scope)
+        return parse(text, blank_scope)
     except DocumentParseError as exc:
         return type(exc), str(exc), exc.line
+
+
+def in_order(text: str, blank_scope: str) -> list:
+    """The triples in the order the reader yields them."""
+    return list(rdfio._triples(text, blank_scope))
 
 
 def random_ntriples(rng: random.Random) -> str:
@@ -635,24 +663,29 @@ class TestStatementLoop:
         assert (str(err.value), err.value.line) == expected[1:]
 
     @pytest.mark.parametrize("text, handed_over", [
-        (f"<{EX}s> <{EX}p> <{EX}o> .\n<{EX}s> <{EX}p> \"v\"@en .\n", "\n"),
+        # read to the end: the token loop never starts
+        (f"<{EX}s> <{EX}p> <{EX}o> .\n<{EX}s> <{EX}p> \"v\"@en .\n", None),
         (f"<{EX}s> <{EX}p> <{EX}o> .\n<{EX}s> <{EX}p> 3 .\n", f"\n<{EX}s> <{EX}p> 3 .\n"),
         # the directive and the statement after it are both matched whole
-        (f"@prefix ex: <{EX}> .\n<{EX}s> <{EX}p> <{EX}o> .\n", "\n"),
+        (f"@prefix ex: <{EX}> .\n<{EX}s> <{EX}p> <{EX}o> .\n", None),
+        # a statement's first triples are kept back, and read again by the token loop
+        (f"@prefix ex: <{EX}> .\nex:s a ex:C .\nex:s ex:p ex:o ; ex:q 3 .\n", "\nex:s ex:p ex:o ; ex:q 3 .\n"),
     ])
     def test_token_loop_starts_after_the_leading_statements(self, monkeypatch, text, handed_over):
-        assert text[token_loop_start(monkeypatch, text):] == handed_over
+        start = token_loop_start(monkeypatch, text)
+        assert (start if start is None else text[start:]) == handed_over
 
 
-def token_loop_start(monkeypatch, text: str) -> int:
-    """The offset where the token loop starts reading ``text``."""
+def token_loop_start(monkeypatch, text: str) -> int | None:
+    """The offset where the token loop starts reading ``text``; None if it
+    never starts."""
     starts = []
     expected = parse_document(text)
     with monkeypatch.context() as patch:
         patch.setattr(rdfio, "_TOKEN_RE", _RecordingTokenRe(starts))
         assert parse_document(text) == expected
-    (start,) = starts
-    return start
+    assert len(starts) <= 1
+    return starts[0] if starts else None
 
 
 class _RecordingTokenRe:
@@ -756,9 +789,117 @@ class TestLeadingDirectives:
     def test_token_loop_starts_after_the_directives(self, monkeypatch):
         rng = random.Random(6062)
         for _ in range(100):
-            head = random_directives(rng)
-            text = head + "\nex:s ex:p ex:o .\n"
+            head = random_directives(rng) + "\nex:s ex:p ex:o ."
+            text = head + "\nex:s ex:p 3 .\n"
             assert token_loop_start(monkeypatch, text) == len(head), text
+
+
+def random_prefixed_turtle(rng: random.Random) -> str:
+    """Leading '@prefix' directives, then Turtle statements with prefixed
+    names, IRIs and blank-node labels in every position, 'a', ';' and ','
+    lists, '; .' endings, tagged and typed literals, escapes and comments;
+    some statements hold a term only the token loop reads."""
+    def gap() -> str:
+        return rng.choice([" ", "  ", "\n  ", "\t", " # c \n "])
+
+    def mark(punct: str) -> str:  # no white space is needed around a mark
+        return rng.choice(["", " ", "\n"]) + punct + rng.choice(["", " ", "\n  "])
+
+    nodes = ["ex:s0", "ex:s0.5", "ex:a-b", "ex:a%20b", "ex:", ":s", "o.x:thing", "_:b0", "_:b_1", "_:ba", "_:", "_:-x",
+             f"<{EX}s>"]
+    predicates = ["ex:p", "ex:q", "a", ":p", "a:b", "o.x:rel", f"<{EX}r>"]
+    literals = ['"plain"', '"esc\\"aped\\u00e9"', '"chat"@fr', '"c" @en-GB', '"7"^^xsd:integer',
+                f'"7"^^<{XSD_INTEGER}>', '"x" ^^ xsd:string', '"""long "x" text"""', "'single'", '""']
+    token_loop_only = ["42", "true", "[]", "-1.5e3"]
+    lines = [f"@prefix {name}: <{iri}> ." for name, iri in
+             [("ex", EX), ("xsd", XSD), ("", EX), ("a", OTHER), ("_", OTHER), ("o.x", OTHER)]]
+    for _ in range(rng.randint(1, 8)):
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            objects = [rng.choice(nodes + literals) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.05:
+                objects[-1] = rng.choice(token_loop_only)
+            pairs.append(rng.choice(predicates) + gap() + mark(",").join(objects))
+        end = rng.choice([mark("."), mark(";") + ".", " ;" + gap() + "."])
+        lines.append(rng.choice(nodes) + gap() + mark(";").join(pairs) + end)
+    return "\n".join(lines) + rng.choice(["\n", "", "\n# end", "\n\n"])
+
+
+def joined_variants(rng: random.Random, text: str, n: int) -> Iterator[str]:
+    """``n`` copies of ``text``, each with the white space before one token
+    taken out, so that it runs into the token before it."""
+    cuts = _boundaries(text)
+    for at in rng.sample(cuts, min(n, len(cuts))):
+        yield text[:at].rstrip() + text[at:]
+
+
+# Documents the fast path reads to their end.
+READ_WHOLE = {
+    "empty": "",
+    "comments": "# a comment\n\n   # another, with no newline",
+    "ntriples": f'<{EX}s> <{EX}p> <{EX}o> .\n_:b <{EX}p> "v"@en .\n<{EX}s> <{EX}p> "7"^^<{XSD_INTEGER}> .\n',
+    "directives": f"@prefix ex: <{EX}> .\n@prefix xsd: <{XSD}> .\n",
+    "star": (
+        f'@prefix ex: <{EX}> .\n@prefix xsd: <{XSD}> .\nex:s7 ex:year "1950"^^xsd:integer ;\n  ex:label "subject 7" .\n'
+    ),
+    "seed": f"@prefix ex: <{EX}> .\n" + "\n".join(f"ex:seed ex:links ex:s{i} ." for i in range(5)),
+    "lists": STATEMENT_CASES["turtle-lists"] + "# end",
+    "mixed": f"@prefix ex: <{EX}> .\n<{EX}s> <{EX}p> <{EX}o> .\nex:s a ex:C ; .\n<{EX}s> <{EX}p> _:b .\n",
+}
+
+
+class TestTurtleStatements:
+    """Turtle statements with prefixed names, 'a' and ';' or ',' lists are
+    matched whole; the triples, their order and every error are the token
+    loop's."""
+
+    def test_random_documents_and_their_faults(self, monkeypatch):
+        rng = random.Random(7071)
+        whole = failures = 0
+        for _ in range(300):
+            text = random_prefixed_turtle(rng)
+            assert parse_document(text, "@2") == oracle_parse(text, "@2"), text
+            assert full_outcome(text, "@2", in_order) == token_loop_outcome(monkeypatch, text, "@2", in_order), text
+            whole += token_loop_start(monkeypatch, text) is None
+            for variant in malformed_variants(rng, text, 4):
+                expected = token_loop_outcome(monkeypatch, variant, parse=in_order)
+                assert full_outcome(variant, parse=in_order) == expected, variant
+                assert outcome(parse_document, variant) == outcome(oracle_parse, variant), variant
+                failures += isinstance(expected, tuple)
+            # The token list reader reports a lexer fault before any parse
+            # fault, so a joined token is checked against the token loop only.
+            for variant in joined_variants(rng, text, 2):
+                assert full_outcome(variant, parse=in_order) == token_loop_outcome(monkeypatch, variant, parse=in_order)
+        assert whole > 100 and failures > 400
+
+    @pytest.mark.parametrize("text, message, line", [
+        (f'@prefix ex: <{EX}> .\n@prefix rel: <rel/> .\nex:s ex:p "x",\n  "y"^^rel:t .\n',
+         "IRI is not absolute: 'rel/t'", 4),
+        (f'@prefix ex: <{EX}> .\nex:s ex:p "x" ;\n  ex:q "\\uZZZZ" .\n', "bad escape \\uZZZZ", 3),
+    ], ids=["relative-prefix-iri-datatype", "bad-escape-in-a-list"])
+    def test_errors_the_fast_path_leaves_to_the_token_loop(self, monkeypatch, text, message, line):
+        """A relative IRI or a bad escape in a statement's list fails on the
+        line of its token, as the token loop reads it.  (The token list
+        reader predates the rule that a relative IRI is a syntax error;
+        ``TestLeadingDirectives`` has a relative prefix used as a name.)"""
+        expected = (DocumentParseError, f"{message} (line {line})", line)
+        assert full_outcome(text) == token_loop_outcome(monkeypatch, text) == expected
+
+    @pytest.mark.parametrize("text", READ_WHOLE.values(), ids=READ_WHOLE)
+    def test_a_document_read_whole_never_starts_the_token_loop(self, monkeypatch, text):
+        assert token_loop_start(monkeypatch, text) is None
+        assert full_outcome(text, parse=in_order) == token_loop_outcome(monkeypatch, text, parse=in_order)
+
+    @pytest.mark.parametrize("text", READ_WHOLE.values(), ids=READ_WHOLE)
+    def test_token_loop_outcome_leaves_no_fast_path(self, monkeypatch, text):
+        """The oracle the fast path is checked against reads every document
+        from its start with the token loop alone."""
+        starts = []
+        with monkeypatch.context() as patch:
+            disable_fast_paths(patch)
+            patch.setattr(rdfio, "_TOKEN_RE", _RecordingTokenRe(starts))
+            parse_document(text)
+        assert starts == [0]
 
 
 class TestReadText:
