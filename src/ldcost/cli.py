@@ -7,10 +7,10 @@ Exit codes: 0 success, 1 usage error, 2 malformed input, 3 not answerable
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections.abc import Callable
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 
 from . import analysis, evaluation, rdfio, stats, traversal
 from .analysis import check_answerability
@@ -106,9 +106,62 @@ def _load_catalog(path: str | None) -> StatsCatalog:
     return stats.load_catalog(path)
 
 
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2)`` for a value whose dict keys are
+    strings, with each string encoded by the C function
+    ``encode_basestring_ascii``: CPython 3.10-3.13 write an indented dump
+    with the pure-Python encoder."""
+    out: list[str] = []
+    _write_json(value, "\n", out.append)
+    return "".join(out)
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write_json(value, newline: str, out: Callable[[str], None]) -> None:
+    if isinstance(value, str):
+        out(encode_basestring_ascii(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out(separator)
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            out(separator + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out(newline + "}")
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        out(_NON_FINITE.get(text, text))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(payload: dict, as_json: bool, human: str) -> None:
     if as_json:
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     else:
         print(human, end="" if human.endswith("\n") else "\n")
 
@@ -198,7 +251,7 @@ def _cmd_simulate(args) -> int:
     table, trace = traversal.execute(q, store)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
-            json.dump(trace.as_dict(), fh, indent=2)
+            fh.write(_json_text(trace.as_dict()))
     rows = [[rdfio.term_key(term) for term in row] for row in table.rows]
     payload = {
         "columns": list(table.columns),

@@ -420,12 +420,7 @@ def execute(q: QueryPattern, store: DerefStore) -> tuple[BindingTable, Traversal
                 solutions = [sol for sol in solutions if _filter_passes(clause.expression, sol)]
 
     columns = tuple(q.select_vars) if q.select_vars is not None else tuple(q.variables_in_order())
-    rows = {
-        tuple(sol[c] for c in columns)
-        for sol in solutions
-        if all(c in sol for c in columns)
-    }
-    table = BindingTable(columns=columns, rows=tuple(sorted(rows, key=_row_key)))
+    table = BindingTable(columns=columns, rows=_distinct_rows(solutions, columns))
     trace = TraversalTrace(
         query=q.text,
         order=plan.order,
@@ -436,8 +431,35 @@ def execute(q: QueryPattern, store: DerefStore) -> tuple[BindingTable, Traversal
     return table, trace
 
 
-def _row_key(row: tuple[Term, ...]):
-    return tuple((t.kind, t.value, t.datatype or "", t.language or "") for t in row)
+def _distinct_rows(solutions: list[dict[str, Term]], columns: tuple[str, ...]):
+    """The distinct projections of the solutions onto the columns, sorted
+    column by column by each term's (kind, value, datatype or "", language
+    or "").
+
+    Every solution binds the same names, so either each column comes
+    straight from the solutions or some column (a name only a FILTER uses)
+    is bound by none.  Each column's distinct terms are sorted once, and a
+    row is coded as one integer, its column ranks in mixed radix, so rows
+    are deduplicated and sorted as integers.
+    """
+    if not solutions or any(c not in solutions[0] for c in columns):
+        return ()
+    if not columns:  # an all-constant pattern that matched: one empty row
+        return ((),)
+    cells = [[sol[c] for sol in solutions] for c in columns]
+    codes = [0] * len(solutions)
+    for column in cells:
+        terms = sorted(set(column), key=_term_order)
+        rank = {term: i for i, term in enumerate(terms)}
+        radix = len(terms)
+        codes = [code * radix + rank[term] for code, term in zip(codes, column)]
+    row_of = dict(zip(codes, zip(*cells)))
+    return tuple(map(row_of.__getitem__, sorted(row_of)))
+
+
+def _term_order(term: Term):
+    kind, value, datatype, language = term
+    return kind, value, datatype or "", language or ""
 
 
 def _reject_opaque_filters(q: QueryPattern) -> None:

@@ -411,6 +411,19 @@ def frozen_render(q: QueryPattern) -> str:
     return "\n".join(lines + ["}"]) + "\n"
 
 
+# --- the simulator's rows, frozen --------------------------------------------------
+
+def frozen_distinct_rows(solutions: list[dict[str, Term]], columns: tuple[str, ...]) -> tuple:
+    """The rows ``execute`` gave before each distinct term was ranked once:
+    the set of projections of the solutions that bind every column, sorted
+    by each term's (kind, value, datatype or "", language or "").  An
+    oracle for ``traversal._distinct_rows``, independent of the package."""
+    rows = {tuple(sol[c] for c in columns) for sol in solutions if all(c in sol for c in columns)}
+    return tuple(sorted(rows, key=lambda row: tuple(
+        (t.kind, t.value, t.datatype or "", t.language or "") for t in row
+    )))
+
+
 def random_catalog(rng: random.Random) -> StatsCatalog:
     per = {}
     for i in range(6):

@@ -1076,3 +1076,79 @@ def test_unsupported_keyword_error_line(tmp_path, capsys, clause, message):
     query.write_text(f"SELECT * WHERE {{ <http://x/a> <http://x/p> ?o }} {clause}", encoding="utf-8")
     assert cli.main(["estimate", str(query)]) == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+_JSON_CHARACTERS = 'a Z0"\\/\b\f\n\r\t\x00\x1f\x7f\x80é€ \ud800\U0001d11e\U0001f600'
+_JSON_SCALARS = [0, -1, 7, 2**70, -(2**64), 0.0, -0.0, 0.1, -2.5, 1e300, 1e-320, float("inf"),
+                 float("-inf"), float("nan"), True, False, None]
+
+
+def _random_json_text(rng: random.Random) -> str:
+    return "".join(rng.choice(_JSON_CHARACTERS) for _ in range(rng.randint(0, 6)))
+
+
+def _random_json_value(rng: random.Random, depth: int = 0):
+    """A seeded value of every kind ``json.dumps`` writes: nested and empty
+    dicts (with string keys), lists and tuples, strings of quotes,
+    backslashes, control, non-ASCII and astral characters, numbers,
+    booleans and None."""
+    kind = rng.randrange(6 if depth < 4 else 2)
+    if kind == 0:
+        return _random_json_text(rng)
+    if kind == 1:
+        return rng.choice(_JSON_SCALARS)
+    items = [_random_json_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if kind == 2:
+        return items
+    if kind == 3:
+        return tuple(items)
+    return {_random_json_text(rng): item for item in items}
+
+
+class TestJsonWriter:
+    """``--json`` and ``--trace`` text is ``json.dumps(value, indent=2)``'s,
+    written by ``cli._json_text``."""
+
+    def test_seeded_values_as_json_dumps_writes_them(self):
+        rng = random.Random(1801)
+        kinds = set()
+        for _ in range(600):
+            value = _random_json_value(rng)
+            kinds.add(type(value))
+            assert cli._json_text(value) == json.dumps(value, indent=2), value
+        assert kinds == {str, int, float, bool, type(None), list, tuple, dict}
+
+    @pytest.mark.parametrize("value", [{}, [], (), {"": [[], {}]}, [[[]]], {"a": {"b": {}}}, "\U0001f600", 1e16])
+    def test_edge_values(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [{1, 2}, [object()], {"a": b"x"}, {(1, 2): 3}])
+    def test_what_json_dumps_rejects_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+
+    def test_a_key_that_is_not_a_string_raises_type_error(self):
+        with pytest.raises(TypeError):
+            cli._json_text({1: 2})
+
+    def test_trace_file_is_json_dump_of_the_trace(self, tmp_path, monkeypatch):
+        traces = []
+        execute = traversal.execute
+
+        def recording_execute(q, store):
+            table, trace = execute(q, store)
+            traces.append(trace)
+            return table, trace
+
+        monkeypatch.setattr(traversal, "execute", recording_execute)
+        query = tmp_path / "q.rq"
+        query.write_text("# é \"€\" \\ \U0001d11e\t\n" + helpers.PLATO_LD_QUERY, encoding="utf-8")
+        manifest = helpers.build_plato_store(tmp_path / "store")
+        trace_file = tmp_path / "trace.json"
+        argv = ["simulate", str(query), "--store", str(manifest), "--trace", str(trace_file), "--json"]
+        assert cli.main(argv) == EXIT_OK
+        with open(tmp_path / "want.json", "w", encoding="utf-8") as fh:
+            json.dump(traces[0].as_dict(), fh, indent=2)
+        assert trace_file.read_text(encoding="utf-8") == (tmp_path / "want.json").read_text(encoding="utf-8")

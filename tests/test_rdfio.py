@@ -2,7 +2,8 @@
 
 ``_TokenListReader`` is the previous reader, kept as the oracle: it
 tokenized the whole document with the SPARQL tokenizer first, then built
-the triple set.  Valid documents must give the same triples; malformed
+the triple set.  It has since learned one rule the reader gained later: a
+relative IRI is a syntax error on the line of its token.  Valid documents must give the same triples; malformed
 ones, each with a single fault, the same exception type and line.  (With
 two faults the readers may differ: the streaming reader reports the first
 in document order, the old one any lexer fault before any parse fault.)
@@ -172,15 +173,24 @@ class _TokenListReader:
                 return
             self.fail(f"expected ';' or '.', found {tok.text!r}", tok)
 
-    def term(self, position: str) -> Term:
-        tok = self.next()
+    def iri(self, tok: _Token) -> str:
+        """The IRI an IRI or prefixed-name token names; a relative one
+        fails on the token's line."""
         if tok.kind == "iriref":
-            return Term.iri(tok.text[1:-1])
-        if tok.kind == "pname":
+            iri = tok.text[1:-1]
+        else:
             prefix, _, local = tok.text.partition(":")
             if prefix not in self.prefixes:
                 self.fail(f"undeclared prefix {prefix + ':'!r}", tok)
-            return Term.iri(self.prefixes[prefix] + local)
+            iri = self.prefixes[prefix] + local
+        if ":" not in iri:
+            self.fail(f"IRI is not absolute: {iri!r}", tok)
+        return iri
+
+    def term(self, position: str) -> Term:
+        tok = self.next()
+        if tok.kind in ("iriref", "pname"):
+            return Term.iri(self.iri(tok))
         if tok.kind == "blank":
             return Term.blank(tok.text[2:] + self.blank_scope)
         if tok.kind == "punct" and tok.text == "[":
@@ -212,16 +222,9 @@ class _TokenListReader:
             if nxt.kind == "dtype":
                 self.next()
                 dt = self.next()
-                if dt.kind == "iriref":
-                    datatype = dt.text[1:-1]
-                elif dt.kind == "pname":
-                    prefix, _, local = dt.text.partition(":")
-                    if prefix not in self.prefixes:
-                        self.fail(f"undeclared prefix {prefix + ':'!r}", dt)
-                    datatype = self.prefixes[prefix] + local
-                else:
+                if dt.kind not in ("iriref", "pname"):
                     self.fail("expected a datatype IRI after '^^'", dt)
-                    return Term.literal(lexical)  # unreachable
+                datatype = self.iri(dt)
                 if datatype == XSD_STRING:
                     return Term.literal(lexical)
                 return Term.literal(lexical, datatype=datatype)
@@ -572,6 +575,11 @@ STATEMENT_CASES = {
     "turtle-number-after-semicolon": f"@prefix ex: <{EX}> .\nex:s ex:p ex:o ; .5 .\n",
     "turtle-prefixed-name-then-string": f"@prefix ex: <{EX}> .\nex:s ex:p ex:o.a\"x\" .\n",
     "turtle-directive-after": f"@prefix ex: <{EX}> .\nex:s ex:p ex:o .\n@prefix ex: <{OTHER}> .\nex:s ex:p ex:o .\n",
+    # a relative IRI fails where it is used, on the line of its token
+    "relative-prefix-as-a-name": f"@prefix ex: <rel/> .\n<{EX}s> <{EX}p> <{EX}o> .\nex:s ex:p ex:o .\n",
+    "turtle-relative-prefix-datatype-in-a-list": (
+        f'@prefix ex: <{EX}> .\n@prefix rel: <rel/> .\nex:s ex:p "x",\n  "y"^^rel:t .\n'
+    ),
 }
 
 
@@ -767,11 +775,6 @@ class TestLeadingDirectives:
         assert outcome(parse_document, text) == outcome(oracle_parse, text)
         assert full_outcome(text) == token_loop_outcome(monkeypatch, text)
 
-    def test_relative_iri_fails_where_it_is_used(self, monkeypatch):
-        text = f"@prefix ex: <rel/> .\n<{EX}s> <{EX}p> <{EX}o> .\nex:s ex:p ex:o .\n"
-        expected = (DocumentParseError, "IRI is not absolute: 'rel/s' (line 3)", 3)
-        assert full_outcome(text) == token_loop_outcome(monkeypatch, text) == expected
-
     def test_random_documents_and_their_faults(self, monkeypatch):
         rng = random.Random(6061)
         failures = 0
@@ -873,15 +876,12 @@ class TestTurtleStatements:
         assert whole > 100 and failures > 400
 
     @pytest.mark.parametrize("text, message, line", [
-        (f'@prefix ex: <{EX}> .\n@prefix rel: <rel/> .\nex:s ex:p "x",\n  "y"^^rel:t .\n',
-         "IRI is not absolute: 'rel/t'", 4),
         (f'@prefix ex: <{EX}> .\nex:s ex:p "x" ;\n  ex:q "\\uZZZZ" .\n', "bad escape \\uZZZZ", 3),
-    ], ids=["relative-prefix-iri-datatype", "bad-escape-in-a-list"])
+    ], ids=["bad-escape-in-a-list"])
     def test_errors_the_fast_path_leaves_to_the_token_loop(self, monkeypatch, text, message, line):
-        """A relative IRI or a bad escape in a statement's list fails on the
-        line of its token, as the token loop reads it.  (The token list
-        reader predates the rule that a relative IRI is a syntax error;
-        ``TestLeadingDirectives`` has a relative prefix used as a name.)"""
+        """A bad escape in a statement's list fails on the line of its
+        token, as the token loop reads it.  (``STATEMENT_CASES`` has a
+        relative IRI in a list.)"""
         expected = (DocumentParseError, f"{message} (line {line})", line)
         assert full_outcome(text) == token_loop_outcome(monkeypatch, text) == expected
 

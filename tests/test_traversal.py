@@ -9,7 +9,7 @@ from ldcost import cli, traversal
 from ldcost.analysis import NotAnswerable
 from ldcost.errors import RemoteError
 from ldcost.estimator import EstimatorConfig, Method, estimate
-from ldcost.query import XSD_INTEGER, FunctionCall, Term, TriplePattern, parse_query
+from ldcost.query import XSD, XSD_INTEGER, FunctionCall, Term, TriplePattern, parse_query
 from ldcost.rdfio import DocumentParseError, parse_document
 from ldcost.stats import compute_from_dump
 from ldcost.traversal import (
@@ -26,6 +26,7 @@ from ldcost.traversal import (
 
 DBR = helpers.DBR
 EX = helpers.EX
+XSD_STRING = XSD + "string"
 
 
 class TestLoadStore:
@@ -682,6 +683,97 @@ class TestCompiledJoin:
                     counted["blank"] += any(t.is_blank for t in terms)
                     counted["constant-object"] += triple.object.is_iri or triple.object.is_literal
         assert min(counted.values()) >= 10, counted
+
+
+def _mixed_kind_world(root, rng: random.Random):
+    """A seeded store whose documents hold IRIs, blank nodes and plain,
+    typed and tagged literals, many of one lexical form, each object drawn
+    with repeats.  The seed links by p to n0..n3; each node has q objects
+    and r links.  Returns the manifest."""
+    objects = [f"<{EX}n{i}>" for i in range(4)] + ["_:a", "_:b"]
+    for form in ["v", "1", f"{EX}n1"]:
+        objects += [f'"{form}"', f'"{form}"^^<{XSD_INTEGER}>', f'"{form}"^^<{EX}dt>', f'"{form}"@en',
+                    f'"{form}"@en-GB', f'"{form}"^^<{XSD_STRING}>']
+    docs = root / "docs"
+    docs.mkdir(parents=True)
+    entries = {}
+    for name in ["seed"] + [f"n{i}" for i in range(4)]:
+        if name == "seed":
+            lines = [f"<{EX}seed> <{EX}p> <{EX}n{i}> ." for i in range(4)]
+        else:
+            lines = [f"<{EX}{name}> <{EX}r> <{EX}n{rng.randrange(4)}> ." for _ in range(rng.randint(1, 3))]
+        lines += [f"<{EX}{name}> <{EX}q> {rng.choice(objects)} ." for _ in range(rng.randint(3, 9))]
+        (docs / f"{name}.nt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        entries[EX + name] = f"docs/{name}.nt"
+    return helpers.write_manifest(root, entries)
+
+
+_MIXED_KIND_QUERIES = [
+    f"SELECT ?o WHERE {{ <{EX}seed> <{EX}p> ?x . ?x <{EX}q> ?o }}",
+    f"SELECT * WHERE {{ <{EX}seed> <{EX}p> ?x . ?x <{EX}q> ?o }}",
+    f"SELECT ?o ?x WHERE {{ <{EX}seed> <{EX}p> ?x . ?x <{EX}q> ?o }}",
+    f"SELECT ?o ?o WHERE {{ <{EX}seed> <{EX}p> ?x . ?x <{EX}r> ?y . ?y <{EX}q> ?o }}",
+    f"SELECT ?y ?o WHERE {{ <{EX}seed> <{EX}p> ?x . ?x <{EX}r> ?y . ?y <{EX}q> ?o }}",
+    f"SELECT ?v ?o WHERE {{ <{EX}seed> <{EX}p> ?x . ?x ?v ?o }}",
+    f"SELECT ?o WHERE {{ <{EX}seed> <{EX}q> ?o }}",
+    f"SELECT ?x ?z WHERE {{ <{EX}seed> <{EX}p> ?x FILTER(?z = ?x || ?x = ?x) }}",  # ?z bound by no solution
+]
+
+
+class TestRows:
+    """``execute``'s rows: the distinct projections of the solutions, in the
+    order of the frozen ``helpers.frozen_distinct_rows``."""
+
+    @pytest.mark.parametrize("found, rows", [(True, ((),)), (False, ())], ids=["found", "not-found"])
+    def test_all_constant_query(self, tmp_path, capsys, found, rows):
+        obj = f"{EX}n0" if found else f"{EX}n9"
+        manifest = _mixed_kind_world(tmp_path, random.Random(0))
+        query = tmp_path / "q.rq"
+        query.write_text(f"SELECT * WHERE {{ <{EX}seed> <{EX}p> <{obj}> }}", encoding="utf-8")
+        table, trace = execute(parse_query(query.read_text()), load_store(manifest))
+        assert (table.columns, table.rows, real_cost(trace)) == ((), rows, 1)
+        assert cli.main(["simulate", str(query), "--store", str(manifest), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"] == [list(row) for row in rows]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mixed_kind_store_matches_frozen_rows(self, tmp_path, monkeypatch, seed):
+        manifest = _mixed_kind_world(tmp_path, random.Random(seed))
+        distinct_rows = traversal._distinct_rows
+        ties = duplicates = 0
+
+        def counting_distinct_rows(solutions, columns):
+            nonlocal duplicates
+            rows = distinct_rows(solutions, columns)
+            if rows:  # not a column bound by no solution
+                duplicates += len(solutions) - len(rows)
+            return rows
+
+        for query in _MIXED_KIND_QUERIES:
+            q = parse_query(query)
+            with monkeypatch.context() as patched:
+                patched.setattr(traversal, "_distinct_rows", counting_distinct_rows)
+                table, _ = execute(q, load_store(manifest))
+            with monkeypatch.context() as patched:
+                patched.setattr(traversal, "_distinct_rows", helpers.frozen_distinct_rows)
+                want, _ = execute(q, load_store(manifest))
+            assert (table.columns, table.rows) == (want.columns, want.rows), query
+            for column in zip(*table.rows):
+                terms = set(column)
+                ties += len({(t.kind, t.value) for t in terms}) < len(terms)
+        assert ties and duplicates  # terms of one kind and value; solutions projected to one row
+
+    def test_rows_order_each_column_by_kind_value_datatype_language(self):
+        # a tag sorts before a datatype: no datatype reads as ""
+        terms = [Term.literal("v", language="en"), Term.literal("v", datatype=XSD_INTEGER), Term.literal("v"),
+                 Term.blank("v"), Term.iri("http://x/v"), Term.literal("1"), Term.literal("v", language="de")]
+        solutions = [{"a": a, "b": b} for a in terms for b in terms[:3]] * 2
+        rows = traversal._distinct_rows(solutions, ("a", "b"))
+        assert rows == helpers.frozen_distinct_rows(solutions, ("a", "b"))
+        assert [row[0] for row in rows[::3]] == [
+            Term.blank("v"), Term.iri("http://x/v"), Term.literal("1"), Term.literal("v"),
+            Term.literal("v", language="de"), Term.literal("v", language="en"),
+            Term.literal("v", datatype=XSD_INTEGER),
+        ]
 
 
 class TestHttpMode:
