@@ -147,7 +147,11 @@ def dereference(store: DerefStore, iri: str, fetch: Future | None = None):
         except DocumentParseError as exc:  # not UTF-8
             raise DocumentError(iri, exc) from exc
     else:
-        text = fetch.result() if fetch is not None else _http_fetch(store, iri)
+        if fetch is not None:
+            text = fetch.result()
+        else:
+            with web.Session(store.timeout) as session:
+                text = _http_fetch(store, iri, session)
         if text is None:
             if store.miss_policy == "error":
                 raise Miss(iri)
@@ -164,9 +168,12 @@ def dereference(store: DerefStore, iri: str, fetch: Future | None = None):
 _RDF_ACCEPT = "text/turtle, application/n-triples"
 
 
-def _http_fetch(store: DerefStore, iri: str, failed: threading.Event | None = None) -> str | None:
-    """The body of the document an IRI maps to in http mode, or None for a
-    404/410.  Runs no parsing, so a pool thread may call it.
+def _http_fetch(
+    store: DerefStore, iri: str, session: web.Session, failed: threading.Event | None = None
+) -> str | None:
+    """The body of the document an IRI maps to in http mode, fetched with
+    ``session``, or None for a 404/410.  Runs no parsing, so a pool thread
+    may call it.
 
     ``failed``, if given, is shared by the fetches of one execution: a
     failing fetch sets it, and a fetch that finds it set raises RemoteError
@@ -180,7 +187,7 @@ def _http_fetch(store: DerefStore, iri: str, failed: threading.Event | None = No
     last_error = None
     for _ in range(2):  # one retry
         try:
-            resp = web.get(url, accept=_RDF_ACCEPT, timeout=store.timeout)
+            resp = session.get(url, accept=_RDF_ACCEPT)
         except OSError as exc:
             last_error = exc
             continue
@@ -341,19 +348,34 @@ FETCH_CONNECTIONS = 6
 def _fetch_pool(store: DerefStore):
     """In http mode, a function that submits the fetch of an IRI to a pool
     of ``FETCH_CONNECTIONS`` threads and returns its future; else None.
-    After one fetch has failed, no other starts a request.  On exit,
-    fetches that have not started are cancelled."""
+    Each thread keeps its own connection alive across its fetches.  After
+    one fetch has failed, no other starts a request.  On exit, fetches
+    that have not started are cancelled and the connections closed."""
     if store.mode != "http":
         yield None
         return
     from concurrent.futures import ThreadPoolExecutor
 
     failed = threading.Event()
-    pool = ThreadPoolExecutor(FETCH_CONNECTIONS, thread_name_prefix="ldcost-fetch")
+    local = threading.local()
+    sessions: list[web.Session] = []
+
+    def open_session() -> None:
+        local.session = web.Session(store.timeout)
+        sessions.append(local.session)
+
+    def fetch(iri: str) -> str | None:
+        return _http_fetch(store, iri, local.session, failed)
+
+    pool = ThreadPoolExecutor(
+        FETCH_CONNECTIONS, thread_name_prefix="ldcost-fetch", initializer=open_session
+    )
     try:
-        yield lambda iri: pool.submit(_http_fetch, store, iri, failed)
+        yield lambda iri: pool.submit(fetch, iri)
     finally:
         pool.shutdown(cancel_futures=True)
+        for session in sessions:
+            session.close()
 
 
 def execute(q: QueryPattern, store: DerefStore) -> tuple[BindingTable, TraversalTrace]:

@@ -508,10 +508,22 @@ class FixtureEndpoint:
 
 
 class _DocHandler(BaseHTTPRequestHandler):
+    def handle(self):
+        self.answered = 0  # responses sent on this connection
+        server = self.server.owner  # type: ignore[attr-defined]
+        with server.lock:
+            server.open_connections += 1
+        try:
+            super().handle()
+        finally:
+            with server.lock:
+                server.open_connections -= 1
+
     def do_GET(self):
         server = self.server.owner  # type: ignore[attr-defined]
         with server.lock:
             server.requests.append((self.path, self.headers.get("Accept", "")))
+            server.received.append((self.requestline, dict(self.headers), self.client_address[1]))
             server.in_flight += 1
             server.peak_in_flight = max(server.peak_in_flight, server.in_flight)
         try:
@@ -522,52 +534,94 @@ class _DocHandler(BaseHTTPRequestHandler):
             with server.lock:
                 server.in_flight -= 1
 
+    do_CONNECT = do_GET  # a proxy's tunnel request: answered as a GET of its path
+
     def _respond(self, server):
         time.sleep(server.delays.get(self.path, server.delay))
         doc = server.documents.get(self.path)
         if doc is DocServer.DROP:
             self.close_connection = True  # close without a response
             return
-        if doc is None or isinstance(doc, int):
-            self.send_response(404 if doc is None else doc)
-            self.end_headers()
+        self.answered += 1
+        if server.drop_after and self.answered % server.drop_after == 0:
+            self.close_connection = True  # after this response, without saying so
+        if doc is None or isinstance(doc, (int, tuple)):
+            status, location = doc if isinstance(doc, tuple) else (doc or 404, None)
+            self.send_response(status)
+            if location is not None:
+                self.send_header("Location", location)
+            self._end_headers(b"")
             return
         payload = doc if isinstance(doc, bytes) else doc.encode()
         self.send_response(200)
         self.send_header("Content-Type", server.content_type)
-        self.end_headers()
+        self._end_headers(payload)
         self.wfile.write(payload)
+
+    def _end_headers(self, payload: bytes):
+        if self.protocol_version == "HTTP/1.1":
+            self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
 
     def log_message(self, *args):
         pass
+
+
+class _KeepAliveDocHandler(_DocHandler):
+    # as perfbench/docserver.py: the headers and the body go out in two
+    # sends, with Nagle's algorithm on
+    protocol_version = "HTTP/1.1"
 
 
 class DocServer:
     """Serves RDF documents over HTTP for http-mode store tests.
 
     A document is text (served as UTF-8), bytes (served as they are), an
-    int (that status, no body) or ``DocServer.DROP`` (the connection is
+    int (that status, no body), a ``(status, location)`` pair (that status
+    with that ``Location`` header) or ``DocServer.DROP`` (the connection is
     closed without a response); an unknown path answers 404.  Each
-    response waits ``delays[path]``, else ``delay``, seconds.  The server
-    records every request and the peak number of requests in flight.
+    response waits ``delays[path]``, else ``delay``, seconds.
+
+    The server speaks HTTP/1.0 and closes each connection after its
+    response.  With ``keep_alive`` it speaks HTTP/1.1, sends
+    ``Content-Length`` and keeps each connection open; with ``drop_after``
+    it also closes a connection, unannounced, after that many responses.
+
+    The server records every request as ``(path, Accept)`` in
+    ``requests`` and as ``(request line, headers, client port)`` in
+    ``received``, the peak number of requests in flight and the number
+    of connections open now.
     """
 
     DROP = object()
 
-    def __init__(self, documents: dict[str, object], delay: float = 0.0):
+    def __init__(self, documents: dict[str, object], delay: float = 0.0,
+                 keep_alive: bool = False, drop_after: int = 0):
         self.documents = documents
         self.delay = delay
         self.delays: dict[str, float] = {}
         self.content_type = "text/turtle"
+        self.keep_alive = keep_alive
+        self.drop_after = drop_after
         self.requests: list[tuple[str, str]] = []
+        self.received: list[tuple[str, dict[str, str], int]] = []
         self.in_flight = 0
         self.peak_in_flight = 0
+        self.open_connections = 0
         self.lock = threading.Lock()
         self.server = None
         self.thread = None
 
+    @property
+    def connections(self) -> int:
+        """The number of connections that carried a request."""
+        return len({port for _, _, port in self.received})
+
     def __enter__(self) -> str:
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), _DocHandler)
+        handler = _KeepAliveDocHandler if self.keep_alive else _DocHandler
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        # a connection the client keeps open must not hold up server_close
+        self.server.block_on_close = False
         self.server.owner = self  # type: ignore[attr-defined]
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
         self.thread.start()

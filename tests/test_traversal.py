@@ -898,11 +898,13 @@ def _served(documents: dict[str, object]) -> dict[str, object]:
 
 
 class TestParallelFetch:
+    KEEP_ALIVE = False  # an HTTP/1.0 server: one connection per request
+
     def test_http_and_local_execution_agree(self, tmp_path):
         documents = _hub_documents()
         q = parse_query(_HUB_QUERY)
         local_table, local_trace = execute(q, _local_store(tmp_path / "local", documents))
-        server = helpers.DocServer(_served(documents), delay=0.02)
+        server = helpers.DocServer(_served(documents), delay=0.02, keep_alive=self.KEEP_ALIVE)
         with server as base:
             store = _http_store(tmp_path / "http", base, ["hub1", "hub2", *_SPOKES])
             table, trace = execute(q, store)
@@ -929,7 +931,7 @@ class TestParallelFetch:
         documents = {"hub1": "".join(f"<{EX}hub1> <{EX}link> <{EX}{x}> .\n" for x in spokes)}
         documents.update({x: f'<{EX}{x}> <{EX}name> "{x}" .\n' for x in spokes})
         documents.update(failing)
-        server = helpers.DocServer(_served(documents))
+        server = helpers.DocServer(_served(documents), keep_alive=self.KEEP_ALIVE)
         server.delays["/" + spokes[2]] = 0.3
         return server, ["hub1", *spokes]
 
@@ -962,17 +964,21 @@ class TestHttpRobustness:
 
     TIMEOUT = 0.3
     SPOKES = _SPOKES[:8]
+    KEEP_ALIVE = False
+    RESENT = 0  # requests sent once more after failing on a reused connection
 
     def _server(self, fault: str):
         spokes = self.SPOKES
         documents = {"hub1": "".join(f"<{EX}hub1> <{EX}link> <{EX}{x}> .\n" for x in spokes)}
         if fault == "slow":
             documents.update({x: f'<{EX}{x}> <{EX}name> "{x}" .\n' for x in spokes})
-            server = helpers.DocServer(_served(documents), delay=3 * self.TIMEOUT)
+            server = helpers.DocServer(
+                _served(documents), delay=3 * self.TIMEOUT, keep_alive=self.KEEP_ALIVE
+            )
             server.delays["/hub1"] = 0.0
         else:
             documents.update({x: helpers.DocServer.DROP for x in spokes})
-            server = helpers.DocServer(_served(documents))
+            server = helpers.DocServer(_served(documents), keep_alive=self.KEEP_ALIVE)
         return server, ["hub1", *spokes]
 
     def _bound(self) -> float:
@@ -1028,7 +1034,35 @@ class TestHttpRobustness:
                 execute(q, store)
         assert str(err.value).startswith(f"cannot fetch {base}/x00: ")
         spokes = [path for path, _ in server.requests if path != "/hub1"]
-        assert len(spokes) <= 2 * traversal.FETCH_CONNECTIONS < 2 * len(self.SPOKES)
+        assert len(spokes) <= 2 * traversal.FETCH_CONNECTIONS + self.RESENT < 2 * len(self.SPOKES)
+
+
+class TestParallelFetchKeepAlive(TestParallelFetch):
+    """The same against an HTTP/1.1 server, which keeps connections open."""
+
+    KEEP_ALIVE = True
+
+    def test_each_worker_reuses_one_connection(self, tmp_path):
+        q = parse_query(_HUB_QUERY)
+        server = helpers.DocServer(_served(_hub_documents()), keep_alive=True)
+        with server as base:
+            execute(q, _http_store(tmp_path, base, ["hub1", "hub2", *_SPOKES]))
+            deadline = time.monotonic() + 5
+            while server.open_connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.open_connections == 0  # closed when the execution ends
+        assert len(server.requests) == 2 + len(_SPOKES)
+        assert server.connections <= traversal.FETCH_CONNECTIONS
+
+
+class TestHttpRobustnessKeepAlive(TestHttpRobustness):
+    """The same against an HTTP/1.1 server.  The one connection that
+    outlives its response is the hub's; the spoke fetched on it next fails
+    as a connection closed while idle does, so that request is sent once
+    more, on a new connection, before its fetch fails or retries."""
+
+    KEEP_ALIVE = True
+    RESENT = 1
 
 
 class TestDocumentReader:
