@@ -38,17 +38,19 @@ def get(url: str, accept: str, timeout: float, params: dict[str, str] | None = N
 
 
 class Session:
-    """GETs that reuse one connection per origin while the server keeps
-    it open.  A connection is closed after any error, after a response
-    that says it will close, and by :meth:`close`.  A session serves one
-    thread at a time.  ``timeout`` bounds each socket operation.
+    """GETs that reuse one connection while the server keeps it open.
+    The connection is closed after any error, after a response that says
+    it will close, before a request to another origin, and by
+    :meth:`close`.  A session serves one thread at a time.  ``timeout``
+    bounds each socket operation.
     """
 
     def __init__(self, timeout: float):
         self.timeout = timeout
-        # (scheme, host[:port]) -> (connection, the headers of a forwarding
-        # proxy, or None when the connection reaches the origin itself)
-        self._connections: dict[tuple[str, str], tuple[HTTPConnection, dict | None]] = {}
+        # the origin (scheme, host[:port]) it reaches, the connection, and
+        # the headers of a forwarding proxy (None when it reaches the
+        # origin itself); None when no connection is open
+        self._kept: tuple[tuple[str, str], HTTPConnection, dict | None] | None = None
 
     def __enter__(self) -> Session:
         return self
@@ -57,9 +59,9 @@ class Session:
         self.close()
 
     def close(self) -> None:
-        for conn, _ in self._connections.values():
-            conn.close()
-        self._connections.clear()
+        if self._kept is not None:
+            self._kept[1].close()
+            self._kept = None
 
     def get(self, url: str, accept: str, params: dict[str, str] | None = None) -> Response:
         """GET ``url`` (with ``params`` as its urlencoded query string),
@@ -116,8 +118,13 @@ class Session:
         if not host:
             raise ConnectionError("no host given")
         key = (parts.scheme, host)
-        reused = key in self._connections
-        conn, forward = self._connections.pop(key) if reused else self._connect(*key)
+        reused = self._kept is not None and self._kept[0] == key
+        if reused:
+            _, conn, forward = self._kept
+            self._kept = None
+        else:
+            self.close()
+            conn, forward = self._connect(*key)
         headers = {"Host": host, "User-Agent": _USER_AGENT, "Accept": accept}
         if forward is None:  # origin-form: the path and query
             target = url.partition("#")[0][len(parts.scheme) + 3 + len(parts.netloc):]
@@ -140,7 +147,7 @@ class Session:
             keep = quickack is not None and not resp.will_close
         finally:
             if keep:
-                self._connections[key] = (conn, forward)
+                self._kept = (key, conn, forward)
             else:
                 conn.close()
         return resp, body
@@ -177,11 +184,15 @@ def _send(conn: HTTPConnection, target: str, headers: dict, quickack: int | None
 
 def _proxy(scheme: str, host: str) -> tuple[str, str, dict[str, str]] | None:
     """The proxy that urllib.request would send a request for
-    ``scheme://host`` through, read from the environment's ``*_proxy``
-    variables: its scheme, its host[:port] and the headers it needs.
-    None to connect directly."""
-    if not any(name.lower().endswith("_proxy") for name in os.environ):
-        return None  # no proxy is set: spare the import of urllib.request, about 1 MB
+    ``scheme://host`` through (its ``getproxies`` and ``proxy_bypass``):
+    its scheme, its host[:port] and the headers it needs.  None to
+    connect directly."""
+    if sys.platform not in ("darwin", "win32") and not any(
+        name.lower().endswith("_proxy") for name in os.environ
+    ):
+        # elsewhere getproxies reads only these variables, and none is
+        # set: spare the import of urllib.request, about 1 MB
+        return None
     import urllib.parse
     import urllib.request
 

@@ -620,8 +620,6 @@ class DocServer:
     def __enter__(self) -> str:
         handler = _KeepAliveDocHandler if self.keep_alive else _DocHandler
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-        # a connection the client keeps open must not hold up server_close
-        self.server.block_on_close = False
         self.server.owner = self  # type: ignore[attr-defined]
         self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
         self.thread.start()

@@ -129,6 +129,20 @@ class TestKeepAlive:
         assert server.connections == 1
         assert elapsed < 0.5  # a delayed ACK would stall each response ~40 ms: >= 1.2 s
 
+    def test_a_session_keeps_one_connection_across_origins(self):
+        """A request to another origin closes the connection kept for the
+        last one, so a session never holds more than one open."""
+        servers = [helpers.DocServer({"/x": DOC}, keep_alive=True) for _ in range(3)]
+        with servers[0] as a, servers[1] as b, servers[2] as c, web.Session(5) as session:
+            for base in (a, b, c, a, c, b, b):
+                assert session.get(f"{base}/x", accept=ACCEPT).text == DOC
+                deadline = time.monotonic() + 5
+                while (sum(server.open_connections for server in servers) > 1
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                assert sum(server.open_connections for server in servers) == 1
+        assert [server.connections for server in servers] == [2, 2, 2]
+
     def test_a_connection_the_server_dropped_is_replaced(self):
         """The server closes each connection after its 3rd response without
         saying so: the 4th request fails on it and is sent once more on a
