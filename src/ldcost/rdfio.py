@@ -89,14 +89,16 @@ class DocumentParseError(InputError):
         self.line = line
 
 
-def _triples(text: str, blank_scope: str) -> Iterator[Triple]:
+def _triples(text: str, blank_scope: str, terms: dict | None = None) -> Iterator[Triple]:
     """Yield the triples of a document one at a time, in document order.
 
-    Raises DocumentParseError at the first token that does not fit; its
-    line is counted only then.
+    ``terms`` maps each map of leading prefix declarations to the terms of
+    the IRI and prefixed-name tokens read under it by any document read
+    with it; None gives a table of its own.  Raises DocumentParseError at
+    the first token that does not fit; its line is counted only then.
     """
     prefixes: dict[str, str] = {}
-    nodes: dict[str, Term] = {}  # IRI, prefixed-name and blank-node tokens read so far
+    blanks: dict[str, Term] = {}  # this document's blank-node tokens read so far
 
     # The fast path: the leading '@prefix' directives, then the statements
     # after them, plain N-Triples first, else Turtle whose terms are IRIs,
@@ -111,17 +113,18 @@ def _triples(text: str, blank_scope: str) -> Iterator[Triple]:
     while (m := _PREFIX_RE.match(text, pos)) is not None:
         prefixes[m["name"][:-1]] = m["iri"][1:-1]
         pos = m.end()
+    nodes = {} if terms is None else terms.setdefault(tuple(prefixes.items()), {})
     while True:
         m = _STATEMENT_RE.match(text, pos)
         if m is not None:  # one triple, yielded at once: a dump pays for no list
             s, p, o, string, language, datatype = m.groups()
             try:
-                subject = nodes.get(s) or _node(s, prefixes, nodes, blank_scope)
-                predicate = nodes.get(p) or _node(p, prefixes, nodes, blank_scope)
+                subject = nodes.get(s) or _node(s, prefixes, nodes, blanks, blank_scope)
+                predicate = nodes.get(p) or _node(p, prefixes, nodes, blanks, blank_scope)
                 if o is not None:
-                    obj = nodes.get(o) or _node(o, prefixes, nodes, blank_scope)
+                    obj = nodes.get(o) or _node(o, prefixes, nodes, blanks, blank_scope)
                 elif datatype is not None:
-                    dt = nodes.get(datatype) or _node(datatype, prefixes, nodes, blank_scope)
+                    dt = nodes.get(datatype) or _node(datatype, prefixes, nodes, blanks, blank_scope)
                     obj = Term.literal(unquote(string), datatype=dt.value)
                 else:
                     obj = Term.literal(unquote(string), language=language and language[1:])
@@ -136,14 +139,14 @@ def _triples(text: str, blank_scope: str) -> Iterator[Triple]:
         s, p, o, string, language, datatype, end = m.groups()
         kept: list[Triple] = []  # the statement's triples before its last
         try:
-            subject = nodes.get(s) or _node(s, prefixes, nodes, blank_scope)
+            subject = nodes.get(s) or _node(s, prefixes, nodes, blanks, blank_scope)
             while True:
                 if p is not None:
-                    predicate = nodes.get(p) or (_TYPE if p == "a" else _node(p, prefixes, nodes, blank_scope))
+                    predicate = nodes.get(p) or (_TYPE if p == "a" else _node(p, prefixes, nodes, blanks, blank_scope))
                 if o is not None:
-                    obj = nodes.get(o) or _node(o, prefixes, nodes, blank_scope)
+                    obj = nodes.get(o) or _node(o, prefixes, nodes, blanks, blank_scope)
                 elif datatype is not None:
-                    dt = nodes.get(datatype) or _node(datatype, prefixes, nodes, blank_scope)
+                    dt = nodes.get(datatype) or _node(datatype, prefixes, nodes, blanks, blank_scope)
                     obj = Term.literal(unquote(string), datatype=dt.value)
                 else:
                     obj = Term.literal(unquote(string), language=language and language[1:])
@@ -160,20 +163,25 @@ def _triples(text: str, blank_scope: str) -> Iterator[Triple]:
         yield subject, predicate, obj
         pos = m.end()
     if _END_RE.match(text, pos) is None:
-        yield from _token_loop(text, pos, prefixes, nodes, blank_scope)
+        # the loop may declare prefixes: it reads and writes this document's table only
+        yield from _token_loop(text, pos, prefixes, blanks, blank_scope)
 
 
-def _node(token: str, prefixes: dict[str, str], nodes: dict[str, Term], blank_scope: str) -> Term:
+def _node(
+    token: str, prefixes: dict[str, str], nodes: dict[str, Term], blanks: dict[str, Term], blank_scope: str
+) -> Term:
     """The IRI or blank node an IRI, blank-node or prefixed-name token
-    names, now in ``nodes``.  The lexer reads '_:' and a label character as
-    a blank node, so a token that starts '_:' is a prefixed name only when
-    nothing, '%' or '-' follows.
+    names, now in ``nodes``, or for a blank node in ``blanks``.  The lexer
+    reads '_:' and a label character as a blank node, so a token that
+    starts '_:' is a prefixed name only when nothing, '%' or '-' follows.
 
-    Raises ValueError for a relative IRI or an undeclared prefix."""
+    Raises ValueError for a relative IRI or an undeclared prefix, and
+    stores nothing then."""
     if token[0] == "<":
         term = Term.iri(token[1:-1])
     elif token[:2] == "_:" and token[2:3] not in "%-":
-        term = Term.blank(token[2:] + blank_scope)
+        term = blanks[token] = blanks.get(token) or Term.blank(token[2:] + blank_scope)
+        return term
     else:
         prefix, _, local = token.partition(":")
         if prefix not in prefixes:
@@ -205,7 +213,7 @@ def _token_loop(
         if kind == "iri" or kind == "pname" or kind == "blank":
             token = m[kind]
             try:
-                return nodes.get(token) or _node(token, prefixes, nodes, blank_scope)
+                return nodes.get(token) or _node(token, prefixes, nodes, nodes, blank_scope)
             except ValueError as exc:  # a relative IRI or an undeclared prefix
                 fail(str(exc), m)
         if kind != "open":
@@ -292,13 +300,15 @@ def _token_loop(
             break
 
 
-def parse_document(text: str, blank_scope: str = "") -> frozenset[Triple]:
+def parse_document(text: str, blank_scope: str = "", terms: dict | None = None) -> frozenset[Triple]:
     """Parse an RDF document into its set of ground triples.
 
     ``blank_scope`` is appended to blank node labels so graphs from
-    different documents never share a blank node.
+    different documents never share a blank node.  Documents parsed with
+    one ``terms`` table and the same leading prefix declarations share
+    their IRI terms.
     """
-    return frozenset(_triples(text, blank_scope))
+    return frozenset(_triples(text, blank_scope, terms))
 
 
 def term_key(term: Term) -> str:

@@ -64,7 +64,8 @@ class UnsupportedFilter(InputError):
 
 @dataclass
 class DerefStore:
-    """Maps IRIs to documents, locally (files) or over HTTP (URLs)."""
+    """Maps IRIs to documents, locally (files) or over HTTP (URLs).  The
+    documents it parses share a table of IRI terms, not their blank nodes."""
 
     manifest: dict[str, str]
     mode: str = "local"  # "local" | "http"
@@ -72,6 +73,7 @@ class DerefStore:
     base_dir: Path = field(default_factory=Path)
     timeout: float = 10.0
     _cache: dict[str, frozenset] = field(default_factory=dict, repr=False)
+    _terms: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.mode not in ("local", "http"):
@@ -158,7 +160,7 @@ def dereference(store: DerefStore, iri: str, fetch: Future | None = None):
             return None
 
     try:
-        graph = parse_document(text, blank_scope=f"@{len(store._cache)}")
+        graph = parse_document(text, blank_scope=f"@{len(store._cache)}", terms=store._terms)
     except DocumentParseError as exc:
         raise DocumentError(iri, exc) from exc
     store._cache[iri] = graph

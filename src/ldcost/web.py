@@ -79,8 +79,9 @@ class Session:
         import http.client
         import urllib.parse
 
-        # an IRI may hold characters a URI may not: percent-encode them as UTF-8
-        url = urllib.parse.quote(url, safe=_URI_CHARACTERS)
+        # an IRI may hold characters a URI may not: percent-encode them as
+        # UTF-8; the fragment is never sent, so drop it before the params
+        url = urllib.parse.quote(url.partition("#")[0], safe=_URI_CHARACTERS)
         if params:
             url += ("&" if "?" in url else "?") + urllib.parse.urlencode(params)
         try:

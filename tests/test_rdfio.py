@@ -612,6 +612,21 @@ def in_order(text: str, blank_scope: str) -> list:
     return list(rdfio._triples(text, blank_scope))
 
 
+def assert_read_alike_in_sequence(texts: list[str]) -> None:
+    """Read ``texts`` one after another through one term table, twice over,
+    so that the second pass finds every term already there, each with a
+    blank-node scope of its own: each gives the triples, in order, or the
+    error of its reading alone."""
+    terms: dict = {}
+
+    def shared(text: str, blank_scope: str) -> list:
+        return list(rdfio._triples(text, blank_scope, terms))
+
+    for i, text in enumerate(texts + texts):
+        assert full_outcome(text, f"@{i}", shared) == full_outcome(text, f"@{i}", in_order), text
+    assert len(terms) < len(texts) / 2  # documents with the same head shared a table
+
+
 def random_ntriples(rng: random.Random) -> str:
     """An N-Triples document with comments, blank lines, blank nodes,
     escapes, language tags and datatypes, sometimes ending in Turtle."""
@@ -651,6 +666,14 @@ class TestStatementLoop:
                 assert outcome(parse_document, variant) == outcome(oracle_parse, variant), variant
                 failures += isinstance(expected, tuple)
         assert failures > 100
+
+    def test_cases_and_random_documents_read_alike_in_sequence(self):
+        rng = random.Random(9091)
+        texts = list(STATEMENT_CASES.values())
+        for _ in range(150):
+            text = random_ntriples(rng)
+            texts += [text, *malformed_variants(rng, text, 4)]
+        assert_read_alike_in_sequence(texts)
 
     @pytest.mark.parametrize("bad, message", [
         ("<relative> <http://x/p> <http://x/o> .", "IRI is not absolute: 'relative'"),
@@ -789,6 +812,14 @@ class TestLeadingDirectives:
                 failures += isinstance(expected, tuple)
         assert failures > 600
 
+    def test_cases_and_random_documents_read_alike_in_sequence(self):
+        rng = random.Random(6061)
+        texts = list(DIRECTIVE_CASES.values())
+        for _ in range(300):
+            text = random_directive_document(rng)
+            texts += [text, *malformed_variants(rng, text, 4)]
+        assert_read_alike_in_sequence(texts)
+
     def test_token_loop_starts_after_the_directives(self, monkeypatch):
         rng = random.Random(6062)
         for _ in range(100):
@@ -874,6 +905,14 @@ class TestTurtleStatements:
             for variant in joined_variants(rng, text, 2):
                 assert full_outcome(variant, parse=in_order) == token_loop_outcome(monkeypatch, variant, parse=in_order)
         assert whole > 100 and failures > 400
+
+    def test_random_documents_read_alike_in_sequence(self):
+        rng = random.Random(7071)
+        texts = list(READ_WHOLE.values())
+        for _ in range(300):
+            text = random_prefixed_turtle(rng)
+            texts += [text, *malformed_variants(rng, text, 4), *joined_variants(rng, text, 2)]
+        assert_read_alike_in_sequence(texts)
 
     @pytest.mark.parametrize("text, message, line", [
         (f'@prefix ex: <{EX}> .\nex:s ex:p "x" ;\n  ex:q "\\uZZZZ" .\n', "bad escape \\uZZZZ", 3),

@@ -144,18 +144,66 @@ class TestDereference:
             dereference(store, EX + "s")
         assert str(err.value) == f"document for <{EX}s>: byte 0xe9 is not UTF-8 (line 2)"
 
+    @staticmethod
+    def _manifest(tmp_path, texts: dict[str, str]):
+        """A store of one document per text, each at ``EX + key``."""
+        documents = {}
+        for key, text in texts.items():
+            (tmp_path / f"{key}.ttl").write_text(text, encoding="utf-8")
+            documents[EX + key] = f"{key}.ttl"
+        return helpers.write_manifest(tmp_path, documents)
+
     def test_blank_nodes_scoped_per_document(self, tmp_path):
-        docs = tmp_path / "docs"
-        docs.mkdir()
-        (docs / "one.nt").write_text(f"<{EX}a> <{EX}p> _:b .\n")
-        (docs / "two.nt").write_text(f"<{EX}c> <{EX}p> _:b .\n")
-        manifest = helpers.write_manifest(
-            tmp_path, {EX + "a": "docs/one.nt", EX + "c": "docs/two.nt"}
-        )
+        """Documents that share a term table still get blank nodes of their
+        own, in the N-Triples and in the Turtle statement form."""
+        ntriples, turtle = f"<{EX}a> <{EX}p> _:b .\n", f"@prefix ex: <{EX}> .\nex:a ex:p _:b .\n"
+        texts = {"one": ntriples, "two": ntriples, "three": turtle, "four": turtle}
+        store = load_store(self._manifest(tmp_path, texts))
+        blanks = [o for key in texts for _, _, o in dereference(store, EX + key)]
+        assert {b.kind for b in blanks} == {"blank"} and len(set(blanks)) == 4
+
+    def test_an_undeclared_prefix_fails_after_another_document_declared_it(self, tmp_path, capsys):
+        texts = {"one": f"@prefix x: <{EX}> .\nx:a x:p x:o .\n", "two": f"<{EX}b> <{EX}p> <{EX}o> .\nx:a x:p x:o .\n"}
+        manifest = self._manifest(tmp_path, texts)
         store = load_store(manifest)
-        (b1,) = {o for _, _, o in dereference(store, EX + "a")}
-        (b2,) = {o for _, _, o in dereference(store, EX + "c")}
-        assert b1 != b2
+        assert len(dereference(store, EX + "one")) == 1
+        with pytest.raises(DocumentError, match=r"undeclared prefix 'x:' \(line 2\)"):
+            dereference(store, EX + "two")
+        query = tmp_path / "q.rq"
+        query.write_text(f"SELECT * WHERE {{ <{EX}one> ?p ?o . <{EX}two> ?q ?r }}")
+        assert cli.main(["simulate", str(query), "--store", str(manifest)]) == cli.EXIT_INPUT
+        assert "undeclared prefix 'x:' (line 2)" in capsys.readouterr().err
+
+    def test_a_prefix_bound_to_two_iris_expands_per_document(self, tmp_path):
+        other = "http://other.example/ns#"
+        texts = {"one": f"@prefix x: <{EX}> .\nx:a x:p x:o .\n", "two": f"@prefix x: <{other}> .\nx:a x:p x:o .\n"}
+        store = load_store(self._manifest(tmp_path, texts))
+        for key, base in (("one", EX), ("two", other), ("one", EX)):
+            assert dereference(store, EX + key) == {tuple(Term.iri(base + n) for n in "apo")}
+
+    def test_a_prefix_redeclared_mid_document_leaves_the_next_document_unchanged(self, tmp_path):
+        """The token loop reads a redeclared prefix with a table of the
+        document's own, so no term of the other binding reaches the table
+        the next document reads."""
+        other = "http://other.example/ns#"
+        head = f"@prefix x: <{EX}> .\n"
+        texts = {"one": f"{head}x:s x:p x:o .\n@prefix x: <{other}> .\nx:t x:p x:o2 .\n", "two": f"{head}x:t x:p x:o2 .\n"}
+        store = load_store(self._manifest(tmp_path, texts))
+        assert dereference(store, EX + "one") == {
+            (Term.iri(EX + "s"), Term.iri(EX + "p"), Term.iri(EX + "o")),
+            (Term.iri(other + "t"), Term.iri(other + "p"), Term.iri(other + "o2")),
+        }
+        assert dereference(store, EX + "two") == {(Term.iri(EX + "t"), Term.iri(EX + "p"), Term.iri(EX + "o2"))}
+
+    def test_documents_of_one_store_share_their_terms(self, tmp_path):
+        head = f"@prefix ex: <{EX}> .\n@prefix xsd: <{XSD}> .\n"
+        texts = {key: f'{head}ex:{key} ex:year "19{i}"^^xsd:integer .\n' for i, key in enumerate(["s1", "s2"], 10)}
+        store = load_store(self._manifest(tmp_path, texts))
+        (first,) = dereference(store, EX + "s1")
+        (second,) = dereference(store, EX + "s2")
+        assert first[1] is second[1] and first[1] == Term.iri(EX + "year")
+        (alone,) = parse_document(texts["s2"])
+        assert alone == second and alone[1] is not second[1]
 
 
 class TestExecuteHubFixtures:

@@ -57,8 +57,11 @@ class TestClientContract:
             web.get(f"{base}/x?a=1#me", accept=ACCEPT, timeout=5)
             web.get(f"{base}/x?a=1", accept=ACCEPT, timeout=5, params={"query": "ASK {}"})
             web.get(f"{base}/Café", accept=ACCEPT, timeout=5)
+            # the fragment is dropped before the params are appended
+            web.get(f"{base}/x?a=1#me", accept=ACCEPT, timeout=5, params={"query": "ASK {}"})
+            web.get(f"{base}/y#me", accept=ACCEPT, timeout=5, params={"query": "ASK {}"})
         assert [path for path, _ in server.requests] == [
-            "/x?a=1", "/x?a=1&query=ASK+%7B%7D", "/Caf%C3%A9"
+            "/x?a=1", "/x?a=1&query=ASK+%7B%7D", "/Caf%C3%A9", "/x?a=1&query=ASK+%7B%7D", "/y?query=ASK+%7B%7D"
         ]
 
     @staticmethod
