@@ -9,11 +9,12 @@ Answers four questions about a basic graph pattern:
 * which triples narrow those variables' binding sets (star-join checks,
   positioned FILTER clauses);
 * how the ordered triples partition into resolution groups, each served by
-  one dereferencing pass.
+  one dereferencing pass, and which constant IRIs each pass dereferences.
 
 ``plan_query`` answers all four at once and freezes the result in a
 ``TraversalPlan``; the estimator, the simulator, evaluation and routing read
-that plan instead of replaying the traversal order themselves.
+that plan instead of replaying the traversal order themselves, and its
+``derefs`` holds the one rule for which constant IRIs are dereferenced.
 """
 
 from __future__ import annotations
@@ -166,6 +167,9 @@ class TraversalPlan:
     """Everything the cost model and the simulator need to know about one
     query under one traversal order, derived from a single replay of it.
 
+    ``derefs[g]`` lists group ``g``'s subject/object IRIs in triple order,
+    each once; each is dereferenced once per query, in the first group
+    listing it, before that group's bindings.
     ``stars`` maps each NRV to the triples that earn it star credit;
     ``ending_filters[g]`` holds each FILTER that closes group ``g``, paired
     with the variables whose counts it narrows (none, for some).
@@ -176,6 +180,7 @@ class TraversalPlan:
     steps: tuple[TripleStep, ...]
     step_by_index: dict[int, TripleStep]
     groups: tuple[ResolutionGroup, ...]
+    derefs: tuple[tuple[str, ...], ...]
     stars: dict[str, frozenset[int]]
     ending_filters: tuple[tuple[tuple[FilterClause, frozenset[str]], ...], ...]
 
@@ -203,6 +208,10 @@ def plan_query(q: QueryPattern) -> TraversalPlan:
         steps=steps,
         step_by_index={s.index: s for s in steps},
         groups=tuple(groups),
+        derefs=tuple(
+            tuple(dict.fromkeys(iri for i in g.triple_indices for iri in q.triples[i].iris()))
+            for g in groups
+        ),
         stars={v: frozenset(t) for v, t in _star_triples(q, steps, consumers, filtered).items()},
         ending_filters=tuple(tuple(closing.get(g.triple_indices[-1], ())) for g in groups),
     )

@@ -11,10 +11,10 @@ filter (f2) discount factors; a discount of 1.0 is exact:
     mpjf    catalog                               f1   f2    + positioned FILTERs
 
 The model walks the resolution groups in traversal order, carrying an
-estimated binding count per variable.  A constant dereference counts once
-query-wide; a variable group costs its variable's count at group start;
-discounts land at group end, before counts propagate to variables bound
-inside the group.  Binding counts assume the worst case: no two bindings
+estimated binding count per variable.  A constant IRI of the plan's
+``derefs`` counts once query-wide; a variable group costs its variable's
+count at group start; discounts land at group end, before counts
+propagate to variables bound inside the group.  Binding counts assume the worst case: no two bindings
 coincide.
 """
 
@@ -194,13 +194,11 @@ def _walk(plan: TraversalPlan, catalog: StatsCatalog, join_factor, filter_factor
         accesses = 0.0
         if not group.is_constant:
             accesses += counts.get(group.variable, 0.0)
-        # every constant in subject/object position is resolved, once per query
-        for idx in group.triple_indices:
-            t = q.triples[idx]
-            for term in (t.subject, t.object):
-                if term.is_iri and term.value not in dereferenced:
-                    dereferenced.add(term.value)
-                    accesses += 1.0
+        # the plan's constant IRIs, each counted in the first group listing it
+        for iri in plan.derefs[gid]:
+            if iri not in dereferenced:
+                dereferenced.add(iri)
+                accesses += 1.0
 
         # discounts land at group end, before counts derived inside the
         # group are computed, so those counts inherit them ...

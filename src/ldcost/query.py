@@ -133,6 +133,10 @@ class TriplePattern:
     def terms(self) -> tuple[Term, Term, Term]:
         return (self.subject, self.predicate, self.object)
 
+    def iris(self) -> tuple[str, ...]:
+        """The IRIs a traversal dereferences: subject's and object's, not the predicate's."""
+        return tuple(t.value for t in (self.subject, self.object) if t.is_iri)
+
 
 # --- filter expression tree -------------------------------------------------
 
@@ -224,17 +228,9 @@ class QueryPattern:
 
 
 def distinct_anchor_iris(q: QueryPattern) -> set[str]:
-    """IRIs in subject or object position of any triple.
-
-    Predicate-position IRIs are excluded: they are never dereferenced.
-    """
-    out: set[str] = set()
-    for t in q.triples:
-        if t.subject.is_iri:
-            out.add(t.subject.value)
-        if t.object.is_iri:
-            out.add(t.object.value)
-    return out
+    """The IRIs a traversal of ``q`` dereferences (``TriplePattern.iris``),
+    each once: a lower bound on the query's cost."""
+    return {iri for t in q.triples for iri in t.iris()}
 
 
 # --- tokenizer ---------------------------------------------------------------

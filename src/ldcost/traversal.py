@@ -383,9 +383,9 @@ def _fetch_pool(store: DerefStore):
 def execute(q: QueryPattern, store: DerefStore) -> tuple[BindingTable, TraversalTrace]:
     """Evaluate the pattern by link traversal over the store.
 
-    Groups are processed in traversal order: constant groups dereference
-    their anchor IRIs, variable groups dereference each distinct IRI
-    binding of their variable once (non-IRI bindings are skipped).  Triples
+    Groups are processed in traversal order: each dereferences its
+    ``plan.derefs`` IRIs, then a variable group each other distinct IRI
+    binding of its variable once (non-IRI bindings are skipped).  Triples
     match against the union of everything fetched so far; filters apply at
     their textual position.  The trace counts each IRI once query-wide;
     its timestamps are seconds since the call began, on a monotonic clock.
@@ -406,18 +406,13 @@ def execute(q: QueryPattern, store: DerefStore) -> tuple[BindingTable, Traversal
 
     with _fetch_pool(store) as fetch_ahead:
         for gid, group in enumerate(plan.groups):
-            if group.is_constant:
-                fetch_iris = []
-                for idx in group.triple_indices:
-                    iri = plan.step_by_index[idx].anchor_term.value
-                    if iri not in fetch_iris:
-                        fetch_iris.append(iri)
-            else:
+            fetch_iris = list(plan.derefs[gid])
+            if not group.is_constant:
                 v = group.variable
                 values = {
                     sol[v].value for sol in solutions if v in sol and sol[v].is_iri
                 }
-                fetch_iris = sorted(values)  # deterministic within-group order
+                fetch_iris += sorted(values.difference(fetch_iris))  # a deterministic order
 
             fetches = {}
             if fetch_ahead is not None:  # dereference parses in order

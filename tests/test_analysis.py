@@ -425,6 +425,7 @@ def frozen_plan(q):
         steps=tuple(steps),
         step_by_index={s.index: s for s in steps},
         groups=tuple(groups),
+        derefs=tuple(frozen_derefs(q, g) for g in groups),
         stars={v: frozenset(t) for v, t in frozen_star_triples(q, steps, consumers).items()},
         ending_filters=tuple(
             tuple(
@@ -436,6 +437,17 @@ def frozen_plan(q):
             for g in groups
         ),
     )
+
+
+def frozen_derefs(q, group):
+    """The group's subject- and object-position IRIs, in triple order, each once."""
+    out = []
+    for idx in group.triple_indices:
+        t = q.triples[idx]
+        for term in (t.subject, t.object):
+            if term.is_iri and term.value not in out:
+                out.append(term.value)
+    return tuple(out)
 
 
 def frozen_filter_targets(q, order, consumers, clause):

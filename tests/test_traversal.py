@@ -6,12 +6,12 @@ import pytest
 
 import helpers
 from ldcost import cli, traversal
-from ldcost.analysis import NotAnswerable
+from ldcost.analysis import NotAnswerable, plan_query
 from ldcost.errors import RemoteError
 from ldcost.estimator import EstimatorConfig, Method, estimate
-from ldcost.query import XSD, XSD_INTEGER, FunctionCall, Term, TriplePattern, parse_query
+from ldcost.query import XSD, XSD_INTEGER, FunctionCall, Term, TriplePattern, distinct_anchor_iris, parse_query
 from ldcost.rdfio import DocumentParseError, parse_document
-from ldcost.stats import compute_from_dump
+from ldcost.stats import GlobalStats, StatsCatalog, compute_from_dump
 from ldcost.traversal import (
     DocumentError,
     ManifestError,
@@ -779,9 +779,13 @@ class TestRows:
         query = tmp_path / "q.rq"
         query.write_text(f"SELECT * WHERE {{ <{EX}seed> <{EX}p> <{obj}> }}", encoding="utf-8")
         table, trace = execute(parse_query(query.read_text()), load_store(manifest))
-        assert (table.columns, table.rows, real_cost(trace)) == ((), rows, 1)
+        # both constants are dereferenced: the object is a miss when not found
+        assert (table.columns, table.rows, real_cost(trace)) == ((), rows, 2)
+        assert trace.misses == (() if found else (obj,))
         assert cli.main(["simulate", str(query), "--store", str(manifest), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["rows"] == [list(row) for row in rows]
+        assert cli.main(["estimate", str(query), "--method", "mp", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["ceiled_total"] == 2
 
     @pytest.mark.parametrize("seed", range(8))
     def test_mixed_kind_store_matches_frozen_rows(self, tmp_path, monkeypatch, seed):
@@ -1111,6 +1115,102 @@ class TestHttpRobustnessKeepAlive(TestHttpRobustness):
 
     KEEP_ALIVE = True
     RESENT = 1
+
+
+_GAP_QUERY = f"SELECT * WHERE {{ <{EX}seed> <{EX}p> ?a . ?a <{EX}q> <{EX}thing> }}"
+
+
+_GAP_RECORDS = (
+    [(f"{EX}seed", f"{EX}p", f"{EX}a{i}") for i in range(3)]
+    + [(f"{EX}a{i}", f"{EX}q", f"{EX}thing") for i in range(3)]
+    + [(f"{EX}thing", f"{EX}label", '"thing"')]
+)
+
+
+def _gap_documents() -> dict[str, str]:
+    """``seed`` links to three ``a``s, each linking to ``thing``: the
+    object constant ``thing`` sits in a group that ``?a`` anchors."""
+    docs: dict[str, list] = {}
+    for record in _GAP_RECORDS:
+        docs.setdefault(record[0][len(EX):], []).append(record)
+    return {name: helpers.ntriples(records) for name, records in docs.items()}
+
+
+class TestDereferenceRule:
+    """Every subject/object IRI of a query is dereferenced once, in the
+    first group holding it, before that group's bindings: the estimator
+    counts what the simulator fetches."""
+
+    @staticmethod
+    def _gap_estimate():
+        """``mp`` with the store's own statistics: 1 for ``seed``, then 3
+        ``a``s and ``thing``."""
+        catalog = compute_from_dump(_GAP_RECORDS)
+        result = estimate(parse_query(_GAP_QUERY), catalog, EstimatorConfig(Method.PREDICATE_AWARE))
+        assert [g.accesses for g in result.group_costs] == [1.0, 4.0]
+        return result.ceiled_total
+
+    def _assert_gap_trace(self, table, trace):
+        assert len(table) == 3
+        assert [(iri, gid) for iri, gid, _ in trace.accessed] == [
+            (EX + "seed", 0), (EX + "thing", 1), (EX + "a0", 1), (EX + "a1", 1), (EX + "a2", 1)
+        ]
+        assert (trace.misses, trace.group_access_total) == ((), 5)
+
+    def test_object_constant_of_a_variable_group_local(self, tmp_path):
+        documents = _gap_documents()
+        table, trace = execute(parse_query(_GAP_QUERY), _local_store(tmp_path / "local", documents))
+        self._assert_gap_trace(table, trace)
+        assert real_cost(trace) == self._gap_estimate() == 5
+
+    @pytest.mark.parametrize("keep_alive", [False, True], ids=["http1.0", "http1.1"])
+    def test_object_constant_of_a_variable_group_http(self, tmp_path, keep_alive):
+        documents = _gap_documents()
+        server = helpers.DocServer(_served(documents), keep_alive=keep_alive)
+        with server as base:  # every IRI is mapped to the local server
+            table, trace = execute(parse_query(_GAP_QUERY), _http_store(tmp_path, base, documents))
+        self._assert_gap_trace(table, trace)
+        assert real_cost(trace) == self._gap_estimate() == 5
+        assert sorted(path for path, _ in server.requests) == sorted(f"/{name}" for name in documents)
+
+    def test_missing_constant_is_an_error_under_the_error_policy(self, tmp_path, capsys):
+        documents = _gap_documents()
+        del documents["thing"]
+        store = _local_store(tmp_path / "store", documents)
+        query = tmp_path / "gap.rq"
+        query.write_text(_GAP_QUERY, encoding="utf-8")
+        manifest = str(tmp_path / "store" / "manifest.tsv")
+        assert cli.main(["simulate", str(query), "--store", manifest, "--miss-policy", "error"]) == 2
+        assert f"error: {EX}thing" in capsys.readouterr().err
+        _, trace = execute(parse_query(_GAP_QUERY), store)  # empty-graph: a miss
+        assert (real_cost(trace), trace.misses) == (5, (EX + "thing",))
+
+    def test_plan_estimate_and_trace_read_one_rule(self):
+        """On generated queries: the plan's IRIs are the floor's, the
+        estimate counts each where the plan first lists it, and a store with
+        no documents fetches each there or earlier."""
+        rng = random.Random(2207)
+        no_averages = StatsCatalog(GlobalStats(0.0, 0.0, 0.0, 0.0, 0.0))
+        empty = traversal.DerefStore(manifest={})
+        later = 0
+        for _ in range(600):
+            q = parse_query(helpers.random_answerable_query(rng))
+            plan = plan_query(q)
+            assert set().union(*plan.derefs) == distinct_anchor_iris(q)
+            # every binding count is 0, so a group's accesses are its constants
+            groups = estimate(plan, no_averages, EstimatorConfig(Method.PREDICATE_AWARE)).group_costs
+            listed: set[str] = set()
+            first_group = {}
+            for gid, iris in enumerate(plan.derefs):
+                new = [iri for iri in iris if iri not in listed]
+                assert groups[gid].accesses == len(new)
+                first_group.update((iri, gid) for iri in new)
+                listed.update(iris)
+                later += gid > 0 and bool(iris)
+            _, trace = execute(q, empty)
+            assert {iri: gid for iri, gid, _ in trace.accessed} == first_group
+            assert real_cost(trace) == len(distinct_anchor_iris(q)) == len(trace.misses)
+        assert later >= 100  # constants outside the first group are common
 
 
 class TestDocumentReader:
