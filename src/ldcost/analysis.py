@@ -49,12 +49,13 @@ class ResolutionGroup:
     """A maximal run of consecutive triples served by one dereference pass.
 
     ``variable`` is None for runs anchored at constant IRIs (the
-    ``CONSTANT_GROUP`` sentinel is used in serialized output).
+    ``CONSTANT_GROUP`` sentinel is used in serialized output).  A FILTER
+    after a group's last triple ends it; the plan's ``ending_filters``
+    holds those FILTERs.
     """
 
     variable: str | None
     triple_indices: tuple[int, ...]
-    ended_by_filter: bool = False
 
     @property
     def is_constant(self) -> bool:
@@ -172,7 +173,9 @@ class TraversalPlan:
     listing it, before that group's bindings.
     ``stars`` maps each NRV to the triples that earn it star credit;
     ``ending_filters[g]`` holds each FILTER that closes group ``g``, paired
-    with the variables whose counts it narrows (none, for some).
+    with the variables whose counts it narrows (none, for some); it is
+    empty for a group no FILTER ends.  Triples are named by their index in
+    ``query.triples``.
     """
 
     query: QueryPattern
@@ -318,4 +321,4 @@ def _resolution_groups(steps: list[TripleStep], filtered: set[int]) -> list[Reso
             runs.append((variable, []))
         runs[-1][1].append(step.index)
         closed = step.index in filtered
-    return [ResolutionGroup(v, tuple(run), run[-1] in filtered) for v, run in runs]
+    return [ResolutionGroup(v, tuple(run)) for v, run in runs]

@@ -265,7 +265,7 @@ def _cmd_simulate(args) -> int:
         human_lines.append("\t".join(table.columns))
         human_lines.extend("\t".join(row) for row in rows)
         human_lines.append(f"rows: {len(rows)}")
-        human_lines.append(f"real cost (distinct resources): {trace.distinct_count}")
+        human_lines.append(f"real cost (distinct resources): {payload['real_cost']}")
         if trace.misses:
             human_lines.append(f"misses: {len(trace.misses)}")
     _emit(payload, args.json, "\n".join(human_lines))

@@ -116,10 +116,12 @@ class Term(_TermFields):
 
 @dataclass(frozen=True)
 class TriplePattern:
+    """One triple of a pattern.  Its index is its position in
+    ``QueryPattern.triples``, the number FILTER clauses and plans use."""
+
     subject: Term
     predicate: Term
     object: Term
-    index: int
 
     def __post_init__(self):
         if self.predicate.kind in ("literal", "blank"):
@@ -194,9 +196,6 @@ class QueryPattern:
     def __post_init__(self):
         if not self.triples:
             raise EmptyPattern("query pattern has no triple patterns")
-        for i, t in enumerate(self.triples):
-            if t.index != i:
-                raise ValueError("triple indices must be contiguous from 0")
         for f in self.filters:
             if not (0 <= f.after_triple < len(self.triples)):
                 raise ValueError("filter attached to a non-existent triple index")
@@ -222,9 +221,6 @@ class QueryPattern:
                 if term.is_variable and term.value not in seen:
                     seen.append(term.value)
         return seen
-
-    def filters_after(self, triple_index: int) -> list[FilterClause]:
-        return [f for f in self.filters if f.after_triple == triple_index]
 
 
 def distinct_anchor_iris(q: QueryPattern) -> set[str]:
@@ -469,10 +465,7 @@ class _Parser:
         inner_triples, inner_filters, nested = self.parse_group()
         if nested:
             raise UnsupportedFeature("nested SERVICE blocks are not supported")
-        for t in inner_triples:
-            triples.append(
-                TriplePattern(t.subject, t.predicate, t.object, index=len(triples))
-            )
+        triples.extend(inner_triples)
         # A FILTER before the block's first triple attaches to that triple;
         # in a block with no triple it reads as if written outside the block.
         first = 0 if inner_triples else -1
@@ -492,7 +485,7 @@ class _Parser:
             self.check_property_path()
             while True:
                 obj = self.parse_term(position="object")
-                triples.append(TriplePattern(subject, predicate, obj, index=len(triples)))
+                triples.append(TriplePattern(subject, predicate, obj))
                 if self.peek().kind == "punct" and self.peek().text == ",":
                     self.next()
                     continue

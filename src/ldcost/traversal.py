@@ -135,12 +135,15 @@ def dereference(store: DerefStore, iri: str, fetch: Future | None = None):
     """
     if iri in store._cache:
         return store._cache[iri]
-    if store.mode == "local":
-        location = store.manifest.get(iri)
-        if location is None:
-            if store.miss_policy == "error":
-                raise Miss(iri)
-            return None
+    if store.mode == "http":
+        if fetch is not None:
+            text = fetch.result()
+        else:
+            with web.Session(store.timeout) as session:
+                text = _http_fetch(store, iri, session)
+    elif (location := store.manifest.get(iri)) is None:
+        text = None
+    else:
         try:
             text = read_text(os.path.join(store.base_dir, location))
         except OSError as exc:
@@ -148,16 +151,10 @@ def dereference(store: DerefStore, iri: str, fetch: Future | None = None):
             raise StoreIoError(f"cannot read document for <{iri}>: {exc}") from exc
         except DocumentParseError as exc:  # not UTF-8
             raise DocumentError(iri, exc) from exc
-    else:
-        if fetch is not None:
-            text = fetch.result()
-        else:
-            with web.Session(store.timeout) as session:
-                text = _http_fetch(store, iri, session)
-        if text is None:
-            if store.miss_policy == "error":
-                raise Miss(iri)
-            return None
+    if text is None:  # a miss
+        if store.miss_policy == "error":
+            raise Miss(iri)
+        return None
 
     try:
         graph = parse_document(text, blank_scope=f"@{len(store._cache)}", terms=store._terms)
@@ -211,9 +208,10 @@ class TraversalTrace:
 
     ``query`` is the text the pattern was parsed from, as given to
     ``parse_query`` (``QueryPattern.text``; empty for a pattern built in
-    code).  ``accessed`` holds the first access of each distinct IRI; a
-    pass that revisits an IRI fetched by an earlier group adds to
-    ``group_access_total`` only.
+    code).  ``accessed`` holds the first access of each distinct IRI, so
+    its length is the real cost (``real_cost``, and ``distinct_count`` in
+    ``as_dict``); a pass that revisits an IRI fetched by an earlier group
+    adds to ``group_access_total`` only.
     """
 
     query: str
@@ -222,10 +220,6 @@ class TraversalTrace:
     misses: tuple[str, ...]
     group_access_total: int
 
-    @property
-    def distinct_count(self) -> int:
-        return len(self.accessed)
-
     def as_dict(self) -> dict:
         return {
             "query": self.query,
@@ -233,7 +227,7 @@ class TraversalTrace:
             "accessed": [
                 {"iri": iri, "group": gid, "ts": ts} for iri, gid, ts in self.accessed
             ],
-            "distinct_count": self.distinct_count,
+            "distinct_count": len(self.accessed),
             "misses": list(self.misses),
             "group_access_total": self.group_access_total,
         }
@@ -241,7 +235,7 @@ class TraversalTrace:
 
 def real_cost(trace: TraversalTrace) -> int:
     """The measured cost: distinct remote resources dereferenced."""
-    return trace.distinct_count
+    return len(trace.accessed)
 
 
 @dataclass(frozen=True)
@@ -251,10 +245,6 @@ class BindingTable:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def column(self, name: str) -> list[Term]:
-        i = self.columns.index(name)
-        return [row[i] for row in self.rows]
 
 
 class _GraphIndex:

@@ -405,9 +405,9 @@ def frozen_render(q: QueryPattern) -> str:
     An oracle for the parser, independent of the package."""
     select = "*" if q.select_vars is None else " ".join(f"?{v}" for v in q.select_vars)
     lines = [f"SELECT {select} WHERE {{"]
-    for t in q.triples:
+    for i, t in enumerate(q.triples):
         lines.append("  " + " ".join(_frozen_term(term) for term in t.terms()) + " .")
-        lines.extend(f"  FILTER({_frozen_expression(f.expression)})" for f in q.filters_after(t.index))
+        lines.extend(f"  FILTER({_frozen_expression(f.expression)})" for f in q.filters if f.after_triple == i)
     return "\n".join(lines + ["}"]) + "\n"
 
 

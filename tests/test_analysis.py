@@ -198,21 +198,23 @@ class TestBuildResolutionGroups:
     def test_star_query_groups(self):
         q, report = order_of(helpers.DIRECTOR_STAR_QUERY)
         groups = build_resolution_groups(q, report.order)
-        assert [(g.label, g.triple_indices, g.ended_by_filter) for g in groups] == [
-            ("constant", (0,), False),
-            ("author", (1, 2), False),
-            ("publication", (3,), False),
+        assert [(g.label, g.triple_indices) for g in groups] == [
+            ("constant", (0,)),
+            ("author", (1, 2)),
+            ("publication", (3,)),
         ]
 
     def test_filter_splits_author_pass(self):
         q, report = order_of(helpers.BIRTHDATE_FILTER_QUERY)
         groups = build_resolution_groups(q, report.order)
-        assert [(g.label, g.triple_indices, g.ended_by_filter) for g in groups] == [
-            ("constant", (0,), False),
-            ("author", (1, 2), True),
-            ("author", (3,), False),
-            ("publication", (4,), False),
+        assert [(g.label, g.triple_indices) for g in groups] == [
+            ("constant", (0,)),
+            ("author", (1, 2)),
+            ("author", (3,)),
+            ("publication", (4,)),
         ]
+        ended = [bool(closing) for closing in plan_query(q).ending_filters]
+        assert ended == [False, True, False, False]
 
     def test_single_triple(self):
         q, report = order_of(helpers.MANDELA_QUERY)
@@ -277,7 +279,7 @@ class TestPlanQuery:
             assert plan.stars == detect_star_joins(q, order)
             for gid, group in enumerate(plan.groups):
                 last = group.triple_indices[-1]
-                expected = q.filters_after(last) if group.ended_by_filter else []
+                expected = [f for f in q.filters if f.after_triple == last]
                 assert [clause for clause, _ in plan.ending_filters[gid]] == expected
 
     def test_not_answerable_message_unchanged(self, plato_manifest):
@@ -366,14 +368,13 @@ def frozen_resolution_groups(q, steps):
     run_variable = None
     run_is_constant = False
 
-    def close(ended_by_filter):
+    def close():
         nonlocal run
         if run:
             groups.append(
                 ResolutionGroup(
                     variable=None if run_is_constant else run_variable,
                     triple_indices=tuple(run),
-                    ended_by_filter=ended_by_filter,
                 )
             )
             run = []
@@ -382,13 +383,13 @@ def frozen_resolution_groups(q, steps):
         is_constant = step.anchor_kind == "constant"
         variable = None if is_constant else step.anchor_term.value
         if run and (is_constant != run_is_constant or variable != run_variable):
-            close(False)
+            close()
         run_is_constant = is_constant
         run_variable = variable
         run.append(step.index)
-        if q.filters_after(step.index):
-            close(True)
-    close(False)
+        if [f for f in q.filters if f.after_triple == step.index]:
+            close()
+    close()
     return groups
 
 
@@ -401,7 +402,7 @@ def frozen_star_triples(q, steps, consumers):
         triple = q.triples[idx]
         if idx in (first, last) or not triple.predicate.is_iri or not step.fresh:
             continue
-        if q.filters_after(idx):
+        if [f for f in q.filters if f.after_triple == idx]:
             continue
         if any(not name.startswith("_:") and name in consumers for name in step.fresh):
             continue
@@ -430,10 +431,9 @@ def frozen_plan(q):
         ending_filters=tuple(
             tuple(
                 (clause, frozen_filter_targets(q, order, consumers, clause))
-                for clause in q.filters_after(g.triple_indices[-1])
+                for clause in q.filters
+                if clause.after_triple == g.triple_indices[-1]
             )
-            if g.ended_by_filter
-            else ()
             for g in groups
         ),
     )

@@ -431,8 +431,8 @@ def oracle_estimate(q, catalog, config) -> CostEstimate:
         bound_before = set(counts)
         _oracle_apply_star_reductions(group, config.method, config.join_factor, stars, counts)
         ending_filters = (
-            q.filters_after(group.triple_indices[-1])
-            if config.method is Method.PREDICATE_JOINS_FILTERS and group.ended_by_filter
+            [f for f in q.filters if f.after_triple == group.triple_indices[-1]]
+            if config.method is Method.PREDICATE_JOINS_FILTERS
             else []
         )
         for clause in ending_filters:
