@@ -49,6 +49,10 @@ class EmptyPattern(InputError):
     """The WHERE clause contains no triple patterns."""
 
 
+# An absolute IRI starts with a scheme (RFC 3986 section 3.1).
+_SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*:")
+
+
 class _TermFields(NamedTuple):
     kind: str  # one of: iri, literal, variable, blank
     value: str
@@ -69,7 +73,7 @@ class Term(_TermFields):
     __slots__ = ()
 
     def __new__(cls, kind: str, value: str, datatype: str | None = None, language: str | None = None):
-        if kind == "iri" and ":" not in value:
+        if kind == "iri" and _SCHEME_RE.match(value) is None:
             raise ValueError(f"IRI is not absolute: {value!r}")
         if kind == "variable" and (not value or any(c.isspace() for c in value)):
             raise ValueError(f"bad variable name: {value!r}")

@@ -89,8 +89,10 @@ class DocumentParseError(InputError):
         self.line = line
 
 
-def _triples(text: str, blank_scope: str, terms: dict | None = None) -> Iterator[Triple]:
-    """Yield the triples of a document one at a time, in document order.
+def _triples(text: str, blank_scope: str, terms: dict | None = None, pos: int = 0) -> Iterator[Triple]:
+    """Yield the triples of a document one at a time, in document order,
+    from offset ``pos`` on.  The text before ``pos`` may hold whole
+    N-Triples statements only, as they declare nothing.
 
     ``terms`` maps each map of leading prefix declarations to the terms of
     the IRI and prefixed-name tokens read under it by any document read
@@ -109,7 +111,6 @@ def _triples(text: str, blank_scope: str, terms: dict | None = None) -> Iterator
     # prefix, or holds a bad escape, the token loop takes over from that
     # statement's start and reports any error.  A document read to its end
     # never starts the token loop.
-    pos = 0
     while (m := _PREFIX_RE.match(text, pos)) is not None:
         prefixes[m["name"][:-1]] = m["iri"][1:-1]
         pos = m.end()
@@ -346,5 +347,45 @@ def read_dump(path) -> Iterator[tuple[str, str, str]]:
     keys, repeats included, as they are parsed.  A file that is not UTF-8
     raises DocumentParseError at once; a malformed statement raises it
     when the iteration reaches it."""
-    text = read_text(path)
-    return ((term_key(s), term_key(p), term_key(o)) for s, p, o in _triples(text, ""))
+    return _dump_keys(read_text(path))
+
+
+def _dump_keys(text: str) -> Iterator[tuple[str, str, str]]:
+    """The keys of the triples of ``text``, in document order.  Each plain
+    N-Triples statement goes from its match straight to keys, and each
+    distinct token is keyed once.  From the first statement that does not
+    match or holds an invalid term, ``_triples`` reads the rest and
+    reports any error."""
+    keys: dict = {}  # an IRI or blank-node token, or a literal's tokens -> its key
+    get = keys.get
+    pos = 0
+    while (m := _STATEMENT_RE.match(text, pos)) is not None:
+        s, p, o, string, language, datatype = m.groups()
+        obj = o or (string, language, datatype)
+        try:
+            record = (get(s) or _key(s, keys), get(p) or _key(p, keys), get(obj) or _key(obj, keys))
+        except ValueError:
+            break
+        yield record
+        pos = m.end()
+    if _END_RE.match(text, pos) is None:
+        for s, p, o in _triples(text, "", pos=pos):
+            yield term_key(s), term_key(p), term_key(o)
+
+
+def _key(token: str | tuple, keys: dict) -> str:
+    """The key of the term ``token`` names, now stored in ``keys``:
+    ``token`` is an IRI or blank-node token, or a literal's (string,
+    language tag, datatype IRI) tokens, and its key is ``term_key`` of the
+    term ``_triples`` builds from them.  Raises ValueError for a relative
+    IRI or a bad escape, and stores nothing then."""
+    if isinstance(token, str):
+        term = Term.iri(token[1:-1]) if token[0] == "<" else Term.blank(token[2:])
+    else:
+        string, language, datatype = token
+        if datatype is not None:
+            term = Term.literal(unquote(string), datatype=Term.iri(datatype[1:-1]).value)
+        else:
+            term = Term.literal(unquote(string), language=language and language[1:])
+    key = keys[token] = term_key(term)
+    return key

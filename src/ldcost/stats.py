@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
 from xml.etree import ElementTree
@@ -210,7 +211,7 @@ def compute_from_dump(triples, provenance: str = "dump") -> StatsCatalog:
     that are not 3-tuples of strings are skipped and counted; only an
     all-malformed stream is an error.
     """
-    by_predicate: dict[str, set[tuple[str, str]]] = {}  # p -> distinct (s, o)
+    by_predicate: defaultdict[str, set[tuple[str, str]]] = defaultdict(set)  # p -> distinct (s, o)
     total = 0
     malformed = 0
     for record in triples:
@@ -222,7 +223,7 @@ def compute_from_dump(triples, provenance: str = "dump") -> StatsCatalog:
         except (TypeError, ValueError):
             malformed += 1
             continue
-        by_predicate.setdefault(p, set()).add((s, o))
+        by_predicate[p].add((s, o))
 
     if total and malformed == total:
         raise MalformedTriple(f"all {total} records were malformed")

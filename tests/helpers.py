@@ -104,6 +104,7 @@ BAD_TERM_QUERIES = {  # name: (text, line, column)
     "unknown-selected-variable": ("SELECT ?zzz WHERE { ?s <http://x/p> <http://x/o> }", 1, 8),
     "relative-prefix": ("PREFIX x: <foo>\nSELECT * WHERE {\n  x:a <http://x/p> ?o }", 3, 3),
     "relative-datatype": ('SELECT * WHERE { <http://x/s> <http://x/p> "x"^^<rel> }', 1, 49),
+    "no-scheme": ("SELECT * WHERE {\n  <:b> <http://x/p> ?o }", 2, 3),
 }
 
 # FILTERs nested deeper than the parser's recursion reaches.
@@ -120,6 +121,7 @@ BAD_TERM_DOCUMENTS = {  # name: (text, line)
     "U-escape-beyond-unicode": (_GOOD_TRIPLE + '<http://x/a> <http://x/p> "\\U0011FFFF" .\n', 2),
     "relative-prefix": ("@prefix x: <rel> .\nx:a <http://x/p> <http://x/o> .\n", 2),
     "relative-datatype": (_GOOD_TRIPLE + '<http://x/a> <http://x/p> "x"^^<rel> .\n', 2),
+    "blank-label-iri": ("<_:b> <http://x/p> <http://x/o> .\n_:b <http://x/p> <http://x/o2> .\n", 1),
 }
 
 def worked_example_catalog() -> StatsCatalog:

@@ -240,6 +240,22 @@ class TestRoundTrip:
         with pytest.raises(QuerySyntaxError, match="not absolute"):
             parse_query(f'{prologue} SELECT * WHERE {{ <http://x/s> <http://x/p> ?a FILTER({name}(?a) = "en") }}')
 
+    @pytest.mark.parametrize("text, message, column", [
+        ("SELECT * WHERE {\n  <:b> <http://x/p> ?o }", "IRI is not absolute: ':b'", 3),
+        ("SELECT * WHERE {\n  ?s <http://x/p> <_:b> }", "IRI is not absolute: '_:b'", 19),
+        ("PREFIX e: <1x:>\nSELECT * WHERE {\n  e:s <http://x/p> ?o }", "IRI is not absolute: '1x:s'", 3),
+    ], ids=["empty-scheme", "blank-label", "digit-first-scheme"])
+    def test_iri_without_a_scheme_rejected(self, text, message, column):
+        with pytest.raises(QuerySyntaxError) as err:
+            parse_query(text)
+        line = text.count("\n") + 1
+        expected = (f"{message} (line {line}, column {column})", line, column)
+        assert (str(err.value), err.value.line, err.value.column) == expected
+
+    def test_every_scheme_character_accepted(self):
+        q = parse_query("SELECT * WHERE { <a1+b.c-d:s> <urn:p> ?o }")
+        assert [t.value for t in q.triples[0].terms()] == ["a1+b.c-d:s", "urn:p", "o"]
+
     def test_prefix_declaration_order_irrelevant(self):
         a = parse_query(
             "PREFIX a: <http://x/a#> PREFIX b: <http://x/b#> "
@@ -346,6 +362,9 @@ class TestTerm:
     @pytest.mark.parametrize("make, message", [
         (lambda: Term.iri("relative"), "IRI is not absolute: 'relative'"),
         (lambda: Term("iri", "x"), "IRI is not absolute: 'x'"),
+        (lambda: Term.iri("_:b"), "IRI is not absolute: '_:b'"),
+        (lambda: Term.iri(":b"), "IRI is not absolute: ':b'"),
+        (lambda: Term.iri("x/y:z"), "IRI is not absolute: 'x/y:z'"),
         (lambda: Term.var(""), "bad variable name: ''"),
         (lambda: Term.var("a b"), "bad variable name: 'a b'"),
         (lambda: Term.literal("x", datatype=XSD + "integer", language="en"),

@@ -3,7 +3,8 @@
 ``_TokenListReader`` is the previous reader, kept as the oracle: it
 tokenized the whole document with the SPARQL tokenizer first, then built
 the triple set.  It has since learned one rule the reader gained later: a
-relative IRI is a syntax error on the line of its token.  Valid documents must give the same triples; malformed
+relative IRI, one that does not start with a scheme, is a syntax error on
+the line of its token.  Valid documents must give the same triples; malformed
 ones, each with a single fault, the same exception type and line.  (With
 two faults the readers may differ: the streaming reader reports the first
 in document order, the old one any lexer fault before any parse fault.)
@@ -183,7 +184,7 @@ class _TokenListReader:
             if prefix not in self.prefixes:
                 self.fail(f"undeclared prefix {prefix + ':'!r}", tok)
             iri = self.prefixes[prefix] + local
-        if ":" not in iri:
+        if re.match(r"[A-Za-z][A-Za-z0-9+.-]*:", iri) is None:
             self.fail(f"IRI is not absolute: {iri!r}", tok)
         return iri
 
@@ -705,6 +706,111 @@ class TestStatementLoop:
     def test_token_loop_starts_after_the_leading_statements(self, monkeypatch, text, handed_over):
         start = token_loop_start(monkeypatch, text)
         assert (start if start is None else text[start:]) == handed_over
+
+
+# Documents naming an IRI with no scheme: (text, message, line).  '_:b'
+# written as an IRI is not the blank node '_:b'.
+SCHEMELESS_IRIS = {
+    "ntriples-blank-label-subject": (
+        "<_:b> <http://x/p> <http://x/o> .\n_:b <http://x/p> <http://x/o2> .\n", "IRI is not absolute: '_:b'", 1
+    ),
+    "ntriples-empty-scheme-datatype": (
+        f'<{EX}s> <{EX}p> <{EX}o> .\n<{EX}s> <{EX}p> "x"^^<:t> .\n', "IRI is not absolute: ':t'", 2
+    ),
+    "ntriples-digit-first-predicate": (f"<{EX}s> <1x:p> <{EX}o> .\n", "IRI is not absolute: '1x:p'", 1),
+    "turtle-blank-label-in-a-list": (
+        f"@prefix ex: <{EX}> .\nex:s ex:p ex:o ,\n  <_:b> .\n", "IRI is not absolute: '_:b'", 3
+    ),
+    "turtle-prefix-without-scheme": (
+        "@prefix e: <_:> .\ne:b <http://x/p> <http://x/o> .\n", "IRI is not absolute: '_:b'", 2
+    ),
+}
+
+
+class TestAbsoluteIris:
+    """An IRI is absolute only if it starts with a scheme: a letter, then
+    letters, digits, '+', '-' or '.', then ':'."""
+
+    @pytest.mark.parametrize("text, message, line", SCHEMELESS_IRIS.values(), ids=SCHEMELESS_IRIS)
+    def test_an_iri_with_no_scheme_fails_on_its_line(self, tmp_path, monkeypatch, text, message, line):
+        expected = (DocumentParseError, f"{message} (line {line})", line)
+        assert full_outcome(text) == token_loop_outcome(monkeypatch, text) == expected
+        assert outcome(oracle_parse, text) == (DocumentParseError, line)
+        path = tmp_path / "dump.nt"
+        path.write_text(text, encoding="utf-8")
+        assert dump_outcome(path) == expected
+
+    def test_every_scheme_character_is_read(self, monkeypatch):
+        text = f"<a1+b.c-d:s> <urn:p> <{EX}o> .\n<A:s> <urn:p> \"x\"^^<z:t> .\n"
+        expected = {
+            (Term.iri("a1+b.c-d:s"), Term.iri("urn:p"), Term.iri(EX + "o")),
+            (Term.iri("A:s"), Term.iri("urn:p"), Term.literal("x", datatype="z:t")),
+        }
+        assert parse_document(text) == oracle_parse(text) == token_loop_outcome(monkeypatch, text) == expected
+
+
+def dump_outcome(path):
+    """The records ``read_dump`` yields, or the error's type, message and line."""
+    try:
+        return list(read_dump(path))
+    except DocumentParseError as exc:
+        return type(exc), str(exc), exc.line
+
+
+def keyed_triples(text: str):
+    """The keys of the terms ``_triples`` reads, or the error's type,
+    message and line: the records ``read_dump`` must yield."""
+    term_key = rdfio.term_key
+    return full_outcome(text, "", lambda text, scope: [tuple(map(term_key, t)) for t in rdfio._triples(text, scope)])
+
+
+class TestDumpKeys:
+    """``read_dump`` keys plain N-Triples statements from their tokens; from
+    the first other statement ``_triples`` reads the rest.  Either way the
+    records, or the error, are those of the terms ``_triples`` reads."""
+
+    def test_random_ntriples_and_their_faults(self, tmp_path, monkeypatch):
+        rng = random.Random(9092)
+        path = tmp_path / "dump.nt"
+        failures = handed_over = 0
+        for _ in range(150):
+            text = random_ntriples(rng)
+            for variant in [text, *malformed_variants(rng, text, 4)]:
+                path.write_text(variant, encoding="utf-8")
+                expected = keyed_triples(variant)
+                assert dump_outcome(path) == expected, variant
+                with monkeypatch.context() as patch:
+                    disable_fast_paths(patch)
+                    assert dump_outcome(path) == expected, variant
+                failures += isinstance(expected, tuple)
+                handed_over += "@prefix" in variant
+        assert failures > 100 and handed_over > 50
+
+    def test_a_turtle_block_mid_file_is_handed_over(self, tmp_path, monkeypatch):
+        head = "".join(f"<{EX}s{i}> <{EX}p> <{EX}o{i}> .\n" for i in range(3))
+        text = (
+            head + f"@prefix ex: <{EX}> .\nex:s a ex:C ;\n  ex:p ex:o , _:b , \"v\"@en .\n"
+            + f'<{EX}s> <{EX}p> _:b .\n<{EX}s> <{EX}p> "w"^^<{XSD_STRING}> .\n'
+        )
+        path = tmp_path / "dump.nt"
+        path.write_text(text, encoding="utf-8")
+        starts = []
+        triples = rdfio._triples
+
+        def recorded(text, blank_scope, terms=None, pos=0):
+            starts.append(pos)
+            return triples(text, blank_scope, terms, pos)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(rdfio, "_triples", recorded)
+            records = list(read_dump(path))
+        assert starts == [len(head) - 1]  # the end of the last statement the key loop read
+        s, p = EX + "s", EX + "p"
+        assert records == keyed_triples(text) == [
+            *[(f"{EX}s{i}", p, f"{EX}o{i}") for i in range(3)],
+            (s, RDF_TYPE, EX + "C"), (s, p, EX + "o"), (s, p, "_:b"), (s, p, '"v"@en'),
+            (s, p, "_:b"), (s, p, '"w"'),
+        ]
 
 
 def token_loop_start(monkeypatch, text: str) -> int | None:
