@@ -16,10 +16,12 @@ mean real cost (positive when estimates run high).
 from __future__ import annotations
 
 import json
+import math
 import random
 import statistics
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 from .analysis import NotAnswerable, TraversalPlan, plan_query
@@ -235,9 +237,12 @@ def train_factors(train, catalog: StatsCatalog, grid=None) -> tuple[float, float
 
     Scores the joint (join, filter) grid with the filters-aware method;
     ties prefer the larger factors (mildest reduction), comparing the join
-    factor first.  Each query's cost is compiled once, before the grid, to
-    its polynomial in the two factors (``cost_terms``); each grid point
-    then evaluates the polynomials and ceils them as ``estimate`` does.
+    factor first.  Each query's cost is compiled once to its polynomial in
+    the two factors (``cost_terms``), then evaluated and ceiled, as
+    ``estimate`` ceils, only at the distinct grid values of the factors it
+    uses.  A point scores the ``fsum`` of its absolute differences over n,
+    ``statistics.fmean``'s value in any order.  The first non-finite total
+    in grid, then entry, order raises.
     """
     grid = [round(0.1 * i, 1) for i in range(11)] if grid is None else list(grid)
     if not grid:
@@ -249,15 +254,29 @@ def train_factors(train, catalog: StatsCatalog, grid=None) -> tuple[float, float
         raise EmptyInput("no usable training entries")
 
     compiled = [(s.entry.real_cost, cost_terms(s.plan, catalog)) for s in scored]
+    first = {v: grid.index(v) for v in dict.fromkeys(grid)}  # distinct values, in grid order
+    top = max((max(a, b) for _, terms in compiled for a, b, _ in terms), default=0)
+    # f**a once per value and exponent; None stands for an unused factor
+    powers = {v: [v**e for e in range(top + 1)] for v in first} | {None: [1.0]}
+    diffs: dict[tuple, list[int]] = {}  # (f1 or None, f2 or None) -> |real - est|
+    overflows = []  # (f1 index, f2 index, entry index, non-finite total)
+    for k, (real, terms) in enumerate(compiled):
+        for x in first if any(a for a, _, _ in terms) else [None]:
+            for y in first if any(b for _, b, _ in terms) else [None]:
+                total = sum(c * powers[x][a] * powers[y][b] for a, b, c in terms)
+                if math.isfinite(total):
+                    diffs.setdefault((x, y), []).append(abs(real - _ceil(total)))
+                else:
+                    overflows.append((first.get(x, 0), first.get(y, 0), k, total))
+    overflow = min(overflows, default=None)
     best = (grid[0], grid[0])
     best_score = float("inf")
-    for join_factor in grid:
-        for filter_factor in grid:
-            pairs = [
-                (real, _ceil(sum(c * join_factor**a * filter_factor**b for a, b, c in terms)))
-                for real, terms in compiled
-            ]
-            score = avg_abs_diff(pairs)
+    for i, join_factor in enumerate(grid):
+        for j, filter_factor in enumerate(grid):
+            if overflow and overflow[:2] == (i, j):
+                _ceil(overflow[3])  # raises
+            cells = (None, None), (join_factor, None), (None, filter_factor), (join_factor, filter_factor)
+            score = math.fsum(chain.from_iterable(diffs.get(cell, ()) for cell in cells)) / len(compiled)
             candidate = (join_factor, filter_factor)
             if score < best_score or (score == best_score and candidate > best):
                 best_score = score

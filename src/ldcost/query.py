@@ -528,7 +528,7 @@ class _Parser:
                 self.next()
                 if position == "predicate":
                     raise self.error("blank node in predicate position", tok)
-                return Term.blank(f"anon{next(self.blank_counter)}")
+                return Term.blank(f"[]{next(self.blank_counter)}")  # no blank-node token spells "["
             raise UnsupportedFeature("blank node property lists are not supported")
         if tok.kind == "word" and tok.text == "a" and position == "predicate":
             return Term.iri(RDF_TYPE)

@@ -222,7 +222,7 @@ def _token_loop(
         if next(tokens).lastgroup != "close":
             fail("blank node property lists are not supported", m)
         anon += 1
-        return Term.blank(f"anon{anon}{blank_scope}")
+        return Term.blank(f"[]{anon}{blank_scope}")  # no blank-node token spells "["
 
     def literal(m: re.Match) -> tuple[Term, re.Match]:
         """The literal starting at ``m`` and the token after it."""

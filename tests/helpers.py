@@ -11,6 +11,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
 
+from ldcost.analysis import plan_query
+from ldcost.estimator import cost_terms
 from ldcost.query import RDF_TYPE, Comparison, FilterNode, FunctionCall, QueryPattern, Term
 from ldcost.stats import GlobalStats, PredicateStats, StatsCatalog
 
@@ -133,6 +135,25 @@ def worked_example_catalog() -> StatsCatalog:
             EX + "inVenue": PredicateStats(EX + "inVenue", 1.0, 1.0),
         }
     )
+
+
+def polynomial_shape(q: QueryPattern, catalog: StatsCatalog) -> tuple[bool, bool]:
+    """Whether the query's ``mpjf`` polynomial uses f1, and whether it uses f2."""
+    terms = cost_terms(plan_query(q), catalog)
+    return any(a for a, _, _ in terms), any(b for _, b, _ in terms)
+
+
+# One query of each shape of its mpjf polynomial under the default catalog,
+# by directory: f1 only (2.86 + 86.49·f1), neither factor (1), f1·f2
+# (2.86 + 86.49·f1·f2) and f2 only (2.86 + 88.35·f2).  The split of seed 0
+# trains on q3 and q1, whose real costs are their estimates at f1 = f2 = 0.5,
+# and tests on q2 and q4.  CI writes the same dataset.
+FOUR_SHAPES_DATASET = {  # name: (query text, real cost)
+    "q1": ("SELECT * WHERE { <http://x/s> <http://x/p> ?a . ?a <http://x/q> ?b . ?a ?r ?c . ?c ?t ?d }", 47),
+    "q2": ("SELECT * WHERE { <http://x/s> <http://x/p> ?o }", 1),
+    "q3": ("SELECT * WHERE { <http://x/s> <http://x/p> ?a . ?a <http://x/q> ?b . ?a ?r ?c FILTER(?c > 3) ?c ?t ?d }", 25),
+    "q4": ("SELECT * WHERE { <http://x/s> <http://x/p> ?a . ?a <http://x/q> ?b FILTER(?a > 3) ?a ?r ?c . ?c ?t ?d }", 48),
+}
 
 
 # --- local store builders -------------------------------------------------------

@@ -747,6 +747,24 @@ class TestEmptyGrid:
         assert captured.err == "error: empty grid\n"
 
 
+class TestFourShapes:
+    def test_train_and_eval_fix_the_factors(self, tmp_path, capsys):
+        dataset = tmp_path / "gt"
+        for name, (text, cost) in helpers.FOUR_SHAPES_DATASET.items():
+            helpers.write_ground_truth_entry(dataset, name, text, cost)
+        shapes = [helpers.polynomial_shape(parse_query(text), StatsCatalog()) for text, _ in helpers.FOUR_SHAPES_DATASET.values()]
+        assert shapes == [(True, False), (False, False), (True, True), (False, True)]
+        argv = ["--dataset", str(dataset), "--json"]
+        assert cli.main(["train", *argv, "--grid", "1.0", "0.5", "0.5", "0.0"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["f1"], payload["f2"], payload["train_size"]) == (0.5, 0.5, 2)
+        assert cli.main(["eval", *argv]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["factors"] == {"f1": 0.5, "f2": 0.5}
+        assert payload["split"]["train_ids"] == ["q3", "q1"]
+        assert {m: s["n"] for m, s in payload["methods"].items()} == {"Mnp": 2, "Mp": 2, "Mpj": 2, "Mpjf": 2}
+
+
 class TestBadCatalogValues:
     """A catalog number that is not finite and non-negative, or averages
     whose product overflows a float, is malformed input: one error line

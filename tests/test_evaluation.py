@@ -32,7 +32,7 @@ from ldcost.evaluation import (
 )
 from ldcost.errors import FormatError
 from ldcost.query import parse_query
-from ldcost.stats import PredicateStats, StatsCatalog
+from ldcost.stats import GlobalStats, PredicateStats, StatsCatalog
 from ldcost.query import RDF_TYPE
 
 EX = helpers.EX
@@ -401,6 +401,33 @@ def _oracle_train_factors(train, catalog, grid):
     return best
 
 
+def _oracle_compiled_train_factors(train, catalog, grid):
+    """The compiled grid search as it was before each polynomial was
+    evaluated only at the values it depends on: every polynomial at every
+    point, in grid order, then entry order."""
+    compiled = []
+    for entry in train:
+        try:
+            compiled.append((entry.real_cost, cost_terms(plan_query(entry.query), catalog)))
+        except NotAnswerable:
+            continue
+    return _oracle_compiled_grid_search(compiled, grid)
+
+
+def _oracle_compiled_grid_search(compiled, grid):
+    best = None
+    best_score = float("inf")
+    for join_factor in grid:
+        for filter_factor in grid:
+            pairs = [(real, _compiled_ceiled_total(terms, join_factor, filter_factor)) for real, terms in compiled]
+            score = avg_abs_diff(pairs)
+            candidate = (join_factor, filter_factor)
+            if score < best_score or (score == best_score and best is not None and candidate > best):
+                best_score = score
+                best = candidate
+    return best
+
+
 def _generated_training_set(rng, n):
     """A random catalog and ``n`` answerable generated queries whose real
     costs scatter around the mpjf estimate at a random grid point."""
@@ -448,10 +475,94 @@ class TestCompiledTraining:
     def test_trained_factors_equal_the_float_grid_search(self, worked_catalog):
         rng = random.Random(4409)
         datasets = [_generated_training_set(rng, 40) for _ in range(6)]
+        for entries, catalog in datasets:  # each holds all four polynomial shapes
+            assert {helpers.polynomial_shape(e.query, catalog) for e in entries} == {(False, False), (True, False), (False, True), (True, True)}
         datasets.append((_forward_model_entries(0.5, 0.3, [worked_catalog, _scaled_catalog(0.7)]), worked_catalog))
+        grids = (DEFAULT_GRID, [1.0, 0.3, 0.0, 0.5, 0.3], [0.4], [1.0, 0.3, 0.0, 0.5, 0.3, 1.0])
         for entries, catalog in datasets:
-            for grid in (DEFAULT_GRID, [1.0, 0.3, 0.0, 0.5, 0.3]):
-                assert train_factors(entries, catalog, grid=grid) == _oracle_train_factors(entries, catalog, grid)
+            for grid in grids:
+                expected = _oracle_train_factors(entries, catalog, grid)
+                assert train_factors(entries, catalog, grid=grid) == expected
+                assert _oracle_compiled_train_factors(entries, catalog, grid) == expected
+
+    @pytest.mark.parametrize(
+        "texts, total",
+        [
+            ((helpers.DIRECTOR_STAR_QUERY, helpers.OVERFLOW_CHAIN_QUERY), "nan"),
+            ((helpers.OVERFLOW_CHAIN_QUERY, helpers.DIRECTOR_STAR_QUERY), "inf"),
+            ((helpers.BIRTHDATE_FILTER_QUERY, helpers.OVERFLOW_CHAIN_QUERY), "nan"),
+            ((helpers.OVERFLOW_CHAIN_QUERY, helpers.BIRTHDATE_FILTER_QUERY), "inf"),
+        ],
+    )
+    @pytest.mark.parametrize("grid", [DEFAULT_GRID, [1.0, 0.3, 0.0, 0.5, 0.3, 1.0], [0.0], [1.0]])
+    def test_an_overflow_raises_the_oracle_error(self, texts, total, grid):
+        # with every global average at 1e300 the star's polynomial is
+        # 1e300 + inf·f1, nan at f1 = 0, and the chain's is inf throughout:
+        # the first non-finite total in grid, then entry, order is reported
+        catalog = StatsCatalog(GlobalStats(*[1e300] * 5))
+        entries = [_entry(f"e{i}", text, 1) for i, text in enumerate(texts)]
+        with pytest.raises(InputError) as expected:
+            _oracle_compiled_train_factors(entries, catalog, grid)
+        with pytest.raises(InputError) as got:
+            train_factors(entries, catalog, grid=grid)
+        assert str(got.value) == str(expected.value)
+        if grid == DEFAULT_GRID:
+            assert str(got.value) == f"estimated total is {total}: the catalog averages overflow"
+        # the float walk never forms inf·0, so where the polynomial gives
+        # nan, ``estimate`` gives inf; elsewhere the two errors agree
+        with pytest.raises(InputError) as floated:
+            _oracle_train_factors(entries, catalog, grid)
+        if "nan" not in str(expected.value):
+            assert str(got.value) == str(floated.value)
+
+    def test_overflows_at_some_grid_values_raise_the_oracle_error(self, monkeypatch):
+        # finite coefficients near the float maximum overflow only at the
+        # larger factors, so entries turn non-finite at different points
+        rng = random.Random(2511)
+        coefficients = [1.0, 4e307, 1e308, 1.7e308, float("inf")]
+        outcomes = set()
+        for _ in range(400):
+            compiled = [
+                (rng.randint(1, 9), [(rng.randint(0, 2), rng.randint(0, 2), rng.choice(coefficients))
+                                     for _ in range(rng.randint(1, 3))])
+                for _ in range(rng.randint(1, 4))
+            ]
+            grid = [rng.choice([0.0, 0.2, 0.5, 0.9, 1.0]) for _ in range(rng.randint(1, 5))]
+            polynomials = iter([terms for _, terms in compiled])
+            monkeypatch.setattr(evaluation, "cost_terms", lambda plan, catalog: next(polynomials))
+            entries = [_entry(f"e{i}", helpers.MANDELA_QUERY, real) for i, (real, _) in enumerate(compiled)]
+            results = []
+            for search in (lambda: train_factors(entries, StatsCatalog(), grid=grid),
+                           lambda: _oracle_compiled_grid_search(compiled, grid)):
+                try:
+                    results.append(search())
+                except (InputError, OverflowError) as exc:
+                    results.append((type(exc), str(exc)))
+            assert results[0] == results[1], (compiled, grid)
+            outcomes.add(results[0][1] if results[0][0] in (InputError, OverflowError) else "factors")
+        assert outcomes >= {
+            "factors",
+            "estimated total is inf: the catalog averages overflow",
+            "estimated total is nan: the catalog averages overflow",
+        }
+
+    @pytest.mark.parametrize(
+        "texts, calls",
+        [
+            # factor-free, f1 only, and one of each of f1 only, f1·f2 and neither
+            ((helpers.MANDELA_QUERY, helpers.AUTHOR_CHAIN_QUERY, helpers.PARTY_CHAIN_QUERY), (3, 3)),
+            ((helpers.DIRECTOR_STAR_QUERY,), (11, 3)),
+            ((helpers.DIRECTOR_STAR_QUERY, helpers.BIRTHDATE_FILTER_QUERY, helpers.MANDELA_QUERY), (11 + 121 + 1, 3 + 9 + 1)),
+        ],
+    )
+    def test_each_total_is_ceiled_once_per_value_it_depends_on(self, monkeypatch, worked_catalog, texts, calls):
+        entries = [_entry(f"e{i}", text, 1) for i, text in enumerate(texts)]
+        ceiled = []
+        monkeypatch.setattr(evaluation, "_ceil", lambda total: ceiled.append(total) or _ceil(total))
+        train_factors(entries, worked_catalog)  # the default 121-point grid
+        on_default_grid = len(ceiled)
+        train_factors(entries, worked_catalog, grid=[1.0, 0.3, 0.0, 0.3, 1.0])  # three distinct values
+        assert (on_default_grid, len(ceiled) - on_default_grid) == calls
 
     def test_the_cost_walk_runs_once_per_training_plan(self, monkeypatch):
         entries, catalog = _generated_training_set(random.Random(515), 40)

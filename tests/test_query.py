@@ -139,6 +139,16 @@ class TestParseQuery:
         assert q.triples[0].subject.is_blank
         assert q.triples[1].object.is_blank
 
+    def test_an_anonymous_node_is_not_a_written_label(self):
+        q = parse_query(
+            "SELECT * WHERE { <http://x/s> <http://x/p> _:anon1 . "
+            "<http://x/t> <http://x/q> [] . <http://x/u> <http://x/r> [] }"
+        )
+        written, first, second = (t.object for t in q.triples)
+        assert written == Term.blank("anon1")
+        assert len({written, first, second}) == 3
+        assert all(t.is_blank and "[" in t.value for t in (first, second))
+
     def test_a_keyword_is_rdf_type(self):
         q = parse_query("SELECT * WHERE { ?s a <http://x/C> }")
         assert q.triples[0].predicate.value == RDF_TYPE

@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from ldcost import query, rdfio
+from ldcost import query, rdfio, stats
 from ldcost.errors import InputError
 from ldcost.query import (
     RDF_TYPE,
@@ -199,7 +199,7 @@ class _TokenListReader:
             if close.kind == "punct" and close.text == "]":
                 self.next()
                 self.anon += 1
-                return Term.blank(f"anon{self.anon}{self.blank_scope}")
+                return Term.blank(f"[]{self.anon}{self.blank_scope}")
             self.fail("blank node property lists are not supported", tok)
         if tok.kind == "keyword" and tok.text == "a" and position == "predicate":
             return Term.iri(RDF_TYPE)
@@ -747,6 +747,27 @@ class TestAbsoluteIris:
             (Term.iri("A:s"), Term.iri("urn:p"), Term.literal("x", datatype="z:t")),
         }
         assert parse_document(text) == oracle_parse(text) == token_loop_outcome(monkeypatch, text) == expected
+
+
+class TestAnonymousBlankNodes:
+    """``[]`` is a blank node of its own, apart from every written label:
+    its label holds a character no blank-node token can spell."""
+
+    def test_an_anonymous_node_is_not_a_written_label(self):
+        text = "_:anon1 <http://x/p> <http://x/o> .\n<http://x/s> <http://x/q> [] .\n"
+        triples = {t[1].value: t for t in parse_document(text, "@7")}
+        written, anonymous = triples["http://x/p"][0], triples["http://x/q"][2]
+        assert written == Term.blank("anon1@7")
+        assert anonymous.is_blank and anonymous != written and "[" in anonymous.value
+        assert parse_document(text, "@7") == oracle_parse(text, "@7")
+
+    def test_a_dump_counts_them_as_two_subjects(self, tmp_path):
+        path = tmp_path / "dump.nt"
+        path.write_text("_:anon1 <http://x/p> <http://x/o> .\n[] <http://x/p> <http://x/o> .\n", encoding="utf-8")
+        (subject1, _, _), (subject2, _, _) = read_dump(path)
+        assert subject1 == "_:anon1" and subject2 != subject1
+        catalog = stats.compute_from_dump(read_dump(path))
+        assert catalog.per_predicate["http://x/p"].avg_subject_bindings == 2.0
 
 
 def dump_outcome(path):
