@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import random
-import statistics
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -161,12 +160,22 @@ def split(entries, seed: int, ratio: float = 0.5):
     return pool[:n_train], pool[n_train:]
 
 
+def _score_sum(values) -> float:
+    """The ``math.fsum`` of ``values``, so a mean is ``statistics.fmean``'s
+    value.  A sum past the float maximum is reported as ``_ceil`` reports
+    a total that overflows: InputError, not OverflowError."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise InputError("summed score is inf: the catalog averages overflow") from None
+
+
 def avg_abs_diff(pairs) -> float:
     """Mean of |real - estimated| over (real, estimated) pairs."""
     pairs = list(pairs)
     if not pairs:
         raise EmptyInput("no (real, estimated) pairs to average")
-    return statistics.fmean(abs(real - est) for real, est in pairs)
+    return _score_sum(abs(real - est) for real, est in pairs) / len(pairs)
 
 
 def pct_avg_diff(pairs) -> float:
@@ -177,8 +186,8 @@ def pct_avg_diff(pairs) -> float:
     pairs = list(pairs)
     if not pairs:
         raise EmptyInput("no (real, estimated) pairs to average")
-    mean_real = statistics.fmean(real for real, _ in pairs)
-    mean_est = statistics.fmean(est for _, est in pairs)
+    mean_real = _score_sum(real for real, _ in pairs) / len(pairs)
+    mean_est = _score_sum(est for _, est in pairs) / len(pairs)
     if mean_real == 0:
         raise ZeroMeanReal("mean real cost is zero")
     return 100.0 * (mean_est - mean_real) / mean_real
@@ -242,7 +251,8 @@ def train_factors(train, catalog: StatsCatalog, grid=None) -> tuple[float, float
     ``estimate`` ceils, only at the distinct grid values of the factors it
     uses.  A point scores the ``fsum`` of its absolute differences over n,
     ``statistics.fmean``'s value in any order.  The first non-finite total
-    in grid, then entry, order raises.
+    in grid, then entry, order raises, and so does the first point whose
+    sum overflows (``_score_sum``).
     """
     grid = [round(0.1 * i, 1) for i in range(11)] if grid is None else list(grid)
     if not grid:
@@ -276,7 +286,7 @@ def train_factors(train, catalog: StatsCatalog, grid=None) -> tuple[float, float
             if overflow and overflow[:2] == (i, j):
                 _ceil(overflow[3])  # raises
             cells = (None, None), (join_factor, None), (None, filter_factor), (join_factor, filter_factor)
-            score = math.fsum(chain.from_iterable(diffs.get(cell, ()) for cell in cells)) / len(compiled)
+            score = _score_sum(chain.from_iterable(diffs.get(cell, ()) for cell in cells)) / len(compiled)
             candidate = (join_factor, filter_factor)
             if score < best_score or (score == best_score and candidate > best):
                 best_score = score

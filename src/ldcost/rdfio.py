@@ -94,12 +94,15 @@ def _triples(text: str, blank_scope: str, terms: dict | None = None, pos: int = 
     from offset ``pos`` on.  The text before ``pos`` may hold whole
     N-Triples statements only, as they declare nothing.
 
-    ``terms`` maps each map of leading prefix declarations to the terms of
-    the IRI and prefixed-name tokens read under it by any document read
-    with it; None gives a table of its own.  Raises DocumentParseError at
-    the first token that does not fit; its line is counted only then.
+    ``terms`` maps each map of leading prefix declarations to the terms
+    read under it by any document read with it: those of IRI and
+    prefixed-name tokens, and those of literals, keyed by their (string,
+    language tag, datatype) tokens.  Under the key None it keeps the last
+    leading block of directives it was given, as (its text, its prefix
+    map, its terms).  None gives a table of its own.  Raises
+    DocumentParseError at the first token that does not fit; its line is
+    counted only then.
     """
-    prefixes: dict[str, str] = {}
     blanks: dict[str, Term] = {}  # this document's blank-node tokens read so far
 
     # The fast path: the leading '@prefix' directives, then the statements
@@ -111,10 +114,28 @@ def _triples(text: str, blank_scope: str, terms: dict | None = None, pos: int = 
     # prefix, or holds a bad escape, the token loop takes over from that
     # statement's start and reports any error.  A document read to its end
     # never starts the token loop.
-    while (m := _PREFIX_RE.match(text, pos)) is not None:
-        prefixes[m["name"][:-1]] = m["iri"][1:-1]
-        pos = m.end()
-    nodes = {} if terms is None else terms.setdefault(tuple(prefixes.items()), {})
+    #
+    # A document that starts with the last block read, where its final '.'
+    # is not the start of a number and no directive follows it, declares
+    # what that block declared: the directives match as they matched there.
+    block = None if terms is None else terms.get(None)
+    if (
+        block is not None
+        and text.startswith(block[0], pos)
+        and not text[(after := pos + len(block[0])) : after + 1].isdecimal()
+        and _PREFIX_RE.match(text, after) is None
+    ):
+        pos = after
+        _, prefixes, nodes = block
+    else:
+        start = pos
+        prefixes = {}
+        while (m := _PREFIX_RE.match(text, pos)) is not None:
+            prefixes[m["name"][:-1]] = m["iri"][1:-1]
+            pos = m.end()
+        nodes = {} if terms is None else terms.setdefault(tuple(prefixes.items()), {})
+        if terms is not None and pos > start:
+            terms[None] = (text[start:pos], prefixes, nodes)
     while True:
         m = _STATEMENT_RE.match(text, pos)
         if m is not None:  # one triple, yielded at once: a dump pays for no list
@@ -122,13 +143,9 @@ def _triples(text: str, blank_scope: str, terms: dict | None = None, pos: int = 
             try:
                 subject = nodes.get(s) or _node(s, prefixes, nodes, blanks, blank_scope)
                 predicate = nodes.get(p) or _node(p, prefixes, nodes, blanks, blank_scope)
-                if o is not None:
-                    obj = nodes.get(o) or _node(o, prefixes, nodes, blanks, blank_scope)
-                elif datatype is not None:
-                    dt = nodes.get(datatype) or _node(datatype, prefixes, nodes, blanks, blank_scope)
-                    obj = Term.literal(unquote(string), datatype=dt.value)
-                else:
-                    obj = Term.literal(unquote(string), language=language and language[1:])
+                if o is None:
+                    o = string, language, datatype
+                obj = nodes.get(o) or _node(o, prefixes, nodes, blanks, blank_scope)
             except ValueError:
                 break
             yield subject, predicate, obj
@@ -144,13 +161,9 @@ def _triples(text: str, blank_scope: str, terms: dict | None = None, pos: int = 
             while True:
                 if p is not None:
                     predicate = nodes.get(p) or (_TYPE if p == "a" else _node(p, prefixes, nodes, blanks, blank_scope))
-                if o is not None:
-                    obj = nodes.get(o) or _node(o, prefixes, nodes, blanks, blank_scope)
-                elif datatype is not None:
-                    dt = nodes.get(datatype) or _node(datatype, prefixes, nodes, blanks, blank_scope)
-                    obj = Term.literal(unquote(string), datatype=dt.value)
-                else:
-                    obj = Term.literal(unquote(string), language=language and language[1:])
+                if o is None:
+                    o = string, language, datatype
+                obj = nodes.get(o) or _node(o, prefixes, nodes, blanks, blank_scope)
                 if end[-1] == ".":
                     break
                 kept.append((subject, predicate, obj))
@@ -164,21 +177,29 @@ def _triples(text: str, blank_scope: str, terms: dict | None = None, pos: int = 
         yield subject, predicate, obj
         pos = m.end()
     if _END_RE.match(text, pos) is None:
-        # the loop may declare prefixes: it reads and writes this document's table only
-        yield from _token_loop(text, pos, prefixes, blanks, blank_scope)
+        # the loop may declare prefixes: it gets a copy of the map, which later documents may share
+        yield from _token_loop(text, pos, dict(prefixes), blanks, blank_scope)
 
 
 def _node(
-    token: str, prefixes: dict[str, str], nodes: dict[str, Term], blanks: dict[str, Term], blank_scope: str
+    token: str | tuple, prefixes: dict[str, str], nodes: dict, blanks: dict[str, Term], blank_scope: str
 ) -> Term:
-    """The IRI or blank node an IRI, blank-node or prefixed-name token
-    names, now in ``nodes``, or for a blank node in ``blanks``.  The lexer
-    reads '_:' and a label character as a blank node, so a token that
-    starts '_:' is a prefixed name only when nothing, '%' or '-' follows.
+    """The term an IRI, blank-node or prefixed-name token names, or a
+    literal's (string, language tag, datatype) tokens, now in ``nodes``,
+    or for a blank node in ``blanks``.  The lexer reads '_:' and a label
+    character as a blank node, so a token that starts '_:' is a prefixed
+    name only when nothing, '%' or '-' follows.
 
-    Raises ValueError for a relative IRI or an undeclared prefix, and
-    stores nothing then."""
-    if token[0] == "<":
+    Raises ValueError for a relative IRI, an undeclared prefix or a bad
+    escape, and stores nothing then."""
+    if isinstance(token, tuple):
+        string, language, datatype = token
+        if datatype is not None:
+            dt = nodes.get(datatype) or _node(datatype, prefixes, nodes, blanks, blank_scope)
+            term = Term.literal(unquote(string), datatype=dt.value)
+        else:
+            term = Term.literal(unquote(string), language=language and language[1:])
+    elif token[0] == "<":
         term = Term.iri(token[1:-1])
     elif token[:2] == "_:" and token[2:3] not in "%-":
         term = blanks[token] = blanks.get(token) or Term.blank(token[2:] + blank_scope)
@@ -307,7 +328,9 @@ def parse_document(text: str, blank_scope: str = "", terms: dict | None = None) 
     ``blank_scope`` is appended to blank node labels so graphs from
     different documents never share a blank node.  Documents parsed with
     one ``terms`` table and the same leading prefix declarations share
-    their IRI terms.
+    their IRI and literal terms.  The table also keeps the last leading
+    block of '@prefix' directives read; a document that starts with the
+    same text takes its declarations without matching them again.
     """
     return frozenset(_triples(text, blank_scope, terms))
 

@@ -64,13 +64,14 @@ class UnsupportedFilter(InputError):
 
 @dataclass
 class DerefStore:
-    """Maps IRIs to documents, locally (files) or over HTTP (URLs).  The
-    documents it parses share a table of IRI terms, not their blank nodes."""
+    """Maps IRIs to documents, locally (files under ``base_dir``) or over
+    HTTP (URLs).  The documents it parses share one table of terms (see
+    ``rdfio.parse_document``), not their blank nodes."""
 
     manifest: dict[str, str]
     mode: str = "local"  # "local" | "http"
     miss_policy: str = "empty-graph"  # "empty-graph" | "error"
-    base_dir: Path = field(default_factory=Path)
+    base_dir: str = "."  # a str, so that reading a document converts no path
     timeout: float = 10.0
     _cache: dict[str, frozenset] = field(default_factory=dict, repr=False)
     _terms: dict = field(default_factory=dict, repr=False)
@@ -113,7 +114,7 @@ def load_store(
         manifest=manifest,
         mode=mode,
         miss_policy=miss_policy,
-        base_dir=manifest_path.parent,
+        base_dir=str(manifest_path.parent),
         timeout=timeout,
     )
     if mode == "local":
@@ -248,79 +249,116 @@ class BindingTable:
 
 
 class _GraphIndex:
-    """Union of fetched graphs, indexed by predicate and by (predicate,
-    subject) and (predicate, object).  ``all`` holds each triple once, as
-    a dict's keys, and every list keeps insertion order, so a narrower list
-    is an ordered sublist of the predicate's list."""
+    """Union of fetched graphs, indexed by predicate (``by_predicate``) and
+    by (predicate, subject) and (predicate, object) (``by_subject``,
+    ``by_object``).  ``all`` holds each triple once, as a dict's keys, and
+    every list keeps insertion order, so a narrower list is an ordered
+    sublist of the predicate's list.
 
-    def __init__(self):
-        self.by_predicate: dict[str, list[Triple]] = {}
-        self.by_subject: dict[tuple[str, Term], list[Triple]] = {}
-        self.by_object: dict[tuple[str, Term], list[Triple]] = {}
+    ``lists`` names the lists to fill, as ``_index_list`` names them, and
+    by default holds every one.  A list left unfilled is None, so reading
+    it fails."""
+
+    def __init__(self, lists=("predicate", "subject", "object")):
+        self.by_predicate: dict[str, list[Triple]] | None = {} if "predicate" in lists else None
+        self.by_subject: dict[tuple[str, Term], list[Triple]] | None = {} if "subject" in lists else None
+        self.by_object: dict[tuple[str, Term], list[Triple]] | None = {} if "object" in lists else None
         self.all: dict[Triple, None] = {}
 
     def add_graph(self, graph):
+        everything = self.all
+        by_predicate, by_subject, by_object = self.by_predicate, self.by_subject, self.by_object
         for triple in graph:
-            known = len(self.all)
-            self.all[triple] = None  # one hash; a triple seen before keeps its place
-            if len(self.all) == known:
+            known = len(everything)
+            everything[triple] = None  # one hash; a triple seen before keeps its place
+            if len(everything) == known:
                 continue
             s, p, o = triple
-            self.by_predicate.setdefault(p.value, []).append(triple)
-            self.by_subject.setdefault((p.value, s), []).append(triple)
-            self.by_object.setdefault((p.value, o), []).append(triple)
+            if by_predicate is not None:
+                by_predicate.setdefault(p.value, []).append(triple)
+            if by_subject is not None:
+                by_subject.setdefault((p.value, s), []).append(triple)
+            if by_object is not None:
+                by_object.setdefault((p.value, o), []).append(triple)
+
+
+def _index_list(triple: TriplePattern, bound) -> str:
+    """The list of a ``_GraphIndex`` the pattern reads, given the names
+    ``bound`` before it joins: "all" for a predicate that is not an IRI,
+    else "subject" if its subject is fixed (a constant or a bound name),
+    else "object" if its object is, else "predicate"."""
+    if not triple.predicate.is_iri:
+        return "all"
+    for position, term in (("subject", triple.subject), ("object", triple.object)):
+        name = _binding_name(term)
+        if name is None or name in bound:
+            return position
+    return "predicate"
 
 
 def _join_triple(solutions, triple: TriplePattern, index: _GraphIndex):
     """Extend each solution by every fetched triple the pattern matches
     under it: solutions in order, and each one's matches in index order.
 
-    The pattern's binding names are read once.  Per solution, each position
-    is fixed (a constant, or a name the solution binds) or binds a name
+    Every solution binds the same names (those of the patterns joined
+    before), so each position's role is worked out once, from the first:
+    fixed (a constant, or a name the solutions bind), or binding a name
     anew; a name that repeats in the triple joins on equal values.  The
-    index lists only triples with the pattern's IRI predicate and, if one
-    is fixed, its subject or else its object, so a candidate is compared
-    at the other fixed positions only.  (The lists are keyed by the
-    predicate's value, and an IRI's value holds a ':' that no blank node
-    label from ``dereference`` does.)
+    list ``_index_list`` picks holds only triples with the pattern's IRI
+    predicate and, if one is fixed, its subject or else its object, so a
+    candidate is compared at the other fixed positions only.  (The lists
+    are keyed by the predicate's value, and an IRI's value holds a ':'
+    that no blank node label from ``dereference`` does.)
     """
-    terms = (triple.subject, triple.predicate, triple.object)
-    names = [_binding_name(term) for term in terms]
-    predicate = triple.predicate.value if triple.predicate.is_iri else None
+    if not solutions:
+        return []
+    first = solutions[0]
+    reads = _index_list(triple, first)
+    constants = {}  # position -> the term a candidate must hold there
+    bound = {}  # position -> the name whose value a candidate must hold there
+    fresh = {}  # name bound anew -> its first position
+    same = []  # (position, earlier position) of a repeated new name
+    for i, term in enumerate((triple.subject, triple.predicate, triple.object)):
+        name = _binding_name(term)
+        if name is None:
+            constants[i] = term
+        elif name in first:
+            bound[i] = name
+        elif name in fresh:
+            same.append((i, fresh[name]))
+        else:
+            fresh[name] = i
+    lists = key = None  # the list each solution reads by its own value, and that value's name
+    if reads == "all":
+        candidates = index.all
+    else:
+        predicate = constants.pop(1).value  # every candidate has the predicate
+        if reads == "predicate":
+            candidates = index.by_predicate.get(predicate, ())
+        else:
+            at = 0 if reads == "subject" else 2
+            lists = index.by_subject if at == 0 else index.by_object
+            if at in constants:  # one list serves every solution
+                candidates = lists.get((predicate, constants.pop(at)), ())
+                lists = None
+            else:
+                key = bound.pop(at)
+    constants, bound, fresh = list(constants.items()), list(bound.items()), list(fresh.items())
     out = []
     for sol in solutions:
-        fixed = {}  # position -> the value a candidate must hold there
-        fresh = {}  # name bound anew -> its first position
-        same = []  # (position, earlier position) of a repeated new name
-        for i, name in enumerate(names):
-            if name is None:
-                fixed[i] = terms[i]
-            elif name in sol:
-                fixed[i] = sol[name]
-            elif name in fresh:
-                same.append((i, fresh[name]))
-            else:
-                fresh[name] = i
-        if predicate is None:
-            candidates = index.all
-        else:
-            del fixed[1]  # every candidate has the predicate
-            if 0 in fixed:
-                candidates = index.by_subject.get((predicate, fixed.pop(0)), ())
-            elif 2 in fixed:
-                candidates = index.by_object.get((predicate, fixed.pop(2)), ())
-            else:
-                candidates = index.by_predicate.get(predicate, ())
+        if lists is not None:
+            candidates = lists.get((predicate, sol[key]), ())
+        fixed = constants + [(i, sol[name]) for i, name in bound] if bound else constants
         check = fixed or same
         for ground in candidates:
             if check and not (
-                all(ground[i] == value for i, value in fixed.items())
+                all(ground[i] == value for i, value in fixed)
                 and all(ground[i] == ground[j] for i, j in same)
             ):
                 continue
             if fresh:
                 extended = sol.copy()
-                for name, i in fresh.items():
+                for name, i in fresh:
                     extended[name] = ground[i]
                 out.append(extended)
             else:
@@ -387,7 +425,14 @@ def execute(q: QueryPattern, store: DerefStore) -> tuple[BindingTable, Traversal
     plan = plan_query(q)
     _reject_opaque_filters(q)
 
-    index = _GraphIndex()
+    reads = set()  # the index lists the joins read, pattern by pattern in join order
+    bound: set[str] = set()
+    for group in plan.groups:
+        for idx in group.triple_indices:
+            triple = q.triples[idx]
+            reads.add(_index_list(triple, bound))
+            bound.update(filter(None, map(_binding_name, triple.terms())))
+    index = _GraphIndex(reads)
     solutions: list[dict[str, Term]] = [{}]
     accessed: list[tuple[str, int, float]] = []
     seen: set[str] = set()

@@ -814,6 +814,22 @@ class TestBadCatalogValues:
         assert captured.out == ""
         assert captured.err == "error: estimated total is inf: the catalog averages overflow\n"
 
+    @pytest.mark.parametrize("command", [["train"], ["eval", "--f1", "0.5", "--f2", "0.5"]], ids=["train", "eval"])
+    def test_overflowing_score_sum(self, tmp_path, capsys, command):
+        # each total is 1e308, a finite float; four of them sum past the float maximum
+        catalog = tmp_path / "huge.stats"
+        names = ("avg_outgoing_props", "avg_incoming_props", "avg_subj_bindings_nontype",
+                 "avg_instances_per_class", "avg_obj_bindings")
+        catalog.write_text("[global]\n" + "".join(f"{name}\t1e154\n" for name in names) + "[predicates]\n",
+                           encoding="utf-8")
+        dataset = tmp_path / "gt"
+        for i in range(4):
+            helpers.write_ground_truth_entry(dataset, f"c{i}", helpers.OVERFLOW_CHAIN_QUERY, 5)
+        assert cli.main([*command, "--dataset", str(dataset), "--catalog", str(catalog)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: summed score is inf: the catalog averages overflow\n"
+
 
 class TestInputNotUtf8:
     """Every input file is read as UTF-8: a byte that is not is malformed

@@ -617,14 +617,22 @@ def assert_read_alike_in_sequence(texts: list[str]) -> None:
     """Read ``texts`` one after another through one term table, twice over,
     so that the second pass finds every term already there, each with a
     blank-node scope of its own: each gives the triples, in order, or the
-    error of its reading alone."""
+    error of its reading alone, and hands over to the token loop where its
+    reading alone does."""
     terms: dict = {}
+    starts: list[int] = []  # where the token loop started reading the last text
 
     def shared(text: str, blank_scope: str) -> list:
         return list(rdfio._triples(text, blank_scope, terms))
 
-    for i, text in enumerate(texts + texts):
-        assert full_outcome(text, f"@{i}", shared) == full_outcome(text, f"@{i}", in_order), text
+    def read(text: str, blank_scope: str, parse) -> tuple:
+        starts.clear()
+        return full_outcome(text, blank_scope, parse), starts[:]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rdfio, "_TOKEN_RE", _RecordingTokenRe(starts))
+        for i, text in enumerate(texts + texts):
+            assert read(text, f"@{i}", shared) == read(text, f"@{i}", in_order), text
     assert len(terms) < len(texts) / 2  # documents with the same head shared a table
 
 
@@ -994,6 +1002,46 @@ def joined_variants(rng: random.Random, text: str, n: int) -> Iterator[str]:
         yield text[:at].rstrip() + text[at:]
 
 
+def block_variants(rng: random.Random, text: str) -> list[str]:
+    """Documents to read right after ``text`` (a ``random_prefixed_turtle``)
+    whose leading '@prefix' block is ``text``'s, or differs from it in one
+    way: one more directive, fewer directives, 'ex:' declared again, other
+    white space or a comment, or the block followed by '5', by '@base' or
+    by a statement and then a directive."""
+    lines = text.split("\n", 6)
+    block, body = "\n".join(lines[:6]), lines[6]
+    other = 'ex:s0 ex:p "7"^^xsd:integer , o.x:thing ; a:b _:b0 .\n'
+    redeclared = f"@prefix ex: <{OTHER}> ."
+    variants = [
+        block + "\n" + body,
+        block + "\n" + other,
+        block + "\n@prefix extra: <http://extra.example/> .\n" + other,
+        "\n".join(lines[: rng.randint(1, 5)]) + "\n" + rng.choice([body, other]),
+        block + "\n" + redeclared + "\n" + other,
+        block.replace(f"@prefix ex: <{EX}> .", redeclared) + "\n" + other,
+        block.replace("\n", rng.choice(["\n\n", "\n# c\n", " \n", "\t\n"]), 1) + "\n" + other,
+        block.replace(" .", rng.choice(["  .", "\t.", "."]), 1) + "\n" + other,
+        block + "5 .\n" + other,
+        block + "\n@base <http://x/> .\n" + other,
+        block + "\n" + other + redeclared + "\n" + other,
+    ]
+    return [*rng.sample(variants, 4), block + "\n" + other]
+
+
+# A typed literal whose datatype prefix maps to one IRI in some blocks and
+# to another in others, and in one document is declared again after a
+# statement.
+TYPED_UNDER_TWO_BLOCKS = [
+    f'@prefix t: <{EX}> .\n<{EX}s> <{EX}p> "7"^^t:int .\n',
+    f'@prefix t: <{OTHER}> .\n<{EX}s> <{EX}p> "7"^^t:int .\n',
+    f'@prefix t: <{EX}> .\n<{EX}s> <{EX}p> "7"^^t:int .\n@prefix t: <{OTHER}> .\n<{EX}s> <{EX}q> "7"^^t:int .\n',
+    f'@prefix t: <{EX}> .\n<{EX}s> <{EX}q> "7"^^t:int .\n',
+    f'@prefix t: <{EX}> .\n\n<{EX}s> <{EX}q> "7"^^t:int .\n',
+    f'@prefix t: <{EX}> .\n@prefix t: <{OTHER}> .\n<{EX}s> <{EX}q> "7"^^t:int .\n',
+    f'@prefix t: <{EX}> .\n<{EX}s> <{EX}q> "7"^^t:int .\n',
+]
+
+
 # Documents the fast path reads to their end.
 READ_WHOLE = {
     "empty": "",
@@ -1035,10 +1083,13 @@ class TestTurtleStatements:
 
     def test_random_documents_read_alike_in_sequence(self):
         rng = random.Random(7071)
+        siblings = random.Random(7072)
         texts = list(READ_WHOLE.values())
         for _ in range(300):
             text = random_prefixed_turtle(rng)
-            texts += [text, *malformed_variants(rng, text, 4), *joined_variants(rng, text, 2)]
+            texts += [text, *block_variants(siblings, text), *malformed_variants(rng, text, 4),
+                      *joined_variants(rng, text, 2)]
+        texts += TYPED_UNDER_TWO_BLOCKS
         assert_read_alike_in_sequence(texts)
 
     @pytest.mark.parametrize("text, message, line", [

@@ -545,9 +545,10 @@ def _match_term(pattern, ground, binding):
 def _nested_loop_join(solutions, triple, index):
     """The join before the subject/object index: every solution against
     every fetched triple with the pattern's predicate (all triples for a
-    non-IRI predicate).  Kept here as the oracle for the indexed join."""
+    non-IRI predicate).  Kept here as the oracle for the indexed join.  It
+    reads only ``index.all``, the one list every index fills."""
     if triple.predicate.is_iri:
-        candidates = index.by_predicate.get(triple.predicate.value, [])
+        candidates = [t for t in index.all if t[1] == triple.predicate]
     else:
         candidates = index.all
     out = []
@@ -801,6 +802,83 @@ class TestCompiledJoin:
                     counted["blank"] += any(t.is_blank for t in terms)
                     counted["constant-object"] += triple.object.is_iri or triple.object.is_literal
         assert min(counted.values()) >= 10, counted
+
+
+class _Reads(dict):
+    """An index list that records in ``read`` under ``name`` each time a
+    join looks it up or goes through it."""
+
+    def __init__(self, name: str, read: set):
+        super().__init__()
+        self.name, self.read = name, read
+
+    def get(self, key, default=None):
+        self.read.add(self.name)
+        return super().get(key, default)
+
+    def __iter__(self):
+        self.read.add(self.name)
+        return super().__iter__()
+
+
+class TestIndexLists:
+    """``execute`` fills exactly the index lists its joins read."""
+
+    def _lists(self, monkeypatch, q, manifest) -> tuple[set, set, int]:
+        """The keyed lists ``execute``'s index fills, the lists its joins
+        read ("all" too, which every index fills), and the number of rows."""
+        filled, read = set(), set()
+
+        class Recording(traversal._GraphIndex):
+            def __init__(self, lists=None):
+                super().__init__(lists)
+                for name in ("subject", "object", "predicate"):
+                    if getattr(self, "by_" + name) is not None:
+                        filled.add(name)
+                        setattr(self, "by_" + name, _Reads(name, read))
+                self.all = _Reads("all", read)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(traversal, "_GraphIndex", Recording)
+            table, _ = execute(q, load_store(manifest))
+        return filled, read, len(table)
+
+    def _check(self, monkeypatch, query, manifest) -> bool:
+        """Whether every join read its list: a pattern after the solutions
+        run out reads none, so only then are the two sets equal."""
+        q = parse_query(query)
+        filled, read, rows = self._lists(monkeypatch, q, manifest)
+        assert read - {"all"} <= filled, query
+        if rows:
+            assert read - {"all"} == filled, query
+        return bool(rows)
+
+    def test_on_the_join_store(self, tmp_path, monkeypatch):
+        manifest = _join_store(tmp_path)
+        bodies = [
+            "<{EX}seed> ?p ?o . ?o <{EX}name> ?n",
+            "<{EX}seed> <{EX}p> ?x . ?x <{EX}loop> ?x",
+            "<{EX}seed> <{EX}p> ?x . <{EX}seed> <{EX}p> ?y . ?x <{EX}loop> ?y",
+            "<{EX}seed> <{EX}p> ?x . ?y <{EX}link> ?x",
+            '<{EX}seed> <{EX}p> ?x . ?x <{EX}year> "1990"',
+        ]
+        for body in bodies:
+            assert self._check(monkeypatch, "SELECT * WHERE { " + body.format(EX=EX) + " }", manifest)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_on_generated_stores(self, tmp_path, monkeypatch, seed):
+        rng = random.Random(seed)
+        manifest = _random_world(tmp_path, rng)
+        assert sum(self._check(monkeypatch, _random_join_query(rng), manifest) for _ in range(25)) > 0
+
+    def test_the_star_reads_the_subject_list_only(self, tmp_path, monkeypatch):
+        docs = {EX + "seed": f"<{EX}seed> <{EX}links> <{EX}s> .\n",
+                EX + "s": f'<{EX}s> <{EX}year> "1990" .\n<{EX}s> <{EX}label> "s" .\n'}
+        for i, (iri, text) in enumerate(docs.items()):
+            (tmp_path / f"d{i}.nt").write_text(text, encoding="utf-8")
+        manifest = helpers.write_manifest(tmp_path, {iri: f"d{i}.nt" for i, iri in enumerate(docs)})
+        query = f"SELECT * WHERE {{ <{EX}seed> <{EX}links> ?s . ?s <{EX}year> ?y . ?s <{EX}label> ?l }}"
+        assert self._lists(monkeypatch, parse_query(query), manifest) == ({"subject"}, {"subject"}, 1)
 
 
 def _mixed_kind_world(root, rng: random.Random):
