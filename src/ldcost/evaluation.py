@@ -167,7 +167,7 @@ def _score_sum(values) -> float:
     try:
         return math.fsum(values)
     except OverflowError:
-        raise InputError("summed score is inf: the catalog averages overflow") from None
+        raise InputError("summed score is not finite: the catalog averages overflow") from None
 
 
 def avg_abs_diff(pairs) -> float:

@@ -7,6 +7,7 @@ and rules are out of scope.
 
 from __future__ import annotations
 
+import os
 import re
 from collections.abc import Iterator
 from typing import NoReturn
@@ -80,6 +81,10 @@ _PREFIX_RE = re.compile(
 # Nothing left but white space and comments.
 _END_RE = re.compile(rf"{_GAP}(?:\#[^\n]*)?\Z")
 
+# Binary mode: on Windows os.open otherwise translates line ends.
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+_READ_CHUNK = 1 << 16  # bytes per read past the size os.fstat gave
+
 
 class DocumentParseError(InputError):
     """An RDF document could not be parsed."""
@@ -118,6 +123,7 @@ def _triples(text: str, blank_scope: str, terms: dict | None = None, pos: int = 
     # A document that starts with the last block read, where its final '.'
     # is not the start of a number and no directive follows it, declares
     # what that block declared: the directives match as they matched there.
+    tail = _content_end(text, pos)  # where only white space is left, which nothing matches
     block = None if terms is None else terms.get(None)
     if (
         block is not None
@@ -130,13 +136,13 @@ def _triples(text: str, blank_scope: str, terms: dict | None = None, pos: int = 
     else:
         start = pos
         prefixes = {}
-        while (m := _PREFIX_RE.match(text, pos)) is not None:
+        while pos < tail and (m := _PREFIX_RE.match(text, pos)) is not None:
             prefixes[m["name"][:-1]] = m["iri"][1:-1]
             pos = m.end()
         nodes = {} if terms is None else terms.setdefault(tuple(prefixes.items()), {})
         if terms is not None and pos > start:
             terms[None] = (text[start:pos], prefixes, nodes)
-    while True:
+    while pos < tail:
         m = _STATEMENT_RE.match(text, pos)
         if m is not None:  # one triple, yielded at once: a dump pays for no list
             s, p, o, string, language, datatype = m.groups()
@@ -176,9 +182,20 @@ def _triples(text: str, blank_scope: str, terms: dict | None = None, pos: int = 
         yield from kept
         yield subject, predicate, obj
         pos = m.end()
-    if _END_RE.match(text, pos) is None:
+    if pos < tail and _END_RE.match(text, pos) is None:
         # the loop may declare prefixes: it gets a copy of the map, which later documents may share
         yield from _token_loop(text, pos, dict(prefixes), blanks, blank_scope)
+
+
+def _content_end(text: str, pos: int) -> int:
+    """The offset just past the last character of ``text`` from ``pos`` on
+    that is not white space, or ``pos`` if there is none.  It scans back
+    from the end, so the text is not copied.  ``str.isspace`` accepts the
+    characters ``\\s`` matches."""
+    end = len(text)
+    while end > pos and text[end - 1].isspace():
+        end -= 1
+    return end
 
 
 def _node(
@@ -354,9 +371,23 @@ def read_text(path) -> str:
     """The text of a UTF-8 file, less one leading byte order mark, with its
     line ends read as ``Path.read_text`` reads them.  Raises
     DocumentParseError naming the line of the first byte that is not UTF-8,
-    and OSError if the file cannot be read."""
-    with open(path, "rb") as file:
-        data = file.read().removeprefix(b"\xef\xbb\xbf")
+    and OSError naming ``path`` if the file cannot be read.
+
+    A regular file is read with one ``os.read`` of the size ``os.fstat``
+    gives; reading goes on until a read returns no data, for a file that
+    grew or has no size."""
+    try:
+        fd = os.open(path, _READ_FLAGS)
+        try:
+            chunks = [os.read(fd, os.fstat(fd).st_size)]
+            while chunk := os.read(fd, _READ_CHUNK):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        exc.filename = os.fspath(path)  # os.read on a directory names no file
+        raise
+    data = b"".join(chunks).removeprefix(b"\xef\xbb\xbf")  # one chunk is not copied
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -66,21 +66,25 @@ class UnsupportedFilter(InputError):
 class DerefStore:
     """Maps IRIs to documents, locally (files under ``base_dir``) or over
     HTTP (URLs).  The documents it parses share one table of terms (see
-    ``rdfio.parse_document``), not their blank nodes."""
+    ``rdfio.parse_document``), not their blank nodes.  In local mode each
+    document's path is joined once, when the store is made."""
 
     manifest: dict[str, str]
     mode: str = "local"  # "local" | "http"
     miss_policy: str = "empty-graph"  # "empty-graph" | "error"
-    base_dir: str = "."  # a str, so that reading a document converts no path
+    base_dir: str = "."
     timeout: float = 10.0
     _cache: dict[str, frozenset] = field(default_factory=dict, repr=False)
     _terms: dict = field(default_factory=dict, repr=False)
+    _paths: dict[str, str] = field(init=False, repr=False)  # IRI -> its document's path, in local mode
 
     def __post_init__(self):
         if self.mode not in ("local", "http"):
             raise ValueError(f"unknown store mode {self.mode!r}")
         if self.miss_policy not in ("empty-graph", "error"):
             raise ValueError(f"unknown miss policy {self.miss_policy!r}")
+        local = self.mode == "local"
+        self._paths = {iri: os.path.join(self.base_dir, rel) for iri, rel in self.manifest.items()} if local else {}
 
 
 def load_store(
@@ -117,11 +121,10 @@ def load_store(
         base_dir=str(manifest_path.parent),
         timeout=timeout,
     )
-    if mode == "local":
-        for iri, rel in manifest.items():
-            if not os.path.isfile(os.path.join(store.base_dir, rel)):
-                path = Path(store.base_dir, rel)
-                raise StoreIoError(f"document for <{iri}> is not a readable file: {path}")
+    for iri, path in store._paths.items():  # local mode only
+        if not os.path.isfile(path):
+            rel = manifest[iri]
+            raise StoreIoError(f"document for <{iri}> is not a readable file: {Path(store.base_dir, rel)}")
     return store
 
 
@@ -142,13 +145,13 @@ def dereference(store: DerefStore, iri: str, fetch: Future | None = None):
         else:
             with web.Session(store.timeout) as session:
                 text = _http_fetch(store, iri, session)
-    elif (location := store.manifest.get(iri)) is None:
+    elif (path := store._paths.get(iri)) is None:
         text = None
     else:
         try:
-            text = read_text(os.path.join(store.base_dir, location))
+            text = read_text(path)
         except OSError as exc:
-            exc.filename = str(Path(store.base_dir, location))  # as load_store names it
+            exc.filename = str(Path(store.base_dir, store.manifest[iri]))  # as load_store names it
             raise StoreIoError(f"cannot read document for <{iri}>: {exc}") from exc
         except DocumentParseError as exc:  # not UTF-8
             raise DocumentError(iri, exc) from exc

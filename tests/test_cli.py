@@ -812,7 +812,7 @@ class TestBadCatalogValues:
         assert cli.main(args + ["--catalog", str(catalog)]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: estimated total is inf: the catalog averages overflow\n"
+        assert captured.err == "error: estimated total is not finite: the catalog averages overflow\n"
 
     @pytest.mark.parametrize("command", [["train"], ["eval", "--f1", "0.5", "--f2", "0.5"]], ids=["train", "eval"])
     def test_overflowing_score_sum(self, tmp_path, capsys, command):
@@ -828,7 +828,21 @@ class TestBadCatalogValues:
         assert cli.main([*command, "--dataset", str(dataset), "--catalog", str(catalog)]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: summed score is inf: the catalog averages overflow\n"
+        assert captured.err == "error: summed score is not finite: the catalog averages overflow\n"
+
+
+@pytest.mark.parametrize("fault, reason", [
+    ("directory", "[Errno 21] Is a directory"),
+    ("missing", "[Errno 2] No such file or directory"),
+], ids=["directory", "missing"])
+def test_unreadable_query_file_is_named(tmp_path, capsys, monkeypatch, fault, reason):
+    monkeypatch.chdir(tmp_path)
+    if fault == "directory":
+        (tmp_path / "q.rq").mkdir()
+    assert cli.main(["estimate", "q.rq"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read query file q.rq: {reason}: 'q.rq'\n"
 
 
 class TestInputNotUtf8:

@@ -1,0 +1,104 @@
+"""Growth you can test: the number of Python lines executed under
+``src/ldcost`` is deterministic, and for this pure-Python package it tracks
+the work.  Each layer is counted at three doubling sizes; the count per unit
+of input at the largest size must stay within a fixed ratio of the middle
+one, so a layer that turns quadratic fails here, with no timing noise.
+
+Work done in C (regular expressions, sorting, set and dict operations) is
+not counted: the timed benchmark still covers it.  Line events differ
+between Python versions, so only ratios are compared, never counts.
+"""
+
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+import helpers
+import ldcost
+from ldcost import traversal
+from ldcost.query import XSD, parse_query
+
+EX = "http://example.org/"
+PACKAGE = str(Path(ldcost.__file__).parent)
+RATIO = 1.25  # the largest size's count per unit over the middle size's, at most (and its inverse, at least)
+
+
+def executed_lines(run) -> int:
+    """The line events ``run()`` executes in the package's own files, in
+    this thread."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def scope(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(PACKAGE) else None
+
+    sys.settrace(scope)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def build_star_store(root: Path, subjects: int) -> tuple[Path, str]:
+    """A store shaped as the star benchmark's: a seed document linking
+    ``subjects`` Turtle documents, each with a typed year and a label, all
+    under one block of '@prefix' directives, and the FILTERed star query
+    over them."""
+    rng = random.Random(subjects)
+    head = f"@prefix ex: <{EX}> .\n@prefix xsd: <{XSD}> .\n"
+    docs = root / "docs"
+    docs.mkdir(parents=True)
+    documents = {}
+    for i in range(subjects):
+        text = f'{head}ex:s{i} ex:year "{rng.randint(1900, 2020)}"^^xsd:integer ;\n  ex:label "subject {i}" .\n'
+        (docs / f"s{i}.ttl").write_text(text, encoding="utf-8")
+        documents[f"{EX}s{i}"] = f"docs/s{i}.ttl"
+    links = "".join(f"ex:seed ex:links ex:s{i} .\n" for i in range(subjects))
+    (docs / "seed.ttl").write_text(head + links, encoding="utf-8")
+    documents[f"{EX}seed"] = "docs/seed.ttl"
+    query = (
+        f"PREFIX ex: <{EX}>\nSELECT * WHERE {{\n  ex:seed ex:links ?s .\n"
+        "  ?s ex:year ?year FILTER(?year > 1960)\n  ?s ex:label ?label\n}\n"
+    )
+    return helpers.write_manifest(root, documents), query
+
+
+def build_chain(root: Path, degrees: list[int]) -> tuple[Path, str]:
+    manifest, query, _, _ = helpers.build_chain_store(root, degrees)
+    return manifest, query
+
+
+def lines_per_document(root: Path, build, size) -> float:
+    """The lines ``execute`` runs per document of the store ``build``
+    makes at ``size``; each document is read once."""
+    manifest, text = build(root, size)
+    q = parse_query(text)
+    store = traversal.load_store(manifest)
+    lines = executed_lines(lambda: traversal.execute(q, store))
+    assert sorted(store._cache) == sorted(store.manifest)  # every document read
+    return lines / len(store.manifest)
+
+
+@pytest.mark.parametrize("build, sizes", [
+    (build_chain, ([5, 5, 2], [10, 10, 2], [20, 20, 2])),
+    (build_star_store, (200, 400, 800)),
+], ids=["chain", "star"])
+def test_execute_grows_linearly_in_documents(tmp_path, build, sizes):
+    small, middle, largest = (lines_per_document(tmp_path / f"n{i}", build, size) for i, size in enumerate(sizes))
+    assert 1 / RATIO <= largest / middle <= RATIO, (small, middle, largest)
+
+
+def test_counts_are_deterministic(tmp_path):
+    manifest, text = build_star_store(tmp_path, 50)
+    q = parse_query(text)
+    stores = [traversal.load_store(manifest) for _ in range(2)]
+    first, second = (executed_lines(lambda: traversal.execute(q, store)) for store in stores)
+    assert first == second > 0

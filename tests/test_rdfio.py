@@ -15,8 +15,10 @@ The SPARQL tokenizer the oracle ran on is frozen here as well
 """
 
 import ast
+import os
 import random
 import re
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -586,10 +588,12 @@ STATEMENT_CASES = {
 
 def disable_fast_paths(patch) -> None:
     """Make every compiled pattern of ``rdfio`` but the token lexer match
-    nothing, so that the token loop reads each document from its start."""
+    nothing, and let no white-space tail end a document early, so that the
+    token loop reads each document from its start."""
     for name, value in vars(rdfio).items():
         if isinstance(value, re.Pattern) and name != "_TOKEN_RE":
             patch.setattr(rdfio, name, re.compile(r"(?!)"))
+    patch.setattr(rdfio, "_content_end", lambda text, pos: len(text) + 1)  # as if the text went on
 
 
 def token_loop_outcome(monkeypatch, text: str, blank_scope: str = "@7", parse=parse_document):
@@ -1055,6 +1059,16 @@ READ_WHOLE = {
     "lists": STATEMENT_CASES["turtle-lists"] + "# end",
     "mixed": f"@prefix ex: <{EX}> .\n<{EX}s> <{EX}p> <{EX}o> .\nex:s a ex:C ; .\n<{EX}s> <{EX}p> _:b .\n",
 }
+# The same documents with tails only white space or comments follow.
+READ_WHOLE |= {
+    "space-tail": READ_WHOLE["ntriples"] + " ",
+    "separator-tail": READ_WHOLE["star"] + "\x1c",  # a file separator: white space to \\s and str.isspace
+    "next-line-tail": READ_WHOLE["seed"] + "\x85",
+    "comment-tail": READ_WHOLE["star"] + "# end\n",
+    "comment-tail-no-newline": READ_WHOLE["star"] + "  # end",
+    "white-space-only": " \t\n\x0b\x0c\x1c\x85\u2028\u3000\n",
+    "comment-only": "# only a comment\n",
+}
 
 
 class TestTurtleStatements:
@@ -1118,8 +1132,141 @@ class TestTurtleStatements:
             parse_document(text)
         assert starts == [0]
 
+    @pytest.mark.parametrize("tail", ["\n", " \n\x85 ", "# end\n"], ids=["newline", "white-space", "comment"])
+    def test_no_pattern_reads_a_white_space_tail(self, monkeypatch, tail):
+        """Star documents like the benchmark's, read one after another through
+        one term table, make no match at all past their last '.', not even
+        one that fails, unless a comment follows it."""
+        texts = [READ_WHOLE["star"].rstrip() + tail, READ_WHOLE["star"].replace("s7", "s8").rstrip() + tail]
+        terms: dict = {}
+        for text in texts:
+            calls = []
+            with monkeypatch.context() as patch:
+                for name, value in vars(rdfio).items():
+                    if isinstance(value, re.Pattern) and name != "_TOKEN_RE":
+                        patch.setattr(rdfio, name, _RecordingPattern(name, value, calls))
+                triples = list(rdfio._triples(text, "@1", terms))
+            assert triples == in_order(text, "@1")
+            last = text.rindex(".") + 1
+            at_end = [(name, matched) for name, pos, matched in calls if pos >= last]
+            if "#" in tail:  # a comment is read as a statement might start there
+                assert at_end == [("_STATEMENT_RE", False), ("_TURTLE_RE", False), ("_END_RE", True)]
+            else:
+                assert at_end == []
+            # before it, the check for a directive after the block fails, and
+            # so does the N-Triples reading of the Turtle statement
+            failed = [name for name, pos, matched in calls if not matched and pos < last]
+            assert failed == ["_PREFIX_RE", "_STATEMENT_RE"]
+
+
+class _RecordingPattern:
+    """Records each match asked of it, (name, offset, whether it matched),
+    then matches as ``pattern``."""
+
+    def __init__(self, name: str, pattern: re.Pattern, calls: list):
+        self.name, self.pattern, self.calls = name, pattern, calls
+
+    def match(self, text: str, pos: int = 0):
+        m = self.pattern.match(text, pos)
+        self.calls.append((self.name, pos, m is not None))
+        return m
+
+
+def test_white_space_is_what_the_patterns_skip():
+    """``_content_end`` scans back over ``str.isspace`` characters, and the
+    patterns skip ``\\s``: both accept the same characters."""
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", chars) == [c for c in chars if c.isspace()]
+    assert rdfio._content_end("a .\x85\u3000\n", 0) == 3
+    assert rdfio._content_end("a . \n", 3) == 3
+    assert rdfio._content_end("", 0) == 0
+
+
+def frozen_read_text(path) -> str:
+    """``rdfio.read_text`` as it read through a buffered ``open``: the
+    oracle of the os-level reader."""
+    with open(path, "rb") as file:
+        data = file.read().removeprefix(b"\xef\xbb\xbf")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DocumentParseError(f"byte {data[exc.start]:#04x} is not UTF-8", line) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_outcome(read, path):
+    """The text ``read`` gives, or its error's type and message."""
+    try:
+        return read(path)
+    except (OSError, DocumentParseError) as exc:
+        return type(exc), str(exc)
+
+
+_LINE = f'<{EX}s> <{EX}p> "v" .\r\n'.encode()
+_PAST_64_KIB = _LINE * (65536 // len(_LINE) + 1)
+# File contents, each read by ``read_text`` as by its frozen oracle.
+READ_FILES = {
+    "empty": b"",
+    "byte-order-mark-only": b"\xef\xbb\xbf",
+    "crlf": _LINE * 3,
+    "lone-cr": _LINE.replace(b"\r\n", b"\r") * 3,
+    "crlf-across-64-kib": b"#" * 65535 + b"\r\n" + _LINE,
+    "not-utf8-past-64-kib": b"\xef\xbb\xbf" + _PAST_64_KIB + f'<{EX}s> <{EX}p> "caf'.encode() + b'\xe9" .\r\n' + _LINE,
+}
+
 
 class TestReadText:
+    @pytest.mark.parametrize("content", READ_FILES.values(), ids=READ_FILES)
+    def test_a_file_reads_as_the_buffered_reader_read_it(self, tmp_path, content):
+        path = tmp_path / "doc.nt"
+        path.write_bytes(content)
+        for given in (path, str(path)):
+            assert read_outcome(rdfio.read_text, given) == read_outcome(frozen_read_text, given)
+
+    def test_the_line_of_a_byte_past_64_kib(self, tmp_path):
+        path = tmp_path / "doc.nt"
+        path.write_bytes(READ_FILES["not-utf8-past-64-kib"])
+        line = _PAST_64_KIB.count(b"\n") + 1
+        assert read_outcome(rdfio.read_text, path) == (DocumentParseError, f"byte 0xe9 is not UTF-8 (line {line})")
+
+    @pytest.mark.parametrize("kind", [str, Path], ids=["str", "Path"])
+    @pytest.mark.parametrize("fault", ["missing", "directory"])
+    def test_an_unreadable_path_is_named(self, tmp_path, fault, kind):
+        path = tmp_path / "doc.nt"
+        if fault == "directory":
+            path.mkdir()
+        expected = read_outcome(frozen_read_text, kind(path))
+        assert read_outcome(rdfio.read_text, kind(path)) == expected
+        assert expected[1].endswith(f": {str(path)!r}")
+
+    def test_a_regular_file_takes_one_read_sized_by_fstat(self, tmp_path, monkeypatch):
+        path = tmp_path / "doc.nt"
+        path.write_bytes(READ_FILES["not-utf8-past-64-kib"])
+        reads = []
+        read = os.read
+
+        def recorded(fd: int, n: int) -> bytes:
+            data = read(fd, n)
+            reads.append((n, len(data)))
+            return data
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "read", recorded)
+            read_outcome(rdfio.read_text, path)
+        size = path.stat().st_size
+        assert reads == [(size, size), (rdfio._READ_CHUNK, 0)]  # the second read finds the end
+
+    @pytest.mark.parametrize("shown", [0, 1, 70_000], ids=["no-size", "one-byte", "past-a-chunk"])
+    def test_a_file_larger_than_fstat_says_is_read_to_its_end(self, tmp_path, monkeypatch, shown):
+        path = tmp_path / "doc.nt"
+        path.write_bytes(_PAST_64_KIB * 3)
+        expected = frozen_read_text(path)
+        fstat = os.fstat
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fstat", lambda fd: os.stat_result((*fstat(fd)[:6], shown, *fstat(fd)[7:10])))
+            assert rdfio.read_text(path) == expected
+
     def test_line_ends_as_text_mode_reads_them(self, tmp_path):
         path = tmp_path / "dump.nt"
         path.write_bytes(f'<{EX}s> <{EX}p> """a\r\nb\rc""" .\r\n<{EX}s> <{EX}p> "d" .\r'.encode())
