@@ -88,8 +88,8 @@ class CostEstimate:
 # Totals carry float noise from repeated multiplication (0.01 * 10000 is not
 # exactly 100); snap to 9 decimals before ceiling so exact-integer totals stay
 # exact.  Averages too large for a float overflow the total to inf, or to
-# nan where a compiled polynomial multiplies inf by a zero factor: one
-# message names neither.
+# nan where an overflowed count meets a zero factor: one message names
+# neither.
 def _ceil(total: float) -> int:
     if not math.isfinite(total):
         raise InputError("estimated total is not finite: the catalog averages overflow")

@@ -250,7 +250,9 @@ def train_factors(train, catalog: StatsCatalog, grid=None) -> tuple[float, float
     the two factors (``cost_terms``), then evaluated and ceiled, as
     ``estimate`` ceils, only at the distinct grid values of the factors it
     uses.  A point scores the ``fsum`` of its absolute differences over n,
-    ``statistics.fmean``'s value in any order.  The first non-finite total
+    ``statistics.fmean``'s value in any order.  A compiled total that is
+    not finite is taken from the float walk (``_walk_total``), so a total
+    is finite exactly where ``estimate``'s is.  The first non-finite total
     in grid, then entry, order raises, and so does the first point whose
     sum overflows (``_score_sum``).
     """
@@ -263,17 +265,19 @@ def train_factors(train, catalog: StatsCatalog, grid=None) -> tuple[float, float
     if not scored:
         raise EmptyInput("no usable training entries")
 
-    compiled = [(s.entry.real_cost, cost_terms(s.plan, catalog)) for s in scored]
+    compiled = [(s.plan, s.entry.real_cost, cost_terms(s.plan, catalog)) for s in scored]
     first = {v: grid.index(v) for v in dict.fromkeys(grid)}  # distinct values, in grid order
-    top = max((max(a, b) for _, terms in compiled for a, b, _ in terms), default=0)
+    top = max((max(a, b) for *_, terms in compiled for a, b, _ in terms), default=0)
     # f**a once per value and exponent; None stands for an unused factor
     powers = {v: [v**e for e in range(top + 1)] for v in first} | {None: [1.0]}
     diffs: dict[tuple, list[int]] = {}  # (f1 or None, f2 or None) -> |real - est|
     overflows = []  # (f1 index, f2 index, entry index, non-finite total)
-    for k, (real, terms) in enumerate(compiled):
+    for k, (plan, real, terms) in enumerate(compiled):
         for x in first if any(a for a, _, _ in terms) else [None]:
             for y in first if any(b for _, b, _ in terms) else [None]:
                 total = sum(c * powers[x][a] * powers[y][b] for a, b, c in terms)
+                if not math.isfinite(total):
+                    total = _walk_total(plan, catalog, x, y)
                 if math.isfinite(total):
                     diffs.setdefault((x, y), []).append(abs(real - _ceil(total)))
                 else:
@@ -292,6 +296,25 @@ def train_factors(train, catalog: StatsCatalog, grid=None) -> tuple[float, float
                 best_score = score
                 best = candidate
     return best
+
+
+def _walk_total(plan: TraversalPlan, catalog: StatsCatalog, join_factor, filter_factor) -> float:
+    """``estimate``'s mpjf total of ``plan`` at the factors, nan where it is
+    not finite; a factor the total does not depend on is None.
+
+    A polynomial coefficient that overflows is inf, and inf·0.0 is nan at
+    a zero factor, where the float walk may have multiplied by the 0.0
+    first: a compiled total that is not finite is decided by the walk.
+    """
+    config = EstimatorConfig(
+        Method.PREDICATE_JOINS_FILTERS,
+        1.0 if join_factor is None else join_factor,
+        1.0 if filter_factor is None else filter_factor,
+    )
+    try:
+        return estimate(plan, catalog, config).total
+    except InputError:
+        return math.nan
 
 
 @dataclass(frozen=True)

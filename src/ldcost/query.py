@@ -238,10 +238,18 @@ def distinct_anchor_iris(q: QueryPattern) -> set[str]:
 # The RDF term tokens, written once for the SPARQL tokenizer and the RDF
 # reader (``rdfio``): each token kind's verbose-regex pattern, and the
 # alternation of them all, each group naming its token kind.
+#
+# An IRI holds what the IRIREF rule of the N-Triples, Turtle and SPARQL
+# grammars allows, bar \u escapes: any character but U+0000-U+0020 and
+# <>"{}|^`\, one ASCII test per character.  Each quoted string's loop is
+# unrolled: a run of plain characters, then (escape or lone quote, run)
+# pairs.  It reads the language of (plain | escape | lone quote)* with one
+# repeat per run, not per character, and as no two branches start on the
+# same character, a failing match still backtracks in linear time.
 TERM_PATTERNS = {
-    "iri": r'<[^<>"{}|^`\\\s]*>',
+    "iri": r'<[^\x00-\x20<>"{}|^`\\]*>',
     "blank": r"_:[A-Za-z_0-9]+",
-    "string": r"""\"\"\"(?:[^"\\]|\\.|\"(?!\"\"))*\"\"\"|'''(?:[^'\\]|\\.|'(?!''))*'''|"(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*'""",
+    "string": r"""\"\"\"[^"\\]*(?:(?:\\.|\"(?!\"\"))[^"\\]*)*\"\"\"|'''[^'\\]*(?:(?:\\.|'(?!''))[^'\\]*)*'''|"[^"\\\n]*(?:\\.[^"\\\n]*)*"|'[^'\\\n]*(?:\\.[^'\\\n]*)*'""",
     "langtag": r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*",
     "number": r"[+-]?(?:\d+\.\d+(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)",
     "dtype": r"\^\^",

@@ -393,7 +393,9 @@ def read_text(path) -> str:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise DocumentParseError(f"byte {data[exc.start]:#04x} is not UTF-8", line) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    if "\r" in text:  # a text with none is not copied
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def read_dump(path) -> Iterator[tuple[str, str, str]]:

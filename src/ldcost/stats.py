@@ -239,7 +239,7 @@ def compute_from_dump(triples, provenance: str = "dump") -> StatsCatalog:
     k2 = _ratio(sum(map(len, typed_objects)), len(set().union(*typed_objects)))
     k3 = _ratio(len(other_pairs), len(set().union(*(objects[p] for p in others))))
     k4 = _ratio(len(instances), len(objects.get(RDF_TYPE, ())))
-    k5 = _ratio(len(other_pairs | instances), len(set().union(*subjects.values())))
+    k5 = _ratio(len(other_pairs) + len(instances - other_pairs), len(set().union(*subjects.values())))
 
     per_predicate = {
         p: PredicateStats(

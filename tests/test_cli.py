@@ -830,6 +830,28 @@ class TestBadCatalogValues:
         assert captured.out == ""
         assert captured.err == "error: summed score is not finite: the catalog averages overflow\n"
 
+    def test_a_zero_factor_before_the_overflow(self, tmp_path, capsys):
+        # every global average at 1e300: the star's polynomial is
+        # 1e300 + inf·f1, and at f1 = 0 the cost walk multiplies by 0.0
+        # before the count overflows, so training scores what estimate prints
+        catalog = tmp_path / "huge.stats"
+        names = ("avg_outgoing_props", "avg_incoming_props", "avg_subj_bindings_nontype",
+                 "avg_instances_per_class", "avg_obj_bindings")
+        catalog.write_text("[global]\n" + "".join(f"{name}\t1e300\n" for name in names) + "[predicates]\n",
+                           encoding="utf-8")
+        query = tmp_path / "star.rq"
+        query.write_text(helpers.DIRECTOR_STAR_QUERY, encoding="utf-8")
+        dataset = tmp_path / "gt"
+        helpers.write_ground_truth_entry(dataset, "s", helpers.DIRECTOR_STAR_QUERY, 5)
+        helpers.write_ground_truth_entry(dataset, "m", helpers.MANDELA_QUERY, 5)
+        args = ["estimate", str(query), "--f1", "0", "--f2", "0", "--method", "mpjf", "--json"]
+        assert cli.main([*args, "--catalog", str(catalog)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["total"] == 1e300
+        args = ["train", "--dataset", str(dataset), "--grid", "0.0", "--ratio", "0.99", "--json"]
+        assert cli.main([*args, "--catalog", str(catalog)]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["f1"], payload["f2"], payload["train_size"]) == (0.0, 0.0, 2)
+
 
 @pytest.mark.parametrize("fault, reason", [
     ("directory", "[Errno 21] Is a directory"),

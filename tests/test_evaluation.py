@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -515,7 +516,10 @@ class TestCompiledTraining:
 
     def test_overflows_at_some_grid_values_raise_the_oracle_error(self, monkeypatch):
         # finite coefficients near the float maximum overflow only at the
-        # larger factors, so entries turn non-finite at different points
+        # larger factors, so entries turn non-finite at different points.
+        # These polynomials stand for no plan, so the float walk is made to
+        # confirm each total that is not finite.
+        monkeypatch.setattr(evaluation, "_walk_total", lambda plan, catalog, x, y: math.nan)
         rng = random.Random(2511)
         coefficients = [1.0, 4e307, 1e308, 1.7e308, float("inf")]
         outcomes = set()
@@ -542,6 +546,33 @@ class TestCompiledTraining:
             "factors",
             "estimated total is not finite: the catalog averages overflow",
         }
+
+    @pytest.mark.parametrize("average", [1e300, 1e155, 1e154])
+    def test_overflowing_catalogs_train_as_the_float_grid_search(self, average):
+        # At 1e300 the star's polynomial is 1e300 + inf·f1: nan at f1 = 0,
+        # where the float walk multiplies by 0.0 before the count overflows
+        # and gives 1e300.  In q1 the walk overflows first, and is nan too.
+        catalog = StatsCatalog(GlobalStats(*[average] * 5))
+        texts = [text for text, _ in helpers.FOUR_SHAPES_DATASET.values()] + [
+            helpers.DIRECTOR_STAR_QUERY, helpers.BIRTHDATE_FILTER_QUERY,
+            helpers.OVERFLOW_CHAIN_QUERY, helpers.MANDELA_QUERY,
+        ]
+        datasets = [(text,) for text in texts] + list(itertools.permutations(texts, 2))
+        grids = ([0.0], [1.0], [0.0, 1.0], [1.0, 0.3, 0.0, 0.5, 0.3, 1.0], [0.5, 0.0])
+        outcomes = []
+        for dataset in datasets:
+            entries = [_entry(f"e{i}", text, 1 + i) for i, text in enumerate(dataset)]
+            for grid in grids + ((DEFAULT_GRID,) if len(dataset) == 1 else ()):
+                results = []
+                for search in (train_factors, _oracle_train_factors):
+                    try:
+                        results.append(search(entries, catalog, grid))
+                    except InputError as exc:
+                        results.append(str(exc))
+                assert results[0] == results[1], (dataset, grid)
+                outcomes.append(results[0])
+        assert "estimated total is not finite: the catalog averages overflow" in outcomes
+        assert (0.0, 0.0) in outcomes
 
     @pytest.mark.parametrize(
         "texts, calls",

@@ -18,7 +18,9 @@ import pytest
 import helpers
 import ldcost
 from ldcost import traversal
-from ldcost.query import XSD, parse_query
+from ldcost.query import RDF_TYPE, XSD, parse_query
+from ldcost.rdfio import parse_document, read_dump
+from ldcost.stats import compute_from_dump
 
 EX = "http://example.org/"
 PACKAGE = str(Path(ldcost.__file__).parent)
@@ -102,3 +104,64 @@ def test_counts_are_deterministic(tmp_path):
     stores = [traversal.load_store(manifest) for _ in range(2)]
     first, second = (executed_lines(lambda: traversal.execute(q, store)) for store in stores)
     assert first == second > 0
+
+
+# Reading a dump or a document matches each statement's terms with regular
+# expressions, in C, which the counts below do not see: a faster term
+# pattern leaves them as they are.  They count the Python work per triple
+# or statement around the matches.
+
+
+def write_dump(path: Path, triples: int) -> Path:
+    """An N-Triples dump shaped as the stats-dump benchmark's: distinct
+    triples over triples/10 subjects, 10% rdf:type, 70% links, 20% plain
+    literals."""
+    rng = random.Random(triples)
+    entities = triples // 10
+    lines: dict[str, None] = {}
+    while len(lines) < triples:
+        s = f"<{EX}e{rng.randrange(entities)}>"
+        kind = rng.random()
+        if kind < 0.1:
+            line = f"{s} <{RDF_TYPE}> <{EX}C{rng.randrange(20)}> ."
+        elif kind < 0.8:
+            line = f"{s} <{EX}p{rng.randrange(30)}> <{EX}e{rng.randrange(entities)}> ."
+        else:
+            line = f'{s} <{EX}p{rng.randrange(30)}> "value {rng.randrange(1000)}" .'
+        lines[line] = None
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def turtle_document(statements: int) -> str:
+    """Turtle under one '@prefix' block: each statement has a subject, 'a',
+    a ';' list, a ',' list, a typed and a tagged literal."""
+    rng = random.Random(statements)
+    lines = [f"@prefix ex: <{EX}> .", f"@prefix xsd: <{XSD}> ."]
+    for i in range(statements):
+        lines.append(
+            f"ex:s{i} a ex:C{rng.randrange(5)} ;\n  ex:link ex:s{rng.randrange(statements)} , <{EX}o{i}> ;\n"
+            f'  ex:year "{rng.randint(1900, 2020)}"^^xsd:integer ; ex:label "subject {i}"@en .'
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_stats_from_a_dump_grow_linearly_in_triples(tmp_path):
+    def per_triple(triples: int) -> float:
+        path = write_dump(tmp_path / f"dump{triples}.nt", triples)
+        return executed_lines(lambda: compute_from_dump(read_dump(path))) / triples
+
+    small, middle, largest = map(per_triple, (1000, 2000, 4000))
+    assert 1 / RATIO <= largest / middle <= RATIO, (small, middle, largest)
+
+
+def test_parse_document_grows_linearly_in_statements():
+    def per_statement(statements: int) -> float:
+        text = turtle_document(statements)
+        triples = []
+        lines = executed_lines(lambda: triples.append(parse_document(text)))
+        assert len(triples[0]) == 5 * statements
+        return lines / statements
+
+    small, middle, largest = map(per_statement, (100, 200, 400))
+    assert 1 / RATIO <= largest / middle <= RATIO, (small, middle, largest)
