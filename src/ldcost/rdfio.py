@@ -29,6 +29,11 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# A run of the characters an IRI may hold: the IRI pattern between its '<'
+# and '>'.  After a '<' that starts no token, the run ends at the character
+# at fault.  Compiled on an error only.
+_IRI_RUN = TERM_PATTERNS["iri"][1:-1]
+
 # White space and comments.  Unlike the token lexer's, a comment must end
 # in a newline here, so a statement that fails to match backtracks in
 # linear time.
@@ -241,9 +246,12 @@ def _token_loop(
 
     def fail(message: str, m: re.Match) -> NoReturn:
         kind = m.lastgroup
+        at = m.start(kind)
         if kind == "bad":
-            message = f"unexpected character {m[kind]!r}"
-        raise DocumentParseError(message, text.count("\n", 0, m.start(kind)) + 1)
+            if m[kind] == "<" and (end := re.compile(_IRI_RUN).match(text, at + 1).end()) < len(text):
+                at = end  # an IRI that holds a character it may not
+            message = f"unexpected character {text[at]!r}"
+        raise DocumentParseError(message, text.count("\n", 0, at) + 1)
 
     def node(m: re.Match, expected: str) -> Term:
         """The IRI or blank node at ``m``; fails naming ``expected`` if there is none."""

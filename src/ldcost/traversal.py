@@ -179,10 +179,10 @@ def _http_fetch(
     may call it.
 
     ``failed``, if given, is shared by the fetches of one execution: a
-    failing fetch sets it, and a fetch that finds it set raises RemoteError
-    without a request.  The execution fails at the first failed fetch in
-    its order, and a fetch that starts after it comes later in that order,
-    so its result would never be read.
+    failing fetch sets it, as does the pool when it closes, and a fetch
+    that finds it set raises RemoteError without a request.  The execution
+    fails at the first failed fetch in its order, and a fetch that starts
+    after it comes later in that order, so its result would never be read.
     """
     url = store.manifest.get(iri, iri)
     if failed is not None and failed.is_set():
@@ -369,27 +369,37 @@ def _join_triple(solutions, triple: TriplePattern, index: _GraphIndex):
     return out
 
 
-# At most this many documents are fetched at once in http mode.  The
-# standard library's HTTP servers listen with a backlog of 5, so the
-# kernel's accept queue holds 6 connections: a 7th arriving at the same
-# moment has its SYN dropped and retried a second later.  6 is also the
-# usual per-host connection limit of web browsers.
-FETCH_CONNECTIONS = 6
+# In http mode at most this many documents are fetched at once, each
+# worker keeping its connection alive across its fetches.  A fetch whose
+# worker holds no kept connection that has answered may wait in the
+# server's listen queue, so at most FETCH_OPENING fetches of an execution
+# run without one.  The standard library's HTTP servers listen with a
+# backlog of 5, so the kernel's accept queue holds 6 connections: a 7th
+# arriving at the same moment has its SYN dropped and retried a second
+# later.  An HTTP/1.0 server closes every connection, so it still sees at
+# most 6 fetches at once; 6 is also the usual per-host connection limit of
+# web browsers.
+FETCH_CONNECTIONS = 12
+FETCH_OPENING = 6
 
 
 @contextmanager
 def _fetch_pool(store: DerefStore):
     """In http mode, a function that submits the fetch of an IRI to a pool
     of ``FETCH_CONNECTIONS`` threads and returns its future; else None.
-    Each thread keeps its own connection alive across its fetches.  After
-    one fetch has failed, no other starts a request.  On exit, fetches
-    that have not started are cancelled and the connections closed."""
+    Each thread keeps its own connection alive across its fetches.  A
+    fetch on a thread with no kept connection first takes one of
+    ``FETCH_OPENING`` slots and holds it through both of its attempts.
+    After one fetch has failed, or once the pool closes, no other starts a
+    request.  On exit, fetches that have not started are cancelled and
+    the connections closed."""
     if store.mode != "http":
         yield None
         return
     from concurrent.futures import ThreadPoolExecutor
 
     failed = threading.Event()
+    opening = threading.Semaphore(FETCH_OPENING)
     local = threading.local()
     sessions: list[web.Session] = []
 
@@ -398,7 +408,11 @@ def _fetch_pool(store: DerefStore):
         sessions.append(local.session)
 
     def fetch(iri: str) -> str | None:
-        return _http_fetch(store, iri, local.session, failed)
+        session = local.session
+        if session.connected:
+            return _http_fetch(store, iri, session, failed)
+        with opening:  # _http_fetch checks ``failed`` once the slot is taken
+            return _http_fetch(store, iri, session, failed)
 
     pool = ThreadPoolExecutor(
         FETCH_CONNECTIONS, thread_name_prefix="ldcost-fetch", initializer=open_session
@@ -406,6 +420,7 @@ def _fetch_pool(store: DerefStore):
     try:
         yield lambda iri: pool.submit(fetch, iri)
     finally:
+        failed.set()  # a fetch still waiting for a slot makes no request
         pool.shutdown(cancel_futures=True)
         for session in sessions:
             session.close()
@@ -421,8 +436,9 @@ def execute(q: QueryPattern, store: DerefStore) -> tuple[BindingTable, Traversal
     their textual position.  The trace counts each IRI once query-wide;
     its timestamps are seconds since the call began, on a monotonic clock.
     In http mode a group's new documents are fetched ahead over at most
-    ``FETCH_CONNECTIONS`` connections; they are still parsed, recorded and
-    their errors raised in the group's order.
+    ``FETCH_CONNECTIONS`` kept-alive connections, at most
+    ``FETCH_OPENING`` of them still opening; they are still parsed,
+    recorded and their errors raised in the group's order.
     """
     started = time.monotonic()
     plan = plan_query(q)

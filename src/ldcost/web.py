@@ -52,6 +52,11 @@ class Session:
         # origin itself); None when no connection is open
         self._kept: tuple[tuple[str, str], HTTPConnection, dict | None] | None = None
 
+    @property
+    def connected(self) -> bool:
+        """Whether a connection is kept open: one that has answered."""
+        return self._kept is not None
+
     def __enter__(self) -> Session:
         return self
 

@@ -536,11 +536,15 @@ class _DocHandler(BaseHTTPRequestHandler):
         server = self.server.owner  # type: ignore[attr-defined]
         with server.lock:
             server.open_connections += 1
+            server.unanswered += 1
+            server.peak_unanswered = max(server.peak_unanswered, server.unanswered)
         try:
             super().handle()
         finally:
             with server.lock:
                 server.open_connections -= 1
+                if not self.answered:  # closed without a response
+                    server.unanswered -= 1
 
     def do_GET(self):
         server = self.server.owner  # type: ignore[attr-defined]
@@ -566,6 +570,9 @@ class _DocHandler(BaseHTTPRequestHandler):
             self.close_connection = True  # close without a response
             return
         self.answered += 1
+        if self.answered == 1:
+            with server.lock:
+                server.unanswered -= 1
         if server.drop_after and self.answered % server.drop_after == 0:
             self.close_connection = True  # after this response, without saying so
         if doc is None or isinstance(doc, (int, tuple)):
@@ -612,8 +619,9 @@ class DocServer:
 
     The server records every request as ``(path, Accept)`` in
     ``requests`` and as ``(request line, headers, client port)`` in
-    ``received``, the peak number of requests in flight and the number
-    of connections open now.
+    ``received``, the peak number of requests in flight, the peak number
+    of accepted connections not yet sent a response and the number of
+    connections open now.
     """
 
     DROP = object()
@@ -630,6 +638,8 @@ class DocServer:
         self.received: list[tuple[str, dict[str, str], int]] = []
         self.in_flight = 0
         self.peak_in_flight = 0
+        self.unanswered = 0
+        self.peak_unanswered = 0
         self.open_connections = 0
         self.lock = threading.Lock()
         self.server = None

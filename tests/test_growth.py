@@ -17,9 +17,9 @@ import pytest
 
 import helpers
 import ldcost
-from ldcost import traversal
-from ldcost.query import RDF_TYPE, XSD, parse_query
-from ldcost.rdfio import parse_document, read_dump
+from ldcost import cli, query, traversal
+from ldcost.query import RDF_TYPE, XSD, Term, parse_query
+from ldcost.rdfio import parse_document, read_dump, term_key
 from ldcost.stats import compute_from_dump
 
 EX = "http://example.org/"
@@ -164,4 +164,72 @@ def test_parse_document_grows_linearly_in_statements():
         return lines / statements
 
     small, middle, largest = map(per_statement, (100, 200, 400))
+    assert 1 / RATIO <= largest / middle <= RATIO, (small, middle, largest)
+
+
+def sparql_query(patterns: int) -> str:
+    """A query of ``patterns`` triple patterns under a PREFIX block: a
+    chain of variables with an 'a', a typed literal, a ';' list and a
+    FILTER every four patterns."""
+    rng = random.Random(patterns)
+    lines = [f"PREFIX ex: <{EX}>", f"PREFIX xsd: <{XSD}>", "SELECT ?v0 ?v1 ?year WHERE {"]
+    for i in range(0, patterns, 4):
+        lines.append(
+            f"  ?v{i} ex:link ?v{i + 1} ; a ex:C{rng.randrange(5)} .\n"
+            f'  ?v{i + 1} <{EX}year> ?year ; ex:label "l{i}"@en .\n'
+            f"  FILTER(?year > {rng.randint(1900, 2020)} && ?year != \"1950\"^^xsd:integer)"
+        )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_query_grows_linearly_in_tokens():
+    def per_token(patterns: int) -> float:
+        text = sparql_query(patterns)
+        parsed = []
+        lines = executed_lines(lambda: parsed.append(parse_query(text)))
+        assert len(parsed[0].triples) == patterns
+        return lines / len(query._tokenize(text))
+
+    small, middle, largest = map(per_token, (8, 16, 32))
+    assert 1 / RATIO <= largest / middle <= RATIO, (small, middle, largest)
+
+
+def solutions_with_rows(rows: int) -> list[dict[str, Term]]:
+    """Solutions that project onto ``rows`` distinct rows of an IRI, a
+    plain and a tagged literal, with every tenth row bound twice, in a
+    shuffled order."""
+    rng = random.Random(rows)
+    distinct = [
+        {
+            "s": Term.iri(f"{EX}s{i}"),
+            "label": Term.literal(f"label {rng.randrange(rows)}"),
+            "name": Term.literal(f"name {i % 7}", language="en"),
+        }
+        for i in range(rows)
+    ]
+    solutions = distinct + distinct[::10]
+    rng.shuffle(solutions)
+    return solutions
+
+
+def test_row_stage_grows_linearly_in_rows():
+    """The rows of ``simulate --json``: the distinct sorted projection,
+    each cell's key and the indented JSON text."""
+    columns = ("s", "label", "name")
+
+    def per_row(rows: int) -> float:
+        solutions = solutions_with_rows(rows)
+        texts = []
+
+        def stage():
+            table = traversal._distinct_rows(solutions, columns)
+            keys = [[term_key(term) for term in row] for row in table]
+            texts.append(cli._json_text({"columns": list(columns), "rows": keys}))
+
+        lines = executed_lines(stage)
+        assert texts[0].count("http://") == rows
+        return lines / rows
+
+    small, middle, largest = map(per_row, (500, 1000, 2000))
     assert 1 / RATIO <= largest / middle <= RATIO, (small, middle, largest)

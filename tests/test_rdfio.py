@@ -495,6 +495,24 @@ class TestStreamingReader:
         assert str(err.value) == "unexpected character '%' (line 2)"
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("c", ["\x01", " ", '"', "{", "\n"])
+    def test_an_iri_error_names_the_character_at_fault(self, tmp_path, c):
+        """Both readers name the first character the IRI class excludes,
+        not the '<' before it, on that character's line, as the SPARQL
+        parser does."""
+        text = f"<{EX}s> <{EX}p> <{EX}o> .\n\n<{EX}s> <{EX}p>\n  <{EX}a{c}b> .\n"
+        path = tmp_path / "dump.nt"
+        path.write_text(text, encoding="utf-8")
+        for read in (parse_document, lambda text: list(read_dump(path))):
+            with pytest.raises(DocumentParseError) as err:
+                read(text)
+            assert str(err.value) == f"unexpected character {c!r} (line 4)"
+
+    def test_an_unclosed_iri_at_the_end_names_its_start(self):
+        with pytest.raises(DocumentParseError) as err:
+            parse_document(f"<{EX}s> <{EX}p> <{EX}o> .\n<{EX}s")
+        assert str(err.value) == "unexpected character '<' (line 2)"
+
     def test_error_line_is_the_offending_token(self):
         with pytest.raises(DocumentParseError) as err:
             parse_document(f'<{EX}s> <{EX}p> """one\ntwo\nthree""" ;\n\n  <{EX}q> ex:o .\n')

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 
 import pytest
@@ -1120,9 +1121,45 @@ class TestParallelFetch:
         assert trace.group_access_total == local_trace.group_access_total
         stamps = [ts for _, _, ts in trace.accessed]
         assert stamps == sorted(stamps)
-        assert 1 < server.peak_in_flight <= traversal.FETCH_CONNECTIONS == 6
+        assert server.peak_unanswered <= traversal.FETCH_OPENING == 6
+        if self.KEEP_ALIVE:  # kept connections fetch beside the 6 opening
+            assert traversal.FETCH_OPENING < server.peak_in_flight <= traversal.FETCH_CONNECTIONS == 12
+        else:  # every connection is a new one
+            assert 1 < server.peak_in_flight <= traversal.FETCH_OPENING
         assert requests_made == 2 + len(_SPOKES)
         assert refetched == [f"/{x}" for x in _GONE]
+
+    def test_opening_slots_hold_while_threads_switch_often(self, tmp_path):
+        q = parse_query(_HUB_QUERY)
+        server = helpers.DocServer(_served(_hub_documents()), delay=0.005, keep_alive=self.KEEP_ALIVE)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with server as base:
+                tables = [
+                    execute(q, _http_store(tmp_path / f"run{i}", base, ["hub1", "hub2", *_SPOKES]))[0]
+                    for i in range(3)
+                ]
+        finally:
+            sys.setswitchinterval(interval)
+        assert tables[0] == tables[1] == tables[2] and len(tables[0]) == 2 * (len(_SPOKES) - len(_GONE))
+        assert server.peak_unanswered <= traversal.FETCH_OPENING
+
+    def test_no_fetch_starts_once_the_pool_has_closed(self, tmp_path):
+        """An execution that fails for another reason than a fetch (a miss,
+        a document that does not parse) closes the pool while fetches
+        still wait for an opening slot: those make no request."""
+        spokes = _SPOKES[:8]
+        documents = {x: f'<{EX}{x}> <{EX}name> "{x}" .\n' for x in spokes}
+        server = helpers.DocServer(_served(documents), delay=0.2, keep_alive=self.KEEP_ALIVE)
+        with server as base:
+            store = _http_store(tmp_path, base, spokes)
+            with pytest.raises(Miss):
+                with traversal._fetch_pool(store) as fetch_ahead:
+                    for x in spokes:
+                        fetch_ahead(EX + x)
+                    raise Miss(EX + spokes[0])
+        assert len(server.requests) <= traversal.FETCH_OPENING < len(spokes)
 
     def _spoke_server(self, failing: dict[str, object], miss_policy="empty-graph"):
         """A hub linking ten spokes; the 3rd spoke of the sorted group fails
@@ -1160,11 +1197,14 @@ class TestHttpRobustness:
     connection without a response, fails the run with a RemoteError within
     a bounded time: each fetch makes at most two connections (one retry),
     each bounded by the timeout, and a worker runs its share of the group's
-    fetches one after another."""
+    fetches one after another.  A fetch with no kept connection waits for
+    one of ``FETCH_OPENING`` slots, so the spokes queue behind the first
+    six of them."""
 
     TIMEOUT = 0.3
     SPOKES = _SPOKES[:8]
     KEEP_ALIVE = False
+    KEPT = 0  # workers holding a kept connection as the spokes' group starts
     RESENT = 0  # requests sent once more after failing on a reused connection
 
     def _server(self, fault: str):
@@ -1182,7 +1222,7 @@ class TestHttpRobustness:
         return server, ["hub1", *spokes]
 
     def _bound(self) -> float:
-        per_worker = 2 * -(-len(self.SPOKES) // traversal.FETCH_CONNECTIONS)
+        per_worker = 2 * -(-len(self.SPOKES) // traversal.FETCH_OPENING)
         return 2 * self.TIMEOUT * per_worker
 
     @pytest.mark.parametrize("fault", ["slow", "drop"])
@@ -1224,8 +1264,9 @@ class TestHttpRobustness:
 
     @pytest.mark.parametrize("fault", ["slow", "drop"])
     def test_no_fetch_starts_after_one_has_failed(self, tmp_path, fault):
-        """The first ``FETCH_CONNECTIONS`` spokes are fetched at once and
-        fail; the two still queued then make no request."""
+        """The first ``FETCH_OPENING`` spokes, and one more on each kept
+        connection, are fetched at once and fail; those still queued then
+        make no request."""
         server, names = self._server(fault)
         q = parse_query(f"SELECT * WHERE {{ <{EX}hub1> <{EX}link> ?x . ?x <{EX}name> ?n }}")
         with server as base:
@@ -1234,7 +1275,8 @@ class TestHttpRobustness:
                 execute(q, store)
         assert str(err.value).startswith(f"cannot fetch {base}/x00: ")
         spokes = [path for path, _ in server.requests if path != "/hub1"]
-        assert len(spokes) <= 2 * traversal.FETCH_CONNECTIONS + self.RESENT < 2 * len(self.SPOKES)
+        started = traversal.FETCH_OPENING + self.KEPT
+        assert len(spokes) <= 2 * started + self.RESENT < 2 * len(self.SPOKES)
 
 
 class TestParallelFetchKeepAlive(TestParallelFetch):
@@ -1259,9 +1301,11 @@ class TestHttpRobustnessKeepAlive(TestHttpRobustness):
     """The same against an HTTP/1.1 server.  The one connection that
     outlives its response is the hub's; the spoke fetched on it next fails
     as a connection closed while idle does, so that request is sent once
-    more, on a new connection, before its fetch fails or retries."""
+    more, on a new connection, before its fetch fails or retries.  That
+    fetch takes no opening slot, so it runs beside the six that do."""
 
     KEEP_ALIVE = True
+    KEPT = 1
     RESENT = 1
 
 
