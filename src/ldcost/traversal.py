@@ -171,39 +171,69 @@ def dereference(store: DerefStore, iri: str, fetch: Future | None = None):
 _RDF_ACCEPT = "text/turtle, application/n-triples"
 
 
+class _NotFetched(RemoteError):
+    """Internal: a fetch that made no request, because another fetch of
+    the execution had already failed."""
+
+
 def _http_fetch(
-    store: DerefStore, iri: str, session: web.Session, failed: threading.Event | None = None
+    store: DerefStore,
+    iri: str,
+    session: web.Session,
+    failed: threading.Event | None = None,
+    opening: threading.Semaphore | None = None,
 ) -> str | None:
     """The body of the document an IRI maps to in http mode, fetched with
     ``session``, or None for a 404/410.  Runs no parsing, so a pool thread
     may call it.
 
-    ``failed``, if given, is shared by the fetches of one execution: a
-    failing fetch sets it, as does the pool when it closes, and a fetch
-    that finds it set raises RemoteError without a request.  The execution
-    fails at the first failed fetch in its order, and a fetch that starts
-    after it comes later in that order, so its result would never be read.
+    ``failed`` and ``opening``, if given, are shared by the fetches of one
+    execution: a failing fetch sets ``failed``, as does the pool when it
+    closes, and ``opening`` holds the slots of connections still opening.
+    A request on a connection kept to the URL's origin takes no slot; one
+    that needs a new connection first takes one, which the fetch holds
+    until it returns or raises.  A request on a kept connection that the
+    server closed is sent once more on a new connection, and that counts
+    as the same attempt.  A fetch checks ``failed`` before its first
+    request and whenever it takes a slot: if it is set, the fetch raises
+    _NotFetched, or the error of its last request if it made one.
     """
     url = store.manifest.get(iri, iri)
-    if failed is not None and failed.is_set():
-        raise RemoteError(f"not fetched after an earlier fetch failed: {url}")
     last_error = None
-    for _ in range(2):  # one retry
-        try:
-            resp = session.get(url, accept=_RDF_ACCEPT)
-        except OSError as exc:
-            last_error = exc
-            continue
-        if resp.status == 200:
-            return resp.text
-        if resp.status in (404, 410):
-            return None
-        last_error = RemoteError(f"status {resp.status} for {url}")
-    if failed is not None:
-        failed.set()
-    if isinstance(last_error, RemoteError):
-        raise last_error
-    raise RemoteError(f"cannot fetch {url}: {last_error}")
+    slot = False  # whether the fetch holds one of ``opening``
+    try:
+        attempts = 2  # one retry
+        while attempts:
+            check = last_error is None
+            if opening is not None and not slot and not session.connected_to(url):
+                opening.acquire()
+                slot = check = True
+            if check and failed is not None and failed.is_set():
+                if last_error is None:
+                    raise _NotFetched(f"not fetched after an earlier fetch failed: {url}")
+                break
+            try:
+                resp = session.get(url, accept=_RDF_ACCEPT, resend=False)
+            except web.IdleClosed as exc:  # resent on a new connection, as the same attempt
+                last_error = exc
+                continue
+            except OSError as exc:
+                last_error = exc
+            else:
+                if resp.status == 200:
+                    return resp.text
+                if resp.status in (404, 410):
+                    return None
+                last_error = RemoteError(f"status {resp.status} for {url}")
+            attempts -= 1
+        if failed is not None:
+            failed.set()  # while the slot is held: a fetch waiting for it makes no request
+        if isinstance(last_error, RemoteError):
+            raise last_error
+        raise RemoteError(f"cannot fetch {url}: {last_error}")
+    finally:
+        if slot:
+            opening.release()
 
 
 @dataclass(frozen=True)
@@ -370,15 +400,15 @@ def _join_triple(solutions, triple: TriplePattern, index: _GraphIndex):
 
 
 # In http mode at most this many documents are fetched at once, each
-# worker keeping its connection alive across its fetches.  A fetch whose
-# worker holds no kept connection that has answered may wait in the
-# server's listen queue, so at most FETCH_OPENING fetches of an execution
-# run without one.  The standard library's HTTP servers listen with a
-# backlog of 5, so the kernel's accept queue holds 6 connections: a 7th
-# arriving at the same moment has its SYN dropped and retried a second
-# later.  An HTTP/1.0 server closes every connection, so it still sees at
-# most 6 fetches at once; 6 is also the usual per-host connection limit of
-# web browsers.
+# worker keeping its connection alive across its fetches.  A connection
+# that has not answered yet may wait in the server's listen queue, so at
+# most FETCH_OPENING fetches of an execution may hold one: a request on a
+# connection kept to the URL's origin needs no slot.  The standard
+# library's HTTP servers listen with a backlog of 5, so the kernel's
+# accept queue holds 6 connections: a 7th arriving at the same moment has
+# its SYN dropped and retried a second later.  An HTTP/1.0 server closes
+# every connection, so it still sees at most 6 fetches at once; 6 is also
+# the usual per-host connection limit of web browsers.
 FETCH_CONNECTIONS = 12
 FETCH_OPENING = 6
 
@@ -388,11 +418,12 @@ def _fetch_pool(store: DerefStore):
     """In http mode, a function that submits the fetch of an IRI to a pool
     of ``FETCH_CONNECTIONS`` threads and returns its future; else None.
     Each thread keeps its own connection alive across its fetches.  A
-    fetch on a thread with no kept connection first takes one of
-    ``FETCH_OPENING`` slots and holds it through both of its attempts.
-    After one fetch has failed, or once the pool closes, no other starts a
-    request.  On exit, fetches that have not started are cancelled and
-    the connections closed."""
+    fetch whose request needs a new connection, not one its thread keeps
+    to that origin, first takes one of ``FETCH_OPENING`` slots and holds
+    it until it returns or raises (see ``_http_fetch``).  After one fetch
+    has failed, or once the pool closes, no fetch makes its first request
+    or takes a slot.  On exit, fetches that have not started are cancelled
+    and the connections closed."""
     if store.mode != "http":
         yield None
         return
@@ -408,11 +439,7 @@ def _fetch_pool(store: DerefStore):
         sessions.append(local.session)
 
     def fetch(iri: str) -> str | None:
-        session = local.session
-        if session.connected:
-            return _http_fetch(store, iri, session, failed)
-        with opening:  # _http_fetch checks ``failed`` once the slot is taken
-            return _http_fetch(store, iri, session, failed)
+        return _http_fetch(store, iri, local.session, failed, opening)
 
     pool = ThreadPoolExecutor(
         FETCH_CONNECTIONS, thread_name_prefix="ldcost-fetch", initializer=open_session
@@ -438,7 +465,8 @@ def execute(q: QueryPattern, store: DerefStore) -> tuple[BindingTable, Traversal
     In http mode a group's new documents are fetched ahead over at most
     ``FETCH_CONNECTIONS`` kept-alive connections, at most
     ``FETCH_OPENING`` of them still opening; they are still parsed,
-    recorded and their errors raised in the group's order.
+    recorded and their errors raised in the group's order, passing over
+    any document not fetched because a later one had already failed.
     """
     started = time.monotonic()
     plan = plan_query(q)
@@ -475,17 +503,24 @@ def execute(q: QueryPattern, store: DerefStore) -> tuple[BindingTable, Traversal
                     for iri in fetch_iris
                     if iri not in seen and iri not in store._cache
                 }
+            not_fetched = None
             for iri in fetch_iris:
                 group_access_total += 1
                 if iri in seen:
                     continue
                 seen.add(iri)
-                graph = dereference(store, iri, fetches.get(iri))
+                try:
+                    graph = dereference(store, iri, fetches.get(iri))
+                except _NotFetched as exc:  # a later fetch of the group failed first
+                    not_fetched = not_fetched or exc
+                    continue
                 accessed.append((iri, gid, time.monotonic() - started))
                 if graph is None:
                     misses.append(iri)
                 else:
                     index.add_graph(graph)
+            if not_fetched is not None:  # not reached: the fetch that failed raises above
+                raise not_fetched
 
             for idx in group.triple_indices:
                 solutions = _join_triple(solutions, q.triples[idx], index)

@@ -37,6 +37,11 @@ def get(url: str, accept: str, timeout: float, params: dict[str, str] | None = N
         return session.get(url, accept, params)
 
 
+class IdleClosed(ConnectionError):
+    """A request on a kept connection failed before its status line: the
+    server closed the connection while it was idle, or on the request."""
+
+
 class Session:
     """GETs that reuse one connection while the server keeps it open.
     The connection is closed after any error, after a response that says
@@ -52,10 +57,10 @@ class Session:
         # origin itself); None when no connection is open
         self._kept: tuple[tuple[str, str], HTTPConnection, dict | None] | None = None
 
-    @property
-    def connected(self) -> bool:
-        """Whether a connection is kept open: one that has answered."""
-        return self._kept is not None
+    def connected_to(self, url: str) -> bool:
+        """Whether a connection to the origin of ``url`` is kept open: one
+        that has answered."""
+        return self._kept is not None and self._kept[0] == _origin(url)
 
     def __enter__(self) -> Session:
         return self
@@ -68,11 +73,16 @@ class Session:
             self._kept[1].close()
             self._kept = None
 
-    def get(self, url: str, accept: str, params: dict[str, str] | None = None) -> Response:
+    def get(
+        self, url: str, accept: str, params: dict[str, str] | None = None, resend: bool = True
+    ) -> Response:
         """GET ``url`` (with ``params`` as its urlencoded query string),
         following up to 10 redirects, and return any status the server
         answers with.  A redirect past that, or to a URL that is not
-        http(s), returns its own status.
+        http(s), returns its own status.  A request on a kept connection
+        that fails before its status line is sent once more, on a new
+        connection; with ``resend`` false the first request, on a
+        connection kept from an earlier call, raises IdleClosed instead.
 
         The body is decoded with the charset of ``Content-Type``, else as
         UTF-8, which the Turtle, N-Triples and SPARQL-results media types
@@ -93,7 +103,8 @@ class Session:
             if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
                 raise ConnectionError("not an http(s) URL")
             for redirects_left in range(_MAX_REDIRECTS, -1, -1):
-                resp, body = self._exchange(url, accept)
+                resend_here = resend or redirects_left < _MAX_REDIRECTS
+                resp, body = self._exchange(url, accept, resend_here)
                 if 200 <= resp.status < 300:
                     charset = resp.headers.get_content_charset()
                     return Response(
@@ -109,21 +120,22 @@ class Session:
         except (http.client.HTTPException, ValueError) as exc:  # a malformed reply or URL
             raise ConnectionError(f"{type(exc).__name__}: {exc}") from exc
 
-    def _exchange(self, url: str, accept: str) -> tuple[HTTPResponse, bytes]:
+    def _exchange(self, url: str, accept: str, resend: bool) -> tuple[HTTPResponse, bytes]:
         """One GET of ``url``: the response and its body, read whole.
 
         A request on a reused connection that fails before a status line
-        arrives is sent once more on a new connection: the server closed
-        the connection while it was idle.
+        arrives is sent once more on a new connection (the server closed
+        the connection while it was idle), or with ``resend`` false raises
+        IdleClosed.
         """
         import socket
         import urllib.parse
 
         parts = urllib.parse.urlsplit(url)
-        host = urllib.parse.unquote(parts.netloc)
+        key = _origin(url)
+        host = key[1]
         if not host:
             raise ConnectionError("no host given")
-        key = (parts.scheme, host)
         reused = self._kept is not None and self._kept[0] == key
         if reused:
             _, conn, forward = self._kept
@@ -143,10 +155,12 @@ class Session:
         try:
             try:
                 resp = _send(conn, target, headers, quickack)
-            except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected too
+            except (ConnectionResetError, BrokenPipeError) as exc:  # RemoteDisconnected too
                 if not reused:
                     raise
                 conn.close()
+                if not resend:
+                    raise IdleClosed(f"{type(exc).__name__}: {exc}") from exc
                 conn, forward = self._connect(*key)
                 resp = _send(conn, target, headers, quickack)
             body = resp.read()
@@ -186,6 +200,15 @@ def _send(conn: HTTPConnection, target: str, headers: dict, quickack: int | None
         # mode, which the kernel leaves again by itself, sends it at once.
         conn.sock.setsockopt(socket.IPPROTO_TCP, quickack, 1)
     return conn.getresponse()
+
+
+def _origin(url: str) -> tuple[str, str]:
+    """The origin of ``url`` as a kept connection is keyed: its scheme and
+    its host[:port], unquoted."""
+    import urllib.parse
+
+    parts = urllib.parse.urlsplit(url)
+    return parts.scheme, urllib.parse.unquote(parts.netloc)
 
 
 def _proxy(scheme: str, host: str) -> tuple[str, str, dict[str, str]] | None:

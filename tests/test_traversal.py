@@ -2,6 +2,7 @@ import json
 import random
 import sys
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -1101,17 +1102,23 @@ def _served(documents: dict[str, object]) -> dict[str, object]:
 class TestParallelFetch:
     KEEP_ALIVE = False  # an HTTP/1.0 server: one connection per request
 
-    def test_http_and_local_execution_agree(self, tmp_path):
+    @pytest.mark.parametrize("switch_interval", [None, 1e-5], ids=["default", "switch-often"])
+    def test_http_and_local_execution_agree(self, tmp_path, switch_interval):
         documents = _hub_documents()
         q = parse_query(_HUB_QUERY)
         local_table, local_trace = execute(q, _local_store(tmp_path / "local", documents))
         server = helpers.DocServer(_served(documents), delay=0.02, keep_alive=self.KEEP_ALIVE)
-        with server as base:
-            store = _http_store(tmp_path / "http", base, ["hub1", "hub2", *_SPOKES])
-            table, trace = execute(q, store)
-            requests_made = len(server.requests)
-            execute(q, store)  # every document is cached now, misses aside
-            refetched = sorted(path for path, _ in server.requests[requests_made:])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(switch_interval or interval)  # the threads switch often, or as usual
+        try:
+            with server as base:
+                store = _http_store(tmp_path / "http", base, ["hub1", "hub2", *_SPOKES])
+                table, trace = execute(q, store)
+                requests_made = len(server.requests)
+                execute(q, store)  # every document is cached now, misses aside
+                refetched = sorted(path for path, _ in server.requests[requests_made:])
+        finally:
+            sys.setswitchinterval(interval)
         assert len(table) == 2 * (len(_SPOKES) - len(_GONE))
         assert table == local_table
         assert [(iri, gid) for iri, gid, _ in trace.accessed] == [
@@ -1129,21 +1136,28 @@ class TestParallelFetch:
         assert requests_made == 2 + len(_SPOKES)
         assert refetched == [f"/{x}" for x in _GONE]
 
-    def test_opening_slots_hold_while_threads_switch_often(self, tmp_path):
-        q = parse_query(_HUB_QUERY)
-        server = helpers.DocServer(_served(_hub_documents()), delay=0.005, keep_alive=self.KEEP_ALIVE)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with server as base:
-                tables = [
-                    execute(q, _http_store(tmp_path / f"run{i}", base, ["hub1", "hub2", *_SPOKES]))[0]
-                    for i in range(3)
-                ]
-        finally:
-            sys.setswitchinterval(interval)
-        assert tables[0] == tables[1] == tables[2] and len(tables[0]) == 2 * (len(_SPOKES) - len(_GONE))
-        assert server.peak_unanswered <= traversal.FETCH_OPENING
+    def test_a_connection_kept_to_one_origin_takes_a_slot_for_another(self, tmp_path):
+        """The spokes are served by one server and the addresses they link
+        to by another.  A worker's connection kept to the first does not
+        spare it an opening slot when it fetches from the second."""
+        first = helpers.DocServer({}, delay=0.02, keep_alive=self.KEEP_ALIVE)
+        second = helpers.DocServer({}, delay=0.02, keep_alive=self.KEEP_ALIVE)
+        first.documents["/hub1"] = "".join(f"<{EX}hub1> <{EX}link> <{EX}{x}> .\n" for x in _SPOKES)
+        for i, x in enumerate(_SPOKES):
+            first.documents[f"/{x}"] = f"<{EX}{x}> <{EX}addr> <{EX}a{i}> .\n"
+            second.documents[f"/a{i}"] = f'<{EX}a{i}> <{EX}city> "C{i}" .\n'
+        q = parse_query(
+            f"SELECT * WHERE {{ <{EX}hub1> <{EX}link> ?x . ?x <{EX}addr> ?a . ?a <{EX}city> ?c }}"
+        )
+        with first as first_base, second as second_base:
+            entries = {EX + x: f"{first_base}/{x}" for x in ["hub1", *_SPOKES]}
+            entries.update({EX + f"a{i}": f"{second_base}/a{i}" for i in range(len(_SPOKES))})
+            store = load_store(helpers.write_manifest(tmp_path, entries), mode="http")
+            table, _ = execute(q, store)
+        assert len(table) == len(_SPOKES)
+        assert len(second.requests) == len(_SPOKES)
+        assert first.peak_unanswered <= traversal.FETCH_OPENING
+        assert second.peak_unanswered <= traversal.FETCH_OPENING
 
     def test_no_fetch_starts_once_the_pool_has_closed(self, tmp_path):
         """An execution that fails for another reason than a fetch (a miss,
@@ -1197,15 +1211,14 @@ class TestHttpRobustness:
     connection without a response, fails the run with a RemoteError within
     a bounded time: each fetch makes at most two connections (one retry),
     each bounded by the timeout, and a worker runs its share of the group's
-    fetches one after another.  A fetch with no kept connection waits for
-    one of ``FETCH_OPENING`` slots, so the spokes queue behind the first
-    six of them."""
+    fetches one after another.  A fetch that needs a new connection waits
+    for one of ``FETCH_OPENING`` slots, so the spokes queue behind the
+    first six of them."""
 
     TIMEOUT = 0.3
     SPOKES = _SPOKES[:8]
     KEEP_ALIVE = False
-    KEPT = 0  # workers holding a kept connection as the spokes' group starts
-    RESENT = 0  # requests sent once more after failing on a reused connection
+    RESENT = 0  # requests made on the connection kept from the hub's fetch
 
     def _server(self, fault: str):
         spokes = self.SPOKES
@@ -1264,9 +1277,8 @@ class TestHttpRobustness:
 
     @pytest.mark.parametrize("fault", ["slow", "drop"])
     def test_no_fetch_starts_after_one_has_failed(self, tmp_path, fault):
-        """The first ``FETCH_OPENING`` spokes, and one more on each kept
-        connection, are fetched at once and fail; those still queued then
-        make no request."""
+        """The first ``FETCH_OPENING`` spokes to take a slot are fetched at
+        once and fail; those still queued then make no request."""
         server, names = self._server(fault)
         q = parse_query(f"SELECT * WHERE {{ <{EX}hub1> <{EX}link> ?x . ?x <{EX}name> ?n }}")
         with server as base:
@@ -1275,8 +1287,7 @@ class TestHttpRobustness:
                 execute(q, store)
         assert str(err.value).startswith(f"cannot fetch {base}/x00: ")
         spokes = [path for path, _ in server.requests if path != "/hub1"]
-        started = traversal.FETCH_OPENING + self.KEPT
-        assert len(spokes) <= 2 * started + self.RESENT < 2 * len(self.SPOKES)
+        assert len(spokes) <= 2 * traversal.FETCH_OPENING + self.RESENT < 2 * len(self.SPOKES)
 
 
 class TestParallelFetchKeepAlive(TestParallelFetch):
@@ -1299,14 +1310,53 @@ class TestParallelFetchKeepAlive(TestParallelFetch):
 
 class TestHttpRobustnessKeepAlive(TestHttpRobustness):
     """The same against an HTTP/1.1 server.  The one connection that
-    outlives its response is the hub's; the spoke fetched on it next fails
-    as a connection closed while idle does, so that request is sent once
-    more, on a new connection, before its fetch fails or retries.  That
-    fetch takes no opening slot, so it runs beside the six that do."""
+    outlives its response is the hub's.  The spoke fetched on it next
+    takes no opening slot and fails as a connection closed while idle
+    does, so it needs a slot to send that request once more on a new
+    connection: it then runs as one of the six, or finds that they have
+    failed and makes no other request."""
 
     KEEP_ALIVE = True
-    KEPT = 1
     RESENT = 1
+
+
+@pytest.mark.parametrize("x02", [500, 404], ids=["remote-error", "miss"])
+def test_a_fetch_not_made_passes_over_to_the_later_failure(tmp_path, monkeypatch, x02):
+    """A fetch that made no request, because a later fetch of its group
+    had already failed, is passed over: the execution raises the first
+    failure among the documents fetched, in the group's order."""
+    from concurrent.futures import Future
+
+    base = "http://127.0.0.1:9"  # nothing is requested: the fetches are made up
+    spokes = _SPOKES[:3]
+    bodies = {
+        "hub1": "".join(f"<{EX}hub1> <{EX}link> <{EX}{x}> .\n" for x in spokes),
+        "x00": f'<{EX}x00> <{EX}name> "x00" .\n',
+        "x01": traversal._NotFetched(f"not fetched after an earlier fetch failed: {base}/x01"),
+        "x02": RemoteError(f"status 500 for {base}/x02") if x02 == 500 else None,
+    }
+
+    @contextmanager
+    def made_up_pool(store):
+        def fetch(iri):
+            future, body = Future(), bodies[iri[len(EX):]]
+            if isinstance(body, Exception):
+                future.set_exception(body)
+            else:
+                future.set_result(body)
+            return future
+
+        yield fetch
+
+    monkeypatch.setattr(traversal, "_fetch_pool", made_up_pool)
+    store = _http_store(tmp_path, base, ["hub1", *spokes], miss_policy="error")
+    q = parse_query(f"SELECT * WHERE {{ <{EX}hub1> <{EX}link> ?x . ?x <{EX}name> ?n }}")
+    with pytest.raises((RemoteError, Miss)) as err:
+        execute(q, store)
+    if x02 == 500:
+        assert str(err.value) == f"status 500 for {base}/x02"
+    else:
+        assert err.type is Miss and err.value.args == (EX + "x02",)
 
 
 _GAP_QUERY = f"SELECT * WHERE {{ <{EX}seed> <{EX}p> ?a . ?a <{EX}q> <{EX}thing> }}"

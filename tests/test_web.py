@@ -158,6 +158,24 @@ class TestKeepAlive:
         assert [path for path, _ in server.requests] == list(documents)
         assert server.connections == 4
 
+    def test_without_resend_a_request_on_a_dropped_connection_raises(self):
+        """The server closes each connection after its response without
+        saying so.  With ``resend`` false the request made on the kept
+        connection raises IdleClosed, and the next opens a new one."""
+        server = helpers.DocServer({"/d0": "document 0", "/d1": "document 1"},
+                                   keep_alive=True, drop_after=1)
+        with server as base, web.Session(5) as session:
+            assert not session.connected_to(f"{base}/d0")
+            assert session.get(f"{base}/d0", accept=ACCEPT).text == "document 0"
+            assert session.connected_to(f"{base}/d1")
+            assert not session.connected_to("http://localhost:1/d1")  # another origin
+            with pytest.raises(web.IdleClosed):
+                session.get(f"{base}/d1", accept=ACCEPT, resend=False)
+            assert not session.connected_to(f"{base}/d1")
+            assert session.get(f"{base}/d1", accept=ACCEPT, resend=False).text == "document 1"
+        assert [path for path, _ in server.requests] == ["/d0", "/d1"]
+        assert server.connections == 2
+
     def test_a_server_that_closes_gets_a_connection_per_request(self):
         server = helpers.DocServer({"/x": DOC})  # HTTP/1.0
         with server as base, web.Session(5) as session:
