@@ -40,15 +40,30 @@ _IRI_RUN = TERM_PATTERNS["iri"][1:-1]
 _GAP = r"\s*(?:\#[^\n]*\n\s*)*"
 # One whole N-Triples statement: subject, predicate, and an IRI, blank node
 # or quoted literal object, then a '.' that does not start a number.  It
-# reads the text as the token lexer would, token by token.
+# reads the text as the token lexer would, token by token.  The object is
+# one capture, a literal's language tag or datatype included; the first
+# time a literal token is keyed, ``_LITERAL_RE`` splits it.  Before each
+# term and the '.', the gap first tries the usual one space or newline.
+# The guard keeps the full gap from matching that same text, so a
+# statement that fails to match backtracks no more than with the full gap
+# alone.  The other patterns keep the full gap: there the short branch
+# would cost compile time and gain nothing measurable.
+_STATEMENT_GAP = rf"(?:[\ \n](?=[^\s\#])|(?![\ \n][^\s\#]){_GAP})"
 _STATEMENT_RE = re.compile(
-    rf"""{_GAP} (?P<subject>{TERM_PATTERNS["iri"]}|{TERM_PATTERNS["blank"]})
-    {_GAP} (?P<predicate>{TERM_PATTERNS["iri"]})
-    {_GAP} (?: (?P<node>{TERM_PATTERNS["iri"]}|{TERM_PATTERNS["blank"]})
-             | (?P<string>{TERM_PATTERNS["string"]})
-               (?: {_GAP} (?P<langtag>{TERM_PATTERNS["langtag"]})
-                 | {_GAP} {TERM_PATTERNS["dtype"]} {_GAP} (?P<datatype>{TERM_PATTERNS["iri"]}) )? )
-    {_GAP} \.(?!\d)""",
+    rf"""{_STATEMENT_GAP} (?P<subject>{TERM_PATTERNS["iri"]}|{TERM_PATTERNS["blank"]})
+    {_STATEMENT_GAP} (?P<predicate>{TERM_PATTERNS["iri"]})
+    {_STATEMENT_GAP} (?P<object>{TERM_PATTERNS["iri"]}|{TERM_PATTERNS["blank"]}
+               | (?:{TERM_PATTERNS["string"]})
+                 (?: {_GAP} {TERM_PATTERNS["langtag"]} | {_GAP} {TERM_PATTERNS["dtype"]} {_GAP} {TERM_PATTERNS["iri"]} )? )
+    {_STATEMENT_GAP} \.(?!\d)""",
+    re.VERBOSE,
+)
+# A literal object token of ``_STATEMENT_RE``: its string, language tag
+# and datatype IRI.
+_LITERAL_RE = re.compile(
+    rf"""(?P<string>{TERM_PATTERNS["string"]})
+    (?: {_GAP} (?P<langtag>{TERM_PATTERNS["langtag"]})
+      | {_GAP} {TERM_PATTERNS["dtype"]} {_GAP} (?P<datatype>{TERM_PATTERNS["iri"]}) )?""",
     re.VERBOSE,
 )
 # The terms of a Turtle statement, each read as the token lexer reads it.
@@ -106,10 +121,11 @@ def _triples(text: str, blank_scope: str, terms: dict | None = None, pos: int = 
 
     ``terms`` maps each map of leading prefix declarations to the terms
     read under it by any document read with it: those of IRI and
-    prefixed-name tokens, and those of literals, keyed by their (string,
-    language tag, datatype) tokens.  Under the key None it keeps the last
-    leading block of directives it was given, as (its text, its prefix
-    map, its terms).  None gives a table of its own.  Raises
+    prefixed-name tokens, and those of literals, keyed by their whole token
+    in a plain N-Triples statement, else by their (string, language tag,
+    datatype) tokens.  Under the key None it keeps the last leading block
+    of directives it was given, as (its text, its prefix map, its terms).
+    None gives a table of its own.  Raises
     DocumentParseError at the first token that does not fit; its line is
     counted only then.
     """
@@ -150,12 +166,10 @@ def _triples(text: str, blank_scope: str, terms: dict | None = None, pos: int = 
     while pos < tail:
         m = _STATEMENT_RE.match(text, pos)
         if m is not None:  # one triple, yielded at once: a dump pays for no list
-            s, p, o, string, language, datatype = m.groups()
+            s, p, o = m.groups()
             try:
                 subject = nodes.get(s) or _node(s, prefixes, nodes, blanks, blank_scope)
                 predicate = nodes.get(p) or _node(p, prefixes, nodes, blanks, blank_scope)
-                if o is None:
-                    o = string, language, datatype
                 obj = nodes.get(o) or _node(o, prefixes, nodes, blanks, blank_scope)
             except ValueError:
                 break
@@ -206,16 +220,16 @@ def _content_end(text: str, pos: int) -> int:
 def _node(
     token: str | tuple, prefixes: dict[str, str], nodes: dict, blanks: dict[str, Term], blank_scope: str
 ) -> Term:
-    """The term an IRI, blank-node or prefixed-name token names, or a
-    literal's (string, language tag, datatype) tokens, now in ``nodes``,
-    or for a blank node in ``blanks``.  The lexer reads '_:' and a label
-    character as a blank node, so a token that starts '_:' is a prefixed
-    name only when nothing, '%' or '-' follows.
+    """The term an IRI, blank-node, prefixed-name or whole literal token
+    names, or a literal's (string, language tag, datatype) tokens, now in
+    ``nodes``, or for a blank node in ``blanks``.  The lexer reads '_:'
+    and a label character as a blank node, so a token that starts '_:' is
+    a prefixed name only when nothing, '%' or '-' follows.
 
     Raises ValueError for a relative IRI, an undeclared prefix or a bad
     escape, and stores nothing then."""
-    if isinstance(token, tuple):
-        string, language, datatype = token
+    if isinstance(token, tuple) or token[0] in "\"'":
+        string, language, datatype = token if isinstance(token, tuple) else _LITERAL_RE.fullmatch(token).groups()
         if datatype is not None:
             dt = nodes.get(datatype) or _node(datatype, prefixes, nodes, blanks, blank_scope)
             term = Term.literal(unquote(string), datatype=dt.value)
@@ -417,17 +431,16 @@ def read_dump(path) -> Iterator[tuple[str, str, str]]:
 def _dump_keys(text: str) -> Iterator[tuple[str, str, str]]:
     """The keys of the triples of ``text``, in document order.  Each plain
     N-Triples statement goes from its match straight to keys, and each
-    distinct token is keyed once.  From the first statement that does not
-    match or holds an invalid term, ``_triples`` reads the rest and
-    reports any error."""
-    keys: dict = {}  # an IRI or blank-node token, or a literal's tokens -> its key
+    distinct token, a literal's whole token included, is keyed once.  From
+    the first statement that does not match or holds an invalid term,
+    ``_triples`` reads the rest and reports any error."""
+    keys: dict[str, str] = {}  # an IRI, blank-node or literal token -> its key
     get = keys.get
     pos = 0
     while (m := _STATEMENT_RE.match(text, pos)) is not None:
-        s, p, o, string, language, datatype = m.groups()
-        obj = o or (string, language, datatype)
+        s, p, o = m.groups()
         try:
-            record = (get(s) or _key(s, keys), get(p) or _key(p, keys), get(obj) or _key(obj, keys))
+            record = (get(s) or _key(s, keys), get(p) or _key(p, keys), get(o) or _key(o, keys))
         except ValueError:
             break
         yield record
@@ -437,16 +450,18 @@ def _dump_keys(text: str) -> Iterator[tuple[str, str, str]]:
             yield term_key(s), term_key(p), term_key(o)
 
 
-def _key(token: str | tuple, keys: dict) -> str:
+def _key(token: str, keys: dict[str, str]) -> str:
     """The key of the term ``token`` names, now stored in ``keys``:
-    ``token`` is an IRI or blank-node token, or a literal's (string,
-    language tag, datatype IRI) tokens, and its key is ``term_key`` of the
-    term ``_triples`` builds from them.  Raises ValueError for a relative
-    IRI or a bad escape, and stores nothing then."""
-    if isinstance(token, str):
-        term = Term.iri(token[1:-1]) if token[0] == "<" else Term.blank(token[2:])
+    ``token`` is an IRI, blank-node or literal token of ``_STATEMENT_RE``,
+    and its key is ``term_key`` of the term ``_triples`` builds from it.
+    Raises ValueError for a relative IRI or a bad escape, and stores
+    nothing then."""
+    if token[0] == "<":
+        term = Term.iri(token[1:-1])
+    elif token[0] == "_":
+        term = Term.blank(token[2:])
     else:
-        string, language, datatype = token
+        string, language, datatype = _LITERAL_RE.fullmatch(token).groups()
         if datatype is not None:
             term = Term.literal(unquote(string), datatype=Term.iri(datatype[1:-1]).value)
         else:

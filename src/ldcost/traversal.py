@@ -194,13 +194,26 @@ def _http_fetch(
     that needs a new connection first takes one, which the fetch holds
     until it returns or raises.  A request on a kept connection that the
     server closed is sent once more on a new connection, and that counts
-    as the same attempt.  A fetch checks ``failed`` before its first
-    request and whenever it takes a slot: if it is set, the fetch raises
-    _NotFetched, or the error of its last request if it made one.
+    as the same attempt.  A redirect that opens a new connection, to
+    another origin or after the server closed the last one, needs a slot
+    too.  A fetch checks ``failed`` before its first request and whenever
+    it takes a slot: if it is set, the fetch raises _NotFetched, or the
+    error of its last request if it made one; one about to follow a
+    redirect raises _NotFetched.
     """
     url = store.manifest.get(iri, iri)
     last_error = None
     slot = False  # whether the fetch holds one of ``opening``
+
+    def redirecting(target: str) -> None:
+        """Before a redirect opens a new connection: take a slot as a resend does."""
+        nonlocal slot
+        if opening is not None and not slot:
+            opening.acquire()
+            slot = True
+            if failed is not None and failed.is_set():
+                raise _NotFetched(f"not fetched after an earlier fetch failed: {url}")
+
     try:
         attempts = 2  # one retry
         while attempts:
@@ -213,7 +226,7 @@ def _http_fetch(
                     raise _NotFetched(f"not fetched after an earlier fetch failed: {url}")
                 break
             try:
-                resp = session.get(url, accept=_RDF_ACCEPT, resend=False)
+                resp = session.get(url, accept=_RDF_ACCEPT, resend=False, redirecting=redirecting)
             except web.IdleClosed as exc:  # resent on a new connection, as the same attempt
                 last_error = exc
                 continue

@@ -16,6 +16,7 @@ import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
     from http.client import HTTPConnection, HTTPResponse
 
 # the reserved characters, '%' and '~': left as they are when a URL is quoted
@@ -74,7 +75,12 @@ class Session:
             self._kept = None
 
     def get(
-        self, url: str, accept: str, params: dict[str, str] | None = None, resend: bool = True
+        self,
+        url: str,
+        accept: str,
+        params: dict[str, str] | None = None,
+        resend: bool = True,
+        redirecting: Callable[[str], None] | None = None,
     ) -> Response:
         """GET ``url`` (with ``params`` as its urlencoded query string),
         following up to 10 redirects, and return any status the server
@@ -83,6 +89,9 @@ class Session:
         that fails before its status line is sent once more, on a new
         connection; with ``resend`` false the first request, on a
         connection kept from an earlier call, raises IdleClosed instead.
+        ``redirecting``, if given, is called with a redirect's target URL
+        before each new connection a request to it opens; what it raises
+        passes through.
 
         The body is decoded with the charset of ``Content-Type``, else as
         UTF-8, which the Turtle, N-Triples and SPARQL-results media types
@@ -103,8 +112,8 @@ class Session:
             if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
                 raise ConnectionError("not an http(s) URL")
             for redirects_left in range(_MAX_REDIRECTS, -1, -1):
-                resend_here = resend or redirects_left < _MAX_REDIRECTS
-                resp, body = self._exchange(url, accept, resend_here)
+                first = redirects_left == _MAX_REDIRECTS
+                resp, body = self._exchange(url, accept, resend or not first, None if first else redirecting)
                 if 200 <= resp.status < 300:
                     charset = resp.headers.get_content_charset()
                     return Response(
@@ -120,13 +129,16 @@ class Session:
         except (http.client.HTTPException, ValueError) as exc:  # a malformed reply or URL
             raise ConnectionError(f"{type(exc).__name__}: {exc}") from exc
 
-    def _exchange(self, url: str, accept: str, resend: bool) -> tuple[HTTPResponse, bytes]:
+    def _exchange(
+        self, url: str, accept: str, resend: bool, connecting: Callable[[str], None] | None
+    ) -> tuple[HTTPResponse, bytes]:
         """One GET of ``url``: the response and its body, read whole.
 
         A request on a reused connection that fails before a status line
         arrives is sent once more on a new connection (the server closed
         the connection while it was idle), or with ``resend`` false raises
-        IdleClosed.
+        IdleClosed.  ``connecting``, if given, is called with ``url``
+        before a new connection is opened.
         """
         import socket
         import urllib.parse
@@ -142,6 +154,8 @@ class Session:
             self._kept = None
         else:
             self.close()
+            if connecting is not None:
+                connecting(url)
             conn, forward = self._connect(*key)
         headers = {"Host": host, "User-Agent": _USER_AGENT, "Accept": accept}
         if forward is None:  # origin-form: the path and query
@@ -161,6 +175,8 @@ class Session:
                 conn.close()
                 if not resend:
                     raise IdleClosed(f"{type(exc).__name__}: {exc}") from exc
+                if connecting is not None:
+                    connecting(url)
                 conn, forward = self._connect(*key)
                 resp = _send(conn, target, headers, quickack)
             body = resp.read()

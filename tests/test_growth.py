@@ -18,6 +18,9 @@ import pytest
 import helpers
 import ldcost
 from ldcost import cli, query, traversal
+from ldcost.analysis import plan_query
+from ldcost.estimator import EstimatorConfig, estimate
+from ldcost.evaluation import GroundTruthEntry, train_factors
 from ldcost.query import RDF_TYPE, XSD, Term, parse_query
 from ldcost.rdfio import parse_document, read_dump, term_key
 from ldcost.stats import compute_from_dump
@@ -232,4 +235,68 @@ def test_row_stage_grows_linearly_in_rows():
         return lines / rows
 
     small, middle, largest = map(per_row, (500, 1000, 2000))
+    assert 1 / RATIO <= largest / middle <= RATIO, (small, middle, largest)
+
+
+def answerable_query(patterns: int) -> str:
+    """A query of ``patterns`` triple patterns that traversal can answer:
+    from a constant subject, a chain of variables, each link with a star
+    check, a constant check, a class and a FILTER, four patterns a link."""
+    rng = random.Random(patterns)
+    subject = f"<{EX}seed>"
+    lines = ["SELECT * WHERE {"]
+    for i in range(patterns // 4):
+        lines.append(
+            f"  {subject} <{EX}p{rng.randrange(6)}> ?v{i} .\n"
+            f"  ?v{i} <{EX}q{rng.randrange(6)}> ?w{i} .\n"
+            f"  ?v{i} <{EX}q{rng.randrange(6)}> <{EX}thing{rng.randrange(6)}> .\n"
+            f"  ?v{i} a <{EX}Class{rng.randrange(4)}> .\n"
+            f"  FILTER(year(?w{i}) > {rng.randint(1900, 2000)})"
+        )
+        subject = f"?v{i}"
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def test_plan_and_estimate_grow_linearly_in_triple_patterns():
+    """``plan_query`` then ``estimate`` (Mpjf), per triple pattern."""
+    catalog = helpers.random_catalog(random.Random(31))
+    config = EstimatorConfig()
+
+    def per_pattern(patterns: int) -> float:
+        q = parse_query(answerable_query(patterns))
+        assert len(q.triples) == patterns
+        totals = []
+        lines = executed_lines(lambda: totals.append(estimate(plan_query(q), catalog, config).total))
+        assert 0 < totals[0] < float("inf")
+        return lines / patterns
+
+    small, middle, largest = map(per_pattern, (8, 16, 32))
+    assert 1 / RATIO <= largest / middle <= RATIO, (small, middle, largest)
+
+
+def ground_truth(entries: int, catalog) -> list[GroundTruthEntry]:
+    """The first ``entries`` of one seeded run of random answerable queries
+    whose cost under ``catalog`` uses both factors, so that training
+    scores each at every grid point, with random real costs; each query
+    is parsed already."""
+    rng = random.Random(41)
+    truth: list[GroundTruthEntry] = []
+    while len(truth) < entries:
+        entry = GroundTruthEntry(f"q{len(truth)}", helpers.random_answerable_query(rng), rng.randint(1, 1000))
+        if helpers.polynomial_shape(entry.query, catalog) == (True, True):
+            truth.append(entry)
+    return truth
+
+
+def test_training_grows_linearly_in_entries_times_grid_points():
+    """``train_factors`` on the default 11-value grid, per entry and joint
+    grid point (121 of them)."""
+    catalog = helpers.random_catalog(random.Random(43))
+
+    def per_entry_and_point(entries: int) -> float:
+        truth = ground_truth(entries, catalog)
+        return executed_lines(lambda: train_factors(truth, catalog)) / (entries * 11 * 11)
+
+    small, middle, largest = map(per_entry_and_point, (20, 40, 80))
     assert 1 / RATIO <= largest / middle <= RATIO, (small, middle, largest)

@@ -864,6 +864,53 @@ class TestDumpKeys:
         ]
 
 
+# White space and comments a plain N-Triples statement may hold between
+# its terms and around a literal's tag or datatype.
+GAP_SHAPES = ["", " ", "\t", "   ", "\r\n", "\n", "\n\n", " # c\n", "\n# c\n\t", "\x0b", "\u3000"]
+# Statements with a slot for a gap before each term and the '.', and
+# around a literal's '^^' or tag; the first slot is the gap before the
+# subject, which the statement before ends.
+GAP_TEMPLATES = [
+    '\n{}<{EX}s>{}<{EX}p>{}"x"{}^^{}<{XSD_STRING}>{}.',
+    "\n{}_:b{}<{EX}p>{}'x'{}@en-GB{}.",
+    '\n{}<{EX}s>{}<{EX}q>{}<{EX}o>{}.',
+]
+
+
+class TestStatementGaps:
+    """Every gap shape in every slot reads as the one-space twin, by both
+    readers; a literal's tokens in two spellings are keyed twice, as one
+    term."""
+
+    def test_every_gap_in_every_slot_reads_as_one_space(self, tmp_path):
+        path = tmp_path / "dump.nt"
+        for template in GAP_TEMPLATES:
+            slots = template.count("{}")
+            twin = template.format(*[" "] * slots, EX=EX, XSD_STRING=XSD_STRING)
+            expected_keys, expected_triples = keyed_triples(twin), parse_document(twin)
+            assert len(expected_keys) == 1
+            for slot in range(slots):
+                for gap in GAP_SHAPES:
+                    gaps = [" "] * slots
+                    gaps[slot] = gap
+                    text = template.format(*gaps, EX=EX, XSD_STRING=XSD_STRING)
+                    path.write_text(text, encoding="utf-8", newline="")
+                    assert dump_outcome(path) == expected_keys, text
+                    assert parse_document(text) == expected_triples, text
+
+    def test_a_literal_is_keyed_by_its_whole_token(self, tmp_path):
+        path = tmp_path / "dump.nt"
+        spellings = [f'"x"^^<{XSD_STRING}>', f'"x" ^^ <{XSD_STRING}>', '"x"@en', '"x"\n  @en']
+        text = "".join(f"<{EX}s{i}> <{EX}p> {o} .\n" for i, o in enumerate(spellings))
+        path.write_text(text, encoding="utf-8")
+        assert [o for _, _, o in read_dump(path)] == ['"x"', '"x"', '"x"@en', '"x"@en']
+        terms: dict = {}
+        triples = parse_document(text, terms=terms)
+        assert len({o for _, _, o in triples}) == 2
+        literal_tokens = [token for token in terms[()] if isinstance(token, str) and token[0] == '"']
+        assert literal_tokens == spellings
+
+
 def token_loop_start(monkeypatch, text: str) -> int | None:
     """The offset where the token loop starts reading ``text``; None if it
     never starts."""

@@ -5,7 +5,9 @@ each quoted string as a loop of single-character alternatives.  The IRI
 class is now the IRIREF class of the N-Triples, Turtle and SPARQL grammars,
 and the string loops are unrolled.  The oracles below are those old term
 patterns and the patterns built from them, rebuilt from today's sources;
-their text is pinned by hash to the sources as they were.
+their text is pinned by hash to the sources as they were.  The statement
+pattern has changed since: it is read from its old text, frozen below, and
+the last tests here check today's against it.
 
 The unrolled loops read the same language with the same candidate ends, so
 every pattern must match as its oracle with the old strings does, at every
@@ -31,12 +33,30 @@ from ldcost.errors import InputError
 OLD_IRI = r'<[^<>"{}|^`\\\s]*>'
 OLD_STRING = r"""\"\"\"(?:[^"\\]|\\.|\"(?!\"\"))*\"\"\"|'''(?:[^'\\]|\\.|'(?!''))*'''|"(?:[^"\\\n]|\\.)*"|'(?:[^'\\\n]|\\.)*'"""
 
+# ``rdfio._STATEMENT_RE`` as it was before its object became one capture
+# and its gap took a short branch, verbatim: six captures, the full gap.
+OLD_STATEMENT_RE = re.compile(
+    "\n".join([
+        r'\s*(?:\#[^\n]*\n\s*)* (?P<subject><[^\x00-\x20<>"{}|^`\\]*>|_:[A-Za-z_0-9]+)',
+        r'    \s*(?:\#[^\n]*\n\s*)* (?P<predicate><[^\x00-\x20<>"{}|^`\\]*>)',
+        r'    \s*(?:\#[^\n]*\n\s*)* (?: (?P<node><[^\x00-\x20<>"{}|^`\\]*>|_:[A-Za-z_0-9]+)',
+        r'             | (?P<string>\"\"\"[^"\\]*(?:(?:\\.|\"(?!\"\"))[^"\\]*)*\"\"\"|'
+        + r"'''[^'\\]*(?:(?:\\.|'(?!''))[^'\\]*)*'''|"
+        + r'"[^"\\\n]*(?:\\.[^"\\\n]*)*"|'
+        + r"'[^'\\\n]*(?:\\.[^'\\\n]*)*')",
+        r'               (?: \s*(?:\#[^\n]*\n\s*)* (?P<langtag>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)',
+        r'                 | \s*(?:\#[^\n]*\n\s*)* \^\^ \s*(?:\#[^\n]*\n\s*)* (?P<datatype><[^\x00-\x20<>"{}|^`\\]*>) )? )',
+        r'    \s*(?:\#[^\n]*\n\s*)* \.(?!\d)',
+    ]),
+    re.VERBOSE,
+)
+
 # The patterns built from the term patterns, with the sha256 of their
 # source text when they held the old ones.
 COMPOSITES = {
     "query._TOKEN_RE": (query._TOKEN_RE, "29f59836d06ea7e97bfc9235582fdb2298819dbd42bfb5a8aeffb384329b92f7"),
     "rdfio._TOKEN_RE": (rdfio._TOKEN_RE, "e9fd4c2420eb422603cdb9311ce9af99cf5a2293fe35b997adca4c24bfa25bef"),
-    "rdfio._STATEMENT_RE": (rdfio._STATEMENT_RE, "3613fc975f7ee3cb1b6b89fb5cde0b25a0ac5751b9eacec55176d821a6d3bd28"),
+    "rdfio._STATEMENT_RE": (OLD_STATEMENT_RE, "3613fc975f7ee3cb1b6b89fb5cde0b25a0ac5751b9eacec55176d821a6d3bd28"),
     "rdfio._TURTLE_RE": (rdfio._TURTLE_RE, "837afb04b3553dd0e790ee22ccfa23735860bdb47caae2319cfe00d4e72ed76f"),
     "rdfio._LIST_RE": (rdfio._LIST_RE, "a44dc0752207148eec8b140037ba2ddac288cfe8a402f44a1eece6aba891ae07"),
     "rdfio._PREFIX_RE": (rdfio._PREFIX_RE, "8f6f38fe2678048f6919e3c244c575127e461ffeb36a4fc0b1be3a6aa96a938e"),
@@ -232,3 +252,97 @@ def test_readers_take_the_iris_the_class_takes():
                 parse_document(document)
             with pytest.raises(InputError, match=re.escape(f"unexpected character {c!r} (line 1, column 29)")):
                 query.parse_query(sparql)
+
+
+# --- today's statement pattern against its old text ---------------------------
+
+GAP_SEED = 3011
+GAP_DUMPS = 300
+# White space and comments between a statement's terms and around a
+# literal's tag and datatype: none, the one space or newline the short
+# branch reads, longer runs, other white space, comments, and a comment
+# the end of the text cuts off.
+GAPS = ("", " ", "\n", "  ", "\t", "\r\n", " \n ", "\n\n", "\x0b", "\x1c", "\xa0", "\u2028",
+        " # c\n", "# c\n", "\n# c\n  ", " #\n\t", " # c")
+_DUMP_STRINGS = ('"v"', '"a 1"', "'w'", '"""x\ny"""', "'''z'''", '"q\\"r"', '""')
+
+
+def _gap_statement(rng: random.Random) -> str:
+    """A statement with a random gap before each term and the '.', and
+    around a literal object's tag or datatype."""
+    def gap():
+        return rng.choice(GAPS)
+
+    subject = rng.choice(["<http://x/s>", "<http://x/s1>", "_:b1"])
+    kind = rng.random()
+    if kind < 0.3:
+        obj = rng.choice(["<http://x/o>", "_:b2"])
+    else:
+        obj = rng.choice(_DUMP_STRINGS) + rng.choice(
+            ["", gap() + "@en", gap() + "@en-GB", gap() + "^^" + gap() + "<http://x/t>"]
+        )
+    end = rng.choice([".", ".", " .", ".5"])
+    return gap() + subject + gap() + "<http://x/p>" + gap() + obj + gap() + end
+
+
+def _gap_dumps() -> list[str]:
+    rng = random.Random(GAP_SEED)
+    return [
+        _mutated(rng, "".join(_gap_statement(rng) + rng.choice(GAPS) for _ in range(rng.randint(1, 3))))
+        for _ in range(GAP_DUMPS)
+    ]
+
+
+def _same_statement_match(text: str, pos: int) -> bool:
+    """Asserts that today's statement pattern matches at ``pos`` as the old
+    one does, its object capture being the old object's whole token;
+    returns whether they match."""
+    new, old = rdfio._STATEMENT_RE.match(text, pos), OLD_STATEMENT_RE.match(text, pos)
+    assert (new is None) == (old is None), (text, pos)
+    if new is None:
+        return False
+    assert new.span() == old.span(), (text, pos)
+    assert new.group("subject", "predicate") == old.group("subject", "predicate"), (text, pos)
+    if old["node"] is not None:
+        assert new["object"] == old["node"], (text, pos)
+    else:
+        end = max(old.end("string"), old.end("langtag"), old.end("datatype"))
+        assert new["object"] == text[old.start("string") : end], (text, pos)
+        parts = rdfio._LITERAL_RE.fullmatch(new["object"])
+        assert parts.group("string", "langtag", "datatype") == old.group("string", "langtag", "datatype")
+    return True
+
+
+def test_the_statement_pattern_matches_as_its_old_text_at_every_offset():
+    matched = literals = spaced = 0
+    for text in _corpus() + _gap_dumps():
+        for pos in range(len(text) + 1):
+            if _same_statement_match(text, pos):
+                m = rdfio._STATEMENT_RE.match(text, pos)
+                matched += 1
+                literals += m["object"][0] in "\"'"
+                spaced += m["object"][0] in "\"'" and bool(re.search(r"\s(?:@|\^\^)|\^\^\s", m["object"]))
+    assert matched >= 300 and literals >= 100 and spaced >= 20, (matched, literals, spaced)
+
+
+def _gap_branches() -> tuple[re.Pattern, re.Pattern]:
+    """The statement gap's two branches, each compiled alone."""
+    gap = rdfio._STATEMENT_GAP
+    assert gap.startswith("(?:") and gap.endswith(")")
+    short, full = gap[3:-1].split("|", 1)
+    return re.compile(short, re.VERBOSE), re.compile(full, re.VERBOSE)
+
+
+def test_the_gap_branches_never_both_match_and_the_short_one_reads_as_the_full_gap():
+    short, full = _gap_branches()
+    assert full.pattern.endswith(rdfio._GAP)
+    old_gap = re.compile(rdfio._GAP)
+    took_short = 0
+    for text in _corpus() + _gap_dumps():
+        for pos in range(len(text) + 1):
+            m = short.match(text, pos)
+            assert m is None or full.match(text, pos) is None, (text, pos)
+            if m is not None:
+                assert m.end() == old_gap.match(text, pos).end() == pos + 1, (text, pos)
+                took_short += 1
+    assert took_short >= 500

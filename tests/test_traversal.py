@@ -1159,6 +1159,29 @@ class TestParallelFetch:
         assert first.peak_unanswered <= traversal.FETCH_OPENING
         assert second.peak_unanswered <= traversal.FETCH_OPENING
 
+    def test_a_redirect_to_another_origin_takes_a_slot(self, tmp_path):
+        """Each spoke is a 303 to its document on a second server, which
+        keeps connections alive and answers in 20 ms.  A worker whose
+        connection is kept to the first server takes an opening slot
+        before it follows the redirect."""
+        documents = _hub_documents()
+        q = parse_query(_HUB_QUERY)
+        local_table, local_trace = execute(q, _local_store(tmp_path / "local", documents))
+        second = helpers.DocServer({}, delay=0.02, keep_alive=True)
+        first = helpers.DocServer(_served({"hub1": documents["hub1"], "hub2": documents["hub2"]}),
+                                  keep_alive=self.KEEP_ALIVE)
+        with first as first_base, second as second_base:
+            for x in _SPOKES:
+                first.documents[f"/{x}"] = (303, f"{second_base}/{x}")
+                if x in documents:
+                    second.documents[f"/{x}"] = documents[x]
+            table, trace = execute(q, _http_store(tmp_path / "http", first_base, ["hub1", "hub2", *_SPOKES]))
+        assert table == local_table
+        assert trace.misses == local_trace.misses == tuple(EX + x for x in _GONE)
+        assert len(second.requests) == len(_SPOKES)
+        assert first.peak_unanswered <= traversal.FETCH_OPENING
+        assert second.peak_unanswered <= traversal.FETCH_OPENING
+
     def test_no_fetch_starts_once_the_pool_has_closed(self, tmp_path):
         """An execution that fails for another reason than a fetch (a miss,
         a document that does not parse) closes the pool while fetches

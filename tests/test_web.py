@@ -176,6 +176,35 @@ class TestKeepAlive:
         assert [path for path, _ in server.requests] == ["/d0", "/d1"]
         assert server.connections == 2
 
+    def test_redirecting_is_called_before_a_redirect_opens_a_connection(self):
+        """A redirect to another server, one on the connection kept to it,
+        and one back to the first, whose connection the session no longer
+        keeps: the callback hears of the two new connections, not of the
+        kept one or of the first request's."""
+        first = helpers.DocServer({}, keep_alive=True)
+        second = helpers.DocServer({}, keep_alive=True)
+        with first as first_base, second as second_base, web.Session(5) as session:
+            first.documents["/a"] = (303, f"{second_base}/b")
+            second.documents["/b"] = (303, f"{second_base}/c")
+            second.documents["/c"] = (303, f"{first_base}/d")
+            first.documents["/d"] = "document d"
+            heard = []
+            resp = session.get(f"{first_base}/a", accept=ACCEPT, redirecting=heard.append)
+            assert session.get(f"{first_base}/a", accept=ACCEPT).status == 200  # no callback: no call
+        assert resp.text == "document d"
+        assert heard == [f"{second_base}/b", f"{first_base}/d"]
+
+    def test_what_redirecting_raises_passes_through(self):
+        server = helpers.DocServer({"/a": (303, "/b"), "/b": "document b"})  # HTTP/1.0: every request connects
+
+        def refuse(url):
+            raise LookupError(url)
+
+        with server as base, web.Session(5) as session:
+            with pytest.raises(LookupError, match="/b"):
+                session.get(f"{base}/a", accept=ACCEPT, redirecting=refuse)
+        assert [path for path, _ in server.requests] == ["/a"]
+
     def test_a_server_that_closes_gets_a_connection_per_request(self):
         server = helpers.DocServer({"/x": DOC})  # HTTP/1.0
         with server as base, web.Session(5) as session:
