@@ -85,6 +85,16 @@ class CostEstimate:
         }
 
 
+def _settings(config: EstimatorConfig, catalog: StatsCatalog) -> tuple[StatsCatalog, float, float]:
+    """The catalog, f1 and f2 that ``config``'s method reads (the table above)."""
+    method = config.method.value
+    if method == "mnp":
+        catalog = StatsCatalog(catalog.global_stats)
+    join_factor = config.join_factor if method in ("mpj", "mpjf") else 1.0
+    filter_factor = config.filter_factor if method == "mpjf" else 1.0
+    return catalog, join_factor, filter_factor
+
+
 # Totals carry float noise from repeated multiplication (0.01 * 10000 is not
 # exactly 100); snap to 9 decimals before ceiling so exact-integer totals stay
 # exact.  Averages too large for a float overflow the total to inf, or to
@@ -107,13 +117,7 @@ def estimate(
     overflow the total.
     """
     plan = q if isinstance(q, TraversalPlan) else plan_query(q)
-    # the method's settings of the one model (see the module docstring)
-    method = config.method.value
-    if method == "mnp":
-        catalog = StatsCatalog(catalog.global_stats)
-    join_factor = config.join_factor if method in ("mpj", "mpjf") else 1.0
-    filter_factor = config.filter_factor if method == "mpjf" else 1.0
-    accesses, counts = _walk(plan, catalog, join_factor, filter_factor)
+    accesses, counts = _walk(plan, *_settings(config, catalog))
     total = _total(accesses)
     binding_counts = {
         name: value for name, value in counts.items() if not name.startswith("_:")
@@ -278,11 +282,4 @@ def estimate_all(
 ) -> dict[Method, CostEstimate]:
     """Run all four methods with shared factors over one plan of ``q``."""
     plan = plan_query(q)
-    return {
-        method: estimate(
-            plan,
-            catalog,
-            EstimatorConfig(method=method, join_factor=join_factor, filter_factor=filter_factor),
-        )
-        for method in Method
-    }
+    return {m: estimate(plan, catalog, EstimatorConfig(m, join_factor, filter_factor)) for m in Method}

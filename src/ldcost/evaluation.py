@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,8 +32,10 @@ from .estimator import (
     EstimatorConfig,
     Method,
     _ceil,
+    _settings,
+    _total,
+    _walk,
     cost_terms,
-    estimate,
 )
 from .query import QueryPattern, parse_query
 from .rdfio import DocumentParseError, read_text
@@ -77,17 +80,17 @@ class GroundTruthLoad:
     failures: tuple[LoadFailure, ...] = ()
 
 
-def _read_entry(entry_dir: Path) -> GroundTruthEntry:
-    """One query directory as a checked entry, its parse kept as ``query``.
-    Raises FormatError with the reason the entry cannot be used."""
+def _read_entry(entry_dir: str, name: str) -> GroundTruthEntry:
+    """The query directory ``entry_dir`` named ``name`` as a checked entry,
+    its parse kept as ``query``.  Raises FormatError with the reason."""
     try:
-        query_text = read_text(entry_dir / "query.rq")
+        query_text = read_text(os.path.join(entry_dir, "query.rq"))
     except OSError as exc:
         raise FormatError(f"missing query.rq: {exc}") from exc
     except DocumentParseError as exc:
         raise FormatError(f"bad query.rq: {exc}") from exc
     try:
-        meta = json.loads(read_text(entry_dir / "meta.json"))
+        meta = json.loads(read_text(os.path.join(entry_dir, "meta.json")))
     except OSError as exc:
         raise FormatError(f"missing meta.json: {exc}") from exc
     except (ValueError, DocumentParseError) as exc:
@@ -105,9 +108,10 @@ def _read_entry(entry_dir: Path) -> GroundTruthEntry:
     except (TypeError, ValueError):
         raise FormatError(f"bad real_cost {cost!r}") from None
     accessed: tuple[str, ...] | None = None
-    if (entry_dir / "accessed.txt").is_file():
+    accessed_path = os.path.join(entry_dir, "accessed.txt")
+    if os.path.isfile(accessed_path):
         try:
-            lines = read_text(entry_dir / "accessed.txt").splitlines()
+            lines = read_text(accessed_path).splitlines()
         except (OSError, DocumentParseError) as exc:
             raise FormatError(f"bad accessed.txt: {exc}") from exc
         accessed = tuple(line.strip() for line in lines if line.strip())
@@ -117,7 +121,7 @@ def _read_entry(entry_dir: Path) -> GroundTruthEntry:
         raise FormatError(f"query does not parse: {exc}") from exc
     try:
         entry = GroundTruthEntry(
-            id=str(meta.get("id", entry_dir.name)),
+            id=str(meta.get("id", name)),
             query_text=query_text,
             real_cost=real_cost,
             accessed_iris=accessed,
@@ -129,8 +133,22 @@ def _read_entry(entry_dir: Path) -> GroundTruthEntry:
     return entry
 
 
+def _joinable(path: Path) -> str:
+    """``path`` to ``os.path.join`` as ``path / name`` joins: '' for '.'."""
+    return "" if str(path) == "." else str(path)
+
+
+def _is_dir(child: os.DirEntry) -> bool:
+    """``Path.is_dir`` of a listed child, with no stat unless it is a symlink."""
+    try:
+        return child.is_dir()
+    except OSError:  # a symlink loop, say, which Path.is_dir reads as False
+        return Path(child.path).is_dir()
+
+
 def load_ground_truth(path) -> GroundTruthLoad:
-    """Load every query directory under ``path``.
+    """Load every query directory under ``path``, symlinked ones too, in the
+    order ``Path`` sorts them; other files are ignored.
 
     Entries with missing or malformed pieces become failures instead of
     aborting the load; queries are parse-checked so downstream scoring can
@@ -139,14 +157,16 @@ def load_ground_truth(path) -> GroundTruthLoad:
     root = Path(path)
     if not root.is_dir():
         raise FormatError(f"{root} is not a directory")
+    with os.scandir(root) as children:
+        names = [child.name for child in children if _is_dir(child)]
+    base = _joinable(root)
     entries: list[GroundTruthEntry] = []
     failures: list[LoadFailure] = []
-    for child in sorted(root.iterdir()):
-        if child.is_dir():
-            try:
-                entries.append(_read_entry(child))
-            except FormatError as exc:
-                failures.append(LoadFailure(child.name, str(exc)))
+    for name in sorted(names, key=os.path.normcase):  # as Path compares them
+        try:
+            entries.append(_read_entry(os.path.join(base, name), name))
+        except FormatError as exc:
+            failures.append(LoadFailure(name, str(exc)))
     return GroundTruthLoad(entries=tuple(entries), failures=tuple(failures))
 
 
@@ -205,7 +225,7 @@ def replay_entry(entry_dir) -> tuple[int, int]:
 
     entry_dir = Path(entry_dir)
     try:
-        entry = _read_entry(entry_dir)
+        entry = _read_entry(_joinable(entry_dir), entry_dir.name)
     except FormatError as exc:
         raise FormatError(f"{entry_dir}: {exc}") from exc
     manifest = entry_dir / "docs" / "manifest.tsv"
@@ -299,22 +319,17 @@ def train_factors(train, catalog: StatsCatalog, grid=None) -> tuple[float, float
 
 
 def _walk_total(plan: TraversalPlan, catalog: StatsCatalog, join_factor, filter_factor) -> float:
-    """``estimate``'s mpjf total of ``plan`` at the factors, nan where it is
-    not finite; a factor the total does not depend on is None.
+    """The total ``estimate`` ceils: one float cost walk of ``plan`` over
+    ``catalog`` at the factors, inf or nan where the averages overflow.  A
+    factor the total does not depend on may be None.
 
     A polynomial coefficient that overflows is inf, and inf·0.0 is nan at
     a zero factor, where the float walk may have multiplied by the 0.0
     first: a compiled total that is not finite is decided by the walk.
     """
-    config = EstimatorConfig(
-        Method.PREDICATE_JOINS_FILTERS,
-        1.0 if join_factor is None else join_factor,
-        1.0 if filter_factor is None else filter_factor,
-    )
-    try:
-        return estimate(plan, catalog, config).total
-    except InputError:
-        return math.nan
+    accesses, _ = _walk(plan, catalog, 1.0 if join_factor is None else join_factor,
+                        1.0 if filter_factor is None else filter_factor)
+    return _total(accesses)
 
 
 @dataclass(frozen=True)
@@ -335,14 +350,8 @@ class EvalReport:
 
     def as_dict(self) -> dict:
         def scores(block: dict[Method, MethodScore]) -> dict:
-            return {
-                m.label: {
-                    "avg_abs_diff": s.avg_abs_diff,
-                    "pct_avg_diff": s.pct_avg_diff,
-                    "n": s.n,
-                }
-                for m, s in block.items()
-            }
+            return {m.label: {"avg_abs_diff": s.avg_abs_diff, "pct_avg_diff": s.pct_avg_diff, "n": s.n}
+                    for m, s in block.items()}
 
         return {
             "methods": scores(self.per_method),
@@ -396,11 +405,11 @@ def evaluate(
     if not test:
         raise EmptyInput("no test entries")
     scored, skipped = _prepare(test)
-    # each entry is estimated once per method; the subsets reuse the figures
+    # each entry is estimated once per method, ceiled as by ``estimate``; the subsets reuse the figures
     estimates: dict[Method, list[int]] = {}
     for method in Method:
-        config = EstimatorConfig(method, join_factor, filter_factor)
-        estimates[method] = [estimate(s.plan, catalog, config).ceiled_total for s in scored]
+        settings = _settings(EstimatorConfig(method, join_factor, filter_factor), catalog)
+        estimates[method] = [_ceil(_walk_total(s.plan, *settings)) for s in scored]
 
     def score_block(keep) -> dict[Method, MethodScore]:
         block: dict[Method, MethodScore] = {}

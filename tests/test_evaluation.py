@@ -1,7 +1,9 @@
 import itertools
 import json
 import math
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -31,8 +33,9 @@ from ldcost.evaluation import (
     split,
     train_factors,
 )
-from ldcost.errors import FormatError
+from ldcost.errors import FormatError, LdcostError
 from ldcost.query import parse_query
+from ldcost.rdfio import DocumentParseError, read_text
 from ldcost.stats import GlobalStats, PredicateStats, StatsCatalog
 from ldcost.query import RDF_TYPE
 
@@ -233,6 +236,149 @@ class TestLoadGroundTruth:
         helpers.write_ground_truth_entry(tmp_path, "q001", text, 1)
         (failure,) = load_ground_truth(tmp_path).failures
         assert failure.reason.startswith("query does not parse: expression nested too deeply (line 1, ")
+
+
+def _oracle_read_entry(entry_dir: Path) -> GroundTruthEntry:
+    """``evaluation._read_entry`` as it was before the loader joined string
+    paths: ``pathlib`` throughout."""
+    try:
+        query_text = read_text(entry_dir / "query.rq")
+    except OSError as exc:
+        raise FormatError(f"missing query.rq: {exc}") from exc
+    except DocumentParseError as exc:
+        raise FormatError(f"bad query.rq: {exc}") from exc
+    try:
+        meta = json.loads(read_text(entry_dir / "meta.json"))
+    except OSError as exc:
+        raise FormatError(f"missing meta.json: {exc}") from exc
+    except (ValueError, DocumentParseError) as exc:
+        raise FormatError(f"bad meta.json: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise FormatError("bad meta.json: the top level is not an object")
+    if "real_cost" not in meta:
+        raise FormatError("meta.json lacks real_cost")
+    cost = meta["real_cost"]
+    try:
+        if isinstance(cost, bool) or (isinstance(cost, float) and not cost.is_integer()):
+            raise ValueError
+        real_cost = int(cost)
+    except (TypeError, ValueError):
+        raise FormatError(f"bad real_cost {cost!r}") from None
+    accessed = None
+    if (entry_dir / "accessed.txt").is_file():
+        try:
+            lines = read_text(entry_dir / "accessed.txt").splitlines()
+        except (OSError, DocumentParseError) as exc:
+            raise FormatError(f"bad accessed.txt: {exc}") from exc
+        accessed = tuple(line.strip() for line in lines if line.strip())
+    try:
+        parse_query(query_text)
+    except LdcostError as exc:
+        raise FormatError(f"query does not parse: {exc}") from exc
+    try:
+        return GroundTruthEntry(
+            id=str(meta.get("id", entry_dir.name)),
+            query_text=query_text,
+            real_cost=real_cost,
+            accessed_iris=accessed,
+            executed_at=meta.get("executed_at"),
+        )
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def _oracle_load_ground_truth(path):
+    """``load_ground_truth`` as it was before it listed the dataset with one
+    ``os.scandir``: sorted ``Path.iterdir``, ``Path.is_dir`` per child."""
+    root = Path(path)
+    if not root.is_dir():
+        raise FormatError(f"{root} is not a directory")
+    entries, failures = [], []
+    for child in sorted(root.iterdir()):
+        if child.is_dir():
+            try:
+                entries.append(_oracle_read_entry(child))
+            except FormatError as exc:
+                failures.append(LoadFailure(child.name, str(exc)))
+    return entries, failures
+
+
+def _parity_dataset(root: Path) -> None:
+    """Entries named to test the order, with a stray file, a symlink to an
+    entry, a broken symlink, a symlink loop, an entry without ``query.rq``,
+    one whose ``meta.json`` is a directory and one whose ``accessed.txt``
+    is a directory."""
+    for name, text, real in [
+        ("q10", helpers.MANDELA_QUERY, 1),
+        ("q9", helpers.PLATO_LD_QUERY, 15),
+        ("Q1", helpers.DIRECTOR_STAR_QUERY, 15_001),
+        ("é", helpers.BIRTHDATE_FILTER_QUERY, 10_511),
+        ("q2", "SELECT * WHERE {", 3),
+    ]:
+        helpers.write_ground_truth_entry(root, name, text, real, accessed=[helpers.DBR + name])
+    (root / "q9" / "meta.json").write_text('{"real_cost": 15}', encoding="utf-8")  # no id: the name is
+    (root / "notes.txt").write_text("not an entry\n", encoding="utf-8")
+    (root / "link").symlink_to("q10", target_is_directory=True)
+    (root / "dangling").symlink_to("nowhere")
+    (root / "loop").symlink_to("loop")
+    (root / "noquery").mkdir()
+    (root / "noquery" / "meta.json").write_text('{"real_cost": 2}', encoding="utf-8")
+    helpers.write_ground_truth_entry(root, "metadir", helpers.MANDELA_QUERY, 1)
+    (root / "metadir" / "meta.json").unlink()
+    (root / "metadir" / "meta.json").mkdir()
+    helpers.write_ground_truth_entry(root, "accdir", helpers.MANDELA_QUERY, 4)
+    (root / "accdir" / "accessed.txt").mkdir()
+
+
+class TestLoaderParity:
+    """The ``os.scandir`` loader gives the entries and failures of the
+    ``pathlib`` loader it replaced, paths in ``OSError`` texts included,
+    however the dataset's path is spelled."""
+
+    @pytest.mark.parametrize("spelling", ["ds", "./ds/", "ds//", "absolute", ".", "./"])
+    @pytest.mark.parametrize("as_path", [False, True])
+    def test_entries_and_failures_equal_the_pathlib_loader(self, tmp_path, monkeypatch, spelling, as_path):
+        _parity_dataset(tmp_path / "ds")
+        monkeypatch.chdir(tmp_path / "ds" if spelling in (".", "./") else tmp_path)
+        path = str(tmp_path / "ds") if spelling == "absolute" else spelling
+        path = Path(path) if as_path else path
+        expected_entries, expected_failures = _oracle_load_ground_truth(path)
+        load = load_ground_truth(path)
+
+        def fields(entry):
+            return entry.id, entry.query_text, entry.real_cost, entry.accessed_iris, entry.executed_at
+
+        assert [fields(e) for e in load.entries] == [fields(e) for e in expected_entries]
+        assert list(load.failures) == expected_failures
+        # "link" reads q10's files; q9's meta.json gives no id, so its name is the id
+        assert [e.id for e in load.entries] == ["Q1", "accdir", "q10", "q10", "q9", "é"]
+        assert [f.entry for f in load.failures] == ["metadir", "noquery", "q2"]
+        prefix = {"ds": "ds/", "./ds/": "ds/", "ds//": "ds/", "absolute": f"{tmp_path}/ds/"}.get(spelling, "")
+        reasons = {f.entry: f.reason for f in load.failures}
+        assert reasons["noquery"] == f"missing query.rq: [Errno 2] No such file or directory: '{prefix}noquery/query.rq'"
+        assert reasons["metadir"] == f"missing meta.json: [Errno 21] Is a directory: '{prefix}metadir/meta.json'"
+
+    def test_not_a_directory_names_the_path_as_before(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("x", encoding="utf-8")
+        for path in ("file", "./file", "nope//", str(tmp_path / "nope")):
+            with pytest.raises(FormatError) as expected:
+                _oracle_load_ground_truth(path)
+            with pytest.raises(FormatError) as actual:
+                load_ground_truth(path)
+            assert str(actual.value) == str(expected.value)
+
+    def test_replay_names_the_entry_files_as_before(self, tmp_path, monkeypatch):
+        _parity_dataset(tmp_path / "ds")
+        monkeypatch.chdir(tmp_path / "ds" / "noquery")
+        for path in (".", "./", Path(".")):
+            with pytest.raises(FormatError) as err:
+                replay_entry(path)
+            assert str(err.value) == ".: missing query.rq: [Errno 2] No such file or directory: 'query.rq'"
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FormatError) as err:
+            replay_entry("ds//metadir/")
+        assert str(err.value) == "ds/metadir: missing meta.json: [Errno 21] Is a directory: 'ds/metadir/meta.json'"
 
 
 class TestReplayEntry:
@@ -574,6 +720,40 @@ class TestCompiledTraining:
         assert "estimated total is not finite: the catalog averages overflow" in outcomes
         assert (0.0, 0.0) in outcomes
 
+    def test_near_the_float_maximum_the_compiled_total_is_kept(self):
+        # A kept departure: where both totals are finite but near the float
+        # maximum, the compiled polynomial and the float walk round
+        # differently, and training scores the compiled total.  With every
+        # global average at 1e154 the star's polynomial is 1e154 + 1e308·f1.
+        catalog = StatsCatalog(GlobalStats(*[1e154] * 5))
+        plan = plan_query(parse_query(helpers.DIRECTOR_STAR_QUERY))
+        terms = cost_terms(plan, catalog)
+        assert terms == [(0, 0, 1e154), (1, 0, 1e308)]
+        config = EstimatorConfig(Method.PREDICATE_JOINS_FILTERS, 0.1, 0.9)
+        assert repr(sum(c * 0.1**a for a, _, c in terms)) == "1.0000000000000001e+307"
+        assert repr(estimate(plan, catalog, config).total) == "1e+307"
+        assert repr(evaluation._walk_total(plan, catalog, 0.1, None)) == "1e+307"
+        # the trained factors still equal the float grid search's, also where
+        # the star's real cost is the walk's ceiled total at f1 = 0.1
+        outcomes = []
+        for average in (1e154, 1e155, 1e300):
+            catalog = StatsCatalog(GlobalStats(*[average] * 5))
+            for texts, real, grid in itertools.product(
+                [(helpers.DIRECTOR_STAR_QUERY,), (helpers.DIRECTOR_STAR_QUERY, helpers.MANDELA_QUERY)],
+                [1, math.ceil(1e307)],
+                [DEFAULT_GRID, [0.0]],
+            ):
+                entries = [_entry(f"e{i}", text, real) for i, text in enumerate(texts)]
+                results = []
+                for search in (train_factors, _oracle_train_factors):
+                    try:
+                        results.append(search(entries, catalog, grid))
+                    except InputError as exc:
+                        results.append(str(exc))
+                assert results[0] == results[1], (average, texts, real, grid)
+                outcomes.append(results[0])
+        assert {(0.1, 1.0), (0.0, 0.0), "estimated total is not finite: the catalog averages overflow"} <= set(outcomes)
+
     @pytest.mark.parametrize(
         "texts, calls",
         [
@@ -750,6 +930,7 @@ class TestEvaluateOracle:
     @pytest.mark.parametrize("factors", [(0.0, 0.0), (1.0, 1.0), (0.5, 0.3), (0.0, 1.0), (0.9, 0.1)])
     def test_report_equals_the_per_subset_oracle(self, factors):
         rng = random.Random(97)
+        overflowing = StatsCatalog(GlobalStats(*[1e300] * 5))
         for _ in range(6):
             entries = _generated_test_set(rng, 40)
             catalog = helpers.random_catalog(rng)
@@ -758,18 +939,28 @@ class TestEvaluateOracle:
             assert actual == expected
             assert json.dumps(actual) == json.dumps(expected)  # key order too
             assert expected["subsets"]["star joins and filters"]["Mp"]["n"] > 0
+            errors = []
+            for report in (_oracle_evaluate, evaluate):
+                with pytest.raises(InputError) as err:
+                    report(entries, overflowing, *factors)
+                errors.append(str(err.value))
+            assert errors == ["estimated total is not finite: the catalog averages overflow"] * 2
 
     def test_each_entry_is_estimated_once_per_method(self, monkeypatch, worked_catalog):
         entries = _generated_test_set(random.Random(98), 40)
         calls = []
-        original = evaluation.estimate
+        walk = evaluation._walk
 
-        def counting(plan, catalog, config):
-            calls.append(config.method)
-            return original(plan, catalog, config)
+        def counting(plan, catalog, join_factor, filter_factor):
+            calls.append((catalog is worked_catalog, join_factor, filter_factor))
+            return walk(plan, catalog, join_factor, filter_factor)
 
-        monkeypatch.setattr(evaluation, "estimate", counting)
-        report = evaluate(entries, worked_catalog, 0.5, 0.5)
+        monkeypatch.setattr(evaluation, "_walk", counting)
+        report = evaluate(entries, worked_catalog, 0.5, 0.25)
         usable = report.per_method[Method.PREDICATE_AWARE].n
         assert usable < len(entries)
-        assert sorted(calls, key=list(Method).index) == [m for m in Method for _ in range(usable)]
+        # one cost walk per usable entry and method, at the method's settings:
+        # Mnp reads a catalog of the global averages alone, Mp neither factor,
+        # Mpj f1 only and Mpjf both
+        settings = [(False, 1.0, 1.0), (True, 1.0, 1.0), (True, 0.5, 1.0), (True, 0.5, 0.25)]
+        assert calls == [setting for setting in settings for _ in range(usable)]

@@ -1,16 +1,19 @@
-"""A seeded fuzz of the RDF readers through the command line.
+"""A seeded fuzz of the RDF and ground-truth readers through the command
+line.
 
-Dumps (N-Triples and Turtle, from ``helpers.random_dump``) and store
-documents (the chain and Plato stores) are mutated with flipped bytes, cut
-tails, and token deletions, repeats and swaps, then run through in-process
-``cli.main``: ``stats collect --dump`` and ``simulate``.  Every case must
-return a documented exit code, 0 or 2 here, and raise nothing; exit 2
-prints one ``error:`` line.  The seeds and case counts were fixed before
-the first run.
+Dumps (N-Triples and Turtle, from ``helpers.random_dump``), store
+documents (the chain and Plato stores) and the ``meta.json`` and
+``query.rq`` files of a ground-truth dataset are mutated with flipped
+bytes, cut tails, and token deletions, repeats and swaps, then run through
+in-process ``cli.main``: ``stats collect --dump``, ``simulate``, ``train``
+and ``eval``.  Every case must return a documented exit code, 0 or 2 here,
+and raise nothing; exit 2 prints one ``error:`` line.  The seeds and case
+counts were fixed before the first run.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from pathlib import Path
@@ -21,6 +24,7 @@ from ldcost import cli
 SEED = 1730
 DUMP_CASES = 160  # alternately N-Triples and Turtle
 STORE_CASES = 60  # alternately the chain and the Plato store, text and --json
+GROUND_TRUTH_CASES = 80  # alternately train and eval, text and --json
 
 _TOKEN_GAP = re.compile(rb"(\s+)")
 
@@ -108,3 +112,39 @@ def test_mutated_store_documents_exit_0_or_2(tmp_path, capsys):
         assert_documented(code, err, (document.name, data))
         codes.append(code)
     assert codes.count(0) >= 5 and codes.count(2) >= 5, (codes.count(0), codes.count(2))  # 7 and 53
+
+
+def _ground_truth(root: Path) -> list[Path]:
+    """The four-shapes dataset, with a stray top-level file, an empty entry
+    directory and a broken symlink; returns its entries' files."""
+    for name, (text, real) in helpers.FOUR_SHAPES_DATASET.items():
+        helpers.write_ground_truth_entry(root, name, text, real)
+    (root / "notes.txt").write_text("not an entry\n", encoding="utf-8")
+    (root / "empty").mkdir()
+    (root / "dangling").symlink_to("nowhere")
+    return sorted(root.glob("q*/*"))  # meta.json and query.rq of each entry
+
+
+def test_mutated_ground_truth_exits_0_or_2(tmp_path, capsys):
+    rng = random.Random(SEED + 2)
+    root = tmp_path / "gt"
+    files = _ground_truth(root)
+    codes = []
+    for case in range(GROUND_TRUTH_CASES):
+        originals = {f: f.read_bytes() for f in rng.sample(files, rng.randint(1, len(files)))}
+        mutations = {f: mutated(rng, data) for f, data in originals.items()}
+        for f, data in mutations.items():
+            f.write_bytes(data)
+        argv = [("train", "eval")[case % 2], "--dataset", str(root)] + (["--json"] if case % 4 >= 2 else [])
+        try:
+            code = cli.main(argv)
+        finally:
+            for f, data in originals.items():
+                f.write_bytes(data)
+        out, err = capsys.readouterr()
+        case_info = (argv, {f.relative_to(root).as_posix(): data for f, data in mutations.items()})
+        assert_documented(code, err, case_info)
+        if code == 0 and "--json" in argv:
+            json.loads(out)
+        codes.append(code)
+    assert codes.count(0) >= 5 and codes.count(2) >= 5, (codes.count(0), codes.count(2))  # 32 and 48
