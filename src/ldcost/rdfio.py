@@ -453,18 +453,9 @@ def _dump_keys(text: str) -> Iterator[tuple[str, str, str]]:
 def _key(token: str, keys: dict[str, str]) -> str:
     """The key of the term ``token`` names, now stored in ``keys``:
     ``token`` is an IRI, blank-node or literal token of ``_STATEMENT_RE``,
-    and its key is ``term_key`` of the term ``_triples`` builds from it.
-    Raises ValueError for a relative IRI or a bad escape, and stores
-    nothing then."""
-    if token[0] == "<":
-        term = Term.iri(token[1:-1])
-    elif token[0] == "_":
-        term = Term.blank(token[2:])
-    else:
-        string, language, datatype = _LITERAL_RE.fullmatch(token).groups()
-        if datatype is not None:
-            term = Term.literal(unquote(string), datatype=Term.iri(datatype[1:-1]).value)
-        else:
-            term = Term.literal(unquote(string), language=language and language[1:])
-    key = keys[token] = term_key(term)
+    and its key is ``term_key`` of the term ``_node`` builds from it, with
+    tables of its own that are dropped, so no term is kept.  Raises
+    ValueError for a relative IRI or a bad escape, and stores nothing
+    then."""
+    key = keys[token] = term_key(_node(token, {}, {}, {}, ""))
     return key

@@ -134,8 +134,9 @@ def dereference(store: DerefStore, iri: str, fetch: Future | None = None):
     Returns the triple set, or None for a miss under the empty-graph
     policy.  In http mode an unmapped IRI is requested at its own address;
     ``fetch``, if given, is that request already submitted to a thread
-    pool, whose body (or error) this call waits for.  Parsing always runs
-    in the calling thread, so blank-node scopes follow the call order.
+    pool, whose body (or error) this call waits for; else the request goes
+    through a pool of its own, opened for this one IRI.  Parsing always
+    runs in the calling thread, so blank-node scopes follow the call order.
     """
     if iri in store._cache:
         return store._cache[iri]
@@ -143,8 +144,8 @@ def dereference(store: DerefStore, iri: str, fetch: Future | None = None):
         if fetch is not None:
             text = fetch.result()
         else:
-            with web.Session(store.timeout) as session:
-                text = _http_fetch(store, iri, session)
+            with _fetch_pool(store) as fetch_ahead:
+                text = fetch_ahead(iri).result()
     elif (path := store._paths.get(iri)) is None:
         text = None
     else:
@@ -180,26 +181,26 @@ def _http_fetch(
     store: DerefStore,
     iri: str,
     session: web.Session,
-    failed: threading.Event | None = None,
-    opening: threading.Semaphore | None = None,
+    failed: threading.Event,
+    opening: threading.Semaphore,
 ) -> str | None:
     """The body of the document an IRI maps to in http mode, fetched with
     ``session``, or None for a 404/410.  Runs no parsing, so a pool thread
     may call it.
 
-    ``failed`` and ``opening``, if given, are shared by the fetches of one
-    execution: a failing fetch sets ``failed``, as does the pool when it
-    closes, and ``opening`` holds the slots of connections still opening.
-    A request on a connection kept to the URL's origin takes no slot; one
-    that needs a new connection first takes one, which the fetch holds
-    until it returns or raises.  A request on a kept connection that the
-    server closed is sent once more on a new connection, and that counts
-    as the same attempt.  A redirect that opens a new connection, to
-    another origin or after the server closed the last one, needs a slot
-    too.  A fetch checks ``failed`` before its first request and whenever
-    it takes a slot: if it is set, the fetch raises _NotFetched, or the
-    error of its last request if it made one; one about to follow a
-    redirect raises _NotFetched.
+    ``failed`` and ``opening`` are shared by the fetches of one
+    ``_fetch_pool``: a failing fetch sets ``failed``, as does the pool
+    when it closes, and ``opening`` holds the slots of connections still
+    opening.  A request on a connection kept to the URL's origin takes no
+    slot; one that needs a new connection first takes one, which the
+    fetch holds until it returns or raises.  A request on a kept
+    connection that the server closed is sent once more on a new
+    connection, and that counts as the same attempt.  A redirect that
+    opens a new connection, to another origin or after the server closed
+    the last one, needs a slot too.  A fetch checks ``failed`` before its
+    first request and whenever it takes a slot: if it is set, the fetch
+    raises _NotFetched, or the error of its last request if it made one;
+    one about to follow a redirect raises _NotFetched.
     """
     url = store.manifest.get(iri, iri)
     last_error = None
@@ -208,20 +209,20 @@ def _http_fetch(
     def redirecting(target: str) -> None:
         """Before a redirect opens a new connection: take a slot as a resend does."""
         nonlocal slot
-        if opening is not None and not slot:
+        if not slot:
             opening.acquire()
             slot = True
-            if failed is not None and failed.is_set():
+            if failed.is_set():
                 raise _NotFetched(f"not fetched after an earlier fetch failed: {url}")
 
     try:
         attempts = 2  # one retry
         while attempts:
             check = last_error is None
-            if opening is not None and not slot and not session.connected_to(url):
+            if not slot and not session.connected_to(url):
                 opening.acquire()
                 slot = check = True
-            if check and failed is not None and failed.is_set():
+            if check and failed.is_set():
                 if last_error is None:
                     raise _NotFetched(f"not fetched after an earlier fetch failed: {url}")
                 break
@@ -239,8 +240,7 @@ def _http_fetch(
                     return None
                 last_error = RemoteError(f"status {resp.status} for {url}")
             attempts -= 1
-        if failed is not None:
-            failed.set()  # while the slot is held: a fetch waiting for it makes no request
+        failed.set()  # while the slot is held: a fetch waiting for it makes no request
         if isinstance(last_error, RemoteError):
             raise last_error
         raise RemoteError(f"cannot fetch {url}: {last_error}")

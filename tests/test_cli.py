@@ -1,8 +1,12 @@
+import functools
 import json
 import os
 import random
 import subprocess
 import sys
+import threading
+from contextlib import contextmanager
+from http.server import SimpleHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -12,7 +16,7 @@ import ldcost
 from ldcost import analysis, cli, evaluation, rdfio, routing, stats, traversal
 from ldcost.errors import LdcostError
 from ldcost.estimator import EstimatorConfig, Method, estimate
-from ldcost.query import QuerySyntaxError, parse_query
+from ldcost.query import RDF_TYPE, QuerySyntaxError, parse_query
 from ldcost.stats import StatsCatalog, save_catalog
 from ldcost.cli import (
     EXIT_INPUT,
@@ -1222,3 +1226,152 @@ class TestJsonWriter:
         with open(tmp_path / "want.json", "w", encoding="utf-8") as fh:
             json.dump(traces[0].as_dict(), fh, indent=2)
         assert trace_file.read_text(encoding="utf-8") == (tmp_path / "want.json").read_text(encoding="utf-8")
+
+
+def _simulate_json(capsys, query: Path, manifest: Path, *options: str) -> dict:
+    """``simulate --json``'s payload, after checking that it exits 0 and
+    prints ``json.dumps(payload, indent=2)`` and a newline alone."""
+    assert cli.main(["simulate", str(query), "--store", str(manifest), "--json", *options]) == EXIT_OK
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert (captured.out, captured.err) == (json.dumps(payload, indent=2) + "\n", "")
+    return payload
+
+
+def _dump_catalog(capsys, dump: Path, text: str):
+    """The global and per-predicate statistics ``stats collect --dump``
+    writes for ``text``."""
+    dump.write_text(text, encoding="utf-8")
+    out_file = dump.with_suffix(dump.suffix + ".stats")
+    assert cli.main(["stats", "collect", "--dump", str(dump), "--out", str(out_file)]) == EXIT_OK
+    capsys.readouterr()
+    catalog = stats.load_catalog(out_file)
+    return catalog.global_stats, catalog.per_predicate
+
+
+class TestTurtleReadsAsItsNTriplesTwin:
+    """Turtle spellings a store document or a dump may use give what their
+    N-Triples spellings give, through ``simulate`` and ``stats collect``."""
+
+    def test_a_typed_year_passes_a_numeric_filter(self, tmp_path, capsys):
+        xsd = "http://www.w3.org/2001/XMLSchema#"
+        (tmp_path / "c.ttl").write_text(
+            f'@prefix x: <http://x/> .\n@prefix xsd: <{xsd}> .\nx:c a x:C ;\n  x:year "1950"^^xsd:integer .\n',
+            encoding="utf-8",
+        )
+        (tmp_path / "c.nt").write_text(
+            f"<http://x/c> <{RDF_TYPE}> <http://x/C> .\n"
+            f'<http://x/c> <http://x/year> "1950"^^<{xsd}integer> .\n',
+            encoding="utf-8",
+        )
+        query = tmp_path / "star.rq"
+        query.write_text(
+            "SELECT * WHERE { <http://x/c> a <http://x/C> ; <http://x/year> ?y FILTER(?y > 1900) }\n",
+            encoding="utf-8",
+        )
+        for kind in ("ttl", "nt"):
+            manifest = helpers.write_manifest(tmp_path, {"http://x/c": f"c.{kind}"})
+            assert _simulate_json(capsys, query, manifest)["rows"] == [[f'"1950"^^<{xsd}integer>']]
+
+    def test_prefixes_rebound_per_document_and_mid_document(self, tmp_path, capsys):
+        head = "@prefix x: <http://x/> .\n@prefix y: <http://y/> .\n"
+        turtle = {
+            "b1": head + "x:b1 x:links x:b2 , x:b3 , x:b4 , x:b5 ;\n  x:p x:o1 .\n",
+            "b2": head + "x:b2 x:p x:o2 .\n@prefix x: <http://w/> .\n<http://x/b2> <http://x/p> x:o6 .\n",
+            "b3": head + "x:b3 x:p x:o3 , y:o3 .\n",
+            "b4": head + '@prefix y: <http://z/> .\nx:b4 x:p y:o4 , "4"^^y:int .\n',
+            "b5": head + 'x:b5 x:p x:o5 ; x:p "5"^^y:int .\n',
+        }
+        ntriples = {
+            "b1": "".join(f"<http://x/b1> <http://x/links> <http://x/b{i}> .\n" for i in range(2, 6))
+            + "<http://x/b1> <http://x/p> <http://x/o1> .\n",
+            "b2": "<http://x/b2> <http://x/p> <http://x/o2> .\n<http://x/b2> <http://x/p> <http://w/o6> .\n",
+            "b3": "<http://x/b3> <http://x/p> <http://x/o3> .\n<http://x/b3> <http://x/p> <http://y/o3> .\n",
+            "b4": '<http://x/b4> <http://x/p> <http://z/o4> .\n<http://x/b4> <http://x/p> "4"^^<http://z/int> .\n',
+            "b5": '<http://x/b5> <http://x/p> <http://x/o5> .\n<http://x/b5> <http://x/p> "5"^^<http://y/int> .\n',
+        }
+        query = tmp_path / "blocks.rq"
+        query.write_text("SELECT * WHERE { <http://x/b1> <http://x/links> ?d . ?d <http://x/p> ?o }\n", encoding="utf-8")
+        rows = []
+        for kind, texts in (("ttl", turtle), ("nt", ntriples)):
+            store = tmp_path / kind
+            store.mkdir()
+            for name, text in texts.items():
+                (store / f"{name}.{kind}").write_text(text, encoding="utf-8")
+            manifest = helpers.write_manifest(store, {f"http://x/{name}": f"{name}.{kind}" for name in texts})
+            rows.append(_simulate_json(capsys, query, manifest)["rows"])
+        assert rows[0] == rows[1] and len(rows[0]) == 8
+
+    def test_long_and_escaped_literals_and_space_characters_in_iris(self, tmp_path, capsys):
+        long = 'x\\"y\\\\z ' * 25  # 200 characters with escaped quotes and backslashes
+        turtle = (
+            f'@prefix x: <http://x/> .\nx:s1 x:p "{long}" ;\n'
+            '  x:q """line one\nline "two" \\\\ three""" , \'it\\\'s\' .\n'
+            "<http://x/a\u00a0b> x:p <http://x/c\u3000d> .\n"
+        )
+        ntriples = (
+            f'<http://x/s1> <http://x/p> "{long}" .\n'
+            '<http://x/s1> <http://x/q> "line one\\nline \\"two\\" \\\\ three" .\n'
+            "<http://x/s1> <http://x/q> \"it's\" .\n"
+            "<http://x/a\u00a0b> <http://x/p> <http://x/c\u3000d> .\n"
+        )
+        read = _dump_catalog(capsys, tmp_path / "lit.ttl", turtle)
+        assert read == _dump_catalog(capsys, tmp_path / "lit.nt", ntriples)
+        assert read[1]["http://x/q"] == stats.PredicateStats("http://x/q", 1.0, 2.0)
+
+
+class TestStdlibFileServer:
+    """http mode against the standard library's file server, the handler
+    and server ``python -m http.server`` runs, speaking HTTP/1.0 (each
+    connection closed after its response) or HTTP/1.1 (kept alive)."""
+
+    @staticmethod
+    @contextmanager
+    def _serving(root: Path, protocol: str):
+        class Handler(SimpleHTTPRequestHandler):
+            protocol_version = protocol
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), functools.partial(Handler, directory=str(root)))
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,))
+        thread.start()
+        try:
+            yield f"http://127.0.0.1:{server.server_address[1]}"
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+
+    @pytest.mark.parametrize("protocol", ["HTTP/1.0", "HTTP/1.1"])
+    def test_http_mode_reads_what_local_mode_reads(self, tmp_path, capsys, protocol):
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "a.nt").write_text("<http://x/a> <http://x/p> <http://x/b> .\n", encoding="utf-8")
+        one = tmp_path / "one.rq"
+        one.write_text("SELECT * WHERE { <http://x/a> <http://x/p> ?o }\n", encoding="utf-8")
+        # a hub linking to 40 spokes, four of which have no document
+        spokes = [f"s{i}" for i in range(40)]
+        (docs / "hub.nt").write_text(
+            "".join(f"<http://x/hub> <http://x/link> <http://x/{s}> .\n" for s in spokes), encoding="utf-8"
+        )
+        served = [s for i, s in enumerate(spokes) if i % 10 != 7]
+        for s in served:
+            (docs / f"{s}.nt").write_text(f'<http://x/{s}> <http://x/name> "{s}" .\n', encoding="utf-8")
+        star = tmp_path / "star40.rq"
+        star.write_text("SELECT * WHERE { <http://x/hub> <http://x/link> ?s . ?s <http://x/name> ?n }\n", encoding="utf-8")
+        local = _simulate_json(capsys, star, helpers.write_manifest(docs, {
+            f"http://x/{n}": f"{n}.nt" for n in ["hub", *served]
+        }))
+        assert (len(local["rows"]), len(local["misses"])) == (36, 4)
+        with self._serving(docs, protocol) as base:
+            http = {}
+            for name, query, documents in (("one", one, ["a"]), ("star", star, ["hub", *spokes])):
+                manifest = tmp_path / f"{name}.tsv"
+                manifest.write_text("".join(f"http://x/{n}\t{base}/{n}.nt\n" for n in documents), encoding="utf-8")
+                http[name] = _simulate_json(capsys, query, manifest, "--mode", "http")
+        assert http["one"]["rows"] == [["http://x/b"]]
+        keys = ("rows", "real_cost", "misses")
+        assert [http["star"][k] for k in keys] == [local[k] for k in keys]

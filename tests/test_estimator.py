@@ -556,6 +556,24 @@ class TestPlanEquivalence:
         trained = train_factors(train, catalog)
         report = evaluate(test, catalog, *trained).as_dict()
 
+        # training: every point of the default grid scored by the oracle's
+        # ceiled mpjf total; ties go to the larger factors, join factor
+        # first.  Without a FILTER the filter factor ties at every point.
+        grid = [round(0.1 * i, 1) for i in range(11)]
+        points = [(f1, f2) for f1 in grid for f2 in grid]
+        no_filters = [e for e in train if "FILTER" not in e.query_text]
+        assert 0 < len(no_filters) < len(train)
+        for subset in (train, no_filters):  # all answerable
+            usable = [(parse_query(e.query_text), e.real_cost) for e in subset]
+
+            def oracle_score(point):
+                config = EstimatorConfig(Method.PREDICATE_JOINS_FILTERS, *point)
+                return sum(abs(real - oracle_estimate(q, catalog, config).ceiled_total) for q, real in usable)
+
+            expected = min(points, key=lambda p: (oracle_score(p), -p[0], -p[1]))
+            assert train_factors(subset, catalog) == expected
+        assert expected[1] == 1.0  # the tie rule decided the filter factor
+
         # evaluate scores each method by the walk at that method's settings;
         # hand it the config instead, and the oracle's total for the walk's
         monkeypatch.setattr(evaluation, "_settings", lambda config, catalog: (catalog, config, None))
@@ -564,7 +582,6 @@ class TestPlanEquivalence:
             "_walk_total",
             lambda plan, catalog, config, _: oracle_estimate(plan.query, catalog, config).total,
         )
-        assert train_factors(train, catalog) == trained
         assert evaluate(test, catalog, *trained).as_dict() == report
         assert [s["reason"] for s in report["skipped"]] == ["not answerable by traversal"]
         usable = [parse_query(e.query_text) for e in test[:-1]]
