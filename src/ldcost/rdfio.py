@@ -30,9 +30,9 @@ _TOKEN_RE = re.compile(
 )
 
 # A run of the characters an IRI may hold: the IRI pattern between its '<'
-# and '>'.  After a '<' that starts no token, the run ends at the character
-# at fault.  Compiled on an error only.
-_IRI_RUN = TERM_PATTERNS["iri"][1:-1]
+# and '>'.  ``_node`` checks each new IRI token with it.  After a '<' that
+# starts no token, the run ends at the character at fault.
+_IRI_RUN = re.compile(TERM_PATTERNS["iri"][1:-1])
 
 # White space and comments.  Unlike the token lexer's, a comment must end
 # in a newline here, so a statement that fails to match backtracks in
@@ -40,19 +40,23 @@ _IRI_RUN = TERM_PATTERNS["iri"][1:-1]
 _GAP = r"\s*(?:\#[^\n]*\n\s*)*"
 # One whole N-Triples statement: subject, predicate, and an IRI, blank node
 # or quoted literal object, then a '.' that does not start a number.  It
-# reads the text as the token lexer would, token by token.  The object is
-# one capture, a literal's language tag or datatype included; the first
-# time a literal token is keyed, ``_LITERAL_RE`` splits it.  Before each
-# term and the '.', the gap first tries the usual one space or newline.
+# reads the text as the token lexer would, token by token, but scans a
+# subject, predicate or object IRI from '<' to the first '>': ``_node``
+# checks the IRI class once per distinct token, not per occurrence, and a
+# token that fails goes to the readers that report the error.  A literal's
+# datatype IRI stays strict.  The object is one capture, a literal's
+# language tag or datatype included; the first time a literal token is
+# keyed, ``_LITERAL_RE`` splits it.  Before each term and the '.', the gap
+# first tries the usual one space or newline.
 # The guard keeps the full gap from matching that same text, so a
 # statement that fails to match backtracks no more than with the full gap
 # alone.  The other patterns keep the full gap: there the short branch
 # would cost compile time and gain nothing measurable.
 _STATEMENT_GAP = rf"(?:[\ \n](?=[^\s\#])|(?![\ \n][^\s\#]){_GAP})"
 _STATEMENT_RE = re.compile(
-    rf"""{_STATEMENT_GAP} (?P<subject>{TERM_PATTERNS["iri"]}|{TERM_PATTERNS["blank"]})
-    {_STATEMENT_GAP} (?P<predicate>{TERM_PATTERNS["iri"]})
-    {_STATEMENT_GAP} (?P<object>{TERM_PATTERNS["iri"]}|{TERM_PATTERNS["blank"]}
+    rf"""{_STATEMENT_GAP} (?P<subject><[^>]*>|{TERM_PATTERNS["blank"]})
+    {_STATEMENT_GAP} (?P<predicate><[^>]*>)
+    {_STATEMENT_GAP} (?P<object><[^>]*>|{TERM_PATTERNS["blank"]}
                | (?:{TERM_PATTERNS["string"]})
                  (?: {_GAP} {TERM_PATTERNS["langtag"]} | {_GAP} {TERM_PATTERNS["dtype"]} {_GAP} {TERM_PATTERNS["iri"]} )? )
     {_STATEMENT_GAP} \.(?!\d)""",
@@ -226,8 +230,9 @@ def _node(
     and a label character as a blank node, so a token that starts '_:' is
     a prefixed name only when nothing, '%' or '-' follows.
 
-    Raises ValueError for a relative IRI, an undeclared prefix or a bad
-    escape, and stores nothing then."""
+    Raises ValueError for an IRI outside the IRI class, which
+    ``_STATEMENT_RE`` leaves to this check, a relative IRI, an undeclared
+    prefix or a bad escape, and stores nothing then."""
     if isinstance(token, tuple) or token[0] in "\"'":
         string, language, datatype = token if isinstance(token, tuple) else _LITERAL_RE.fullmatch(token).groups()
         if datatype is not None:
@@ -236,6 +241,8 @@ def _node(
         else:
             term = Term.literal(unquote(string), language=language and language[1:])
     elif token[0] == "<":
+        if _IRI_RUN.fullmatch(token, 1, len(token) - 1) is None:
+            raise ValueError("an IRI holds a character it may not")
         term = Term.iri(token[1:-1])
     elif token[:2] == "_:" and token[2:3] not in "%-":
         term = blanks[token] = blanks.get(token) or Term.blank(token[2:] + blank_scope)
@@ -262,7 +269,7 @@ def _token_loop(
         kind = m.lastgroup
         at = m.start(kind)
         if kind == "bad":
-            if m[kind] == "<" and (end := re.compile(_IRI_RUN).match(text, at + 1).end()) < len(text):
+            if m[kind] == "<" and (end := _IRI_RUN.match(text, at + 1).end()) < len(text):
                 at = end  # an IRI that holds a character it may not
             message = f"unexpected character {text[at]!r}"
         raise DocumentParseError(message, text.count("\n", 0, at) + 1)
@@ -431,9 +438,10 @@ def read_dump(path) -> Iterator[tuple[str, str, str]]:
 def _dump_keys(text: str) -> Iterator[tuple[str, str, str]]:
     """The keys of the triples of ``text``, in document order.  Each plain
     N-Triples statement goes from its match straight to keys, and each
-    distinct token, a literal's whole token included, is keyed once.  From
-    the first statement that does not match or holds an invalid term,
-    ``_triples`` reads the rest and reports any error."""
+    distinct token, a literal's whole token included, is keyed once, an
+    IRI's class check included.  From the first statement that does not
+    match or holds an invalid term, ``_triples`` reads the rest and reports
+    any error."""
     keys: dict[str, str] = {}  # an IRI, blank-node or literal token -> its key
     get = keys.get
     pos = 0
@@ -455,7 +463,7 @@ def _key(token: str, keys: dict[str, str]) -> str:
     ``token`` is an IRI, blank-node or literal token of ``_STATEMENT_RE``,
     and its key is ``term_key`` of the term ``_node`` builds from it, with
     tables of its own that are dropped, so no term is kept.  Raises
-    ValueError for a relative IRI or a bad escape, and stores nothing
-    then."""
+    ValueError for an IRI outside the IRI class, a relative IRI or a bad
+    escape, and stores nothing then."""
     key = keys[token] = term_key(_node(token, {}, {}, {}, ""))
     return key

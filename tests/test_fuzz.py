@@ -1,14 +1,16 @@
-"""A seeded fuzz of the RDF and ground-truth readers through the command
-line.
+"""A seeded fuzz of the RDF, manifest and ground-truth readers through the
+command line.
 
 Dumps (N-Triples and Turtle, from ``helpers.random_dump``), store
 documents (the chain and Plato stores) and the ``meta.json`` and
 ``query.rq`` files of a ground-truth dataset are mutated with flipped
 bytes, cut tails, and token deletions, repeats and swaps, then run through
 in-process ``cli.main``: ``stats collect --dump``, ``simulate``, ``train``
-and ``eval``.  Every case must return a documented exit code, 0 or 2 here,
-and raise nothing; exit 2 prints one ``error:`` line.  The seeds and case
-counts were fixed before the first run.
+and ``eval``.  Chain-store manifests are mutated with flipped bytes, cut
+tails, and tabs deleted or repeated, then run through ``simulate``.  Every
+case must return a documented exit code, 0 or 2 here (a store error is
+malformed input, 2), and raise nothing; exit 2 prints one ``error:`` line.
+The seeds and case counts were fixed before the first run.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ SEED = 1730
 DUMP_CASES = 160  # alternately N-Triples and Turtle
 STORE_CASES = 60  # alternately the chain and the Plato store, text and --json
 GROUND_TRUTH_CASES = 80  # alternately train and eval, text and --json
+MANIFEST_CASES = 60  # alternately text and --json
 
 _TOKEN_GAP = re.compile(rb"(\s+)")
 
@@ -112,6 +115,44 @@ def test_mutated_store_documents_exit_0_or_2(tmp_path, capsys):
         assert_documented(code, err, (document.name, data))
         codes.append(code)
     assert codes.count(0) >= 5 and codes.count(2) >= 5, (codes.count(0), codes.count(2))  # 7 and 53
+
+
+def mutated_manifest(rng: random.Random, data: bytes) -> bytes:
+    """``data`` after one to three mutations: a flipped byte, a cut tail,
+    or a tab deleted or repeated."""
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(4)
+        tabs = [i for i, byte in enumerate(data) if byte == ord("\t")]
+        if kind == 0 and data:
+            i = rng.randrange(len(data))
+            data = data[:i] + bytes([data[i] ^ rng.choice([0x01, 0x20, 0x80, 0xFF])]) + data[i + 1 :]
+        elif kind == 1:
+            data = data[: rng.randint(0, len(data))]
+        elif tabs:
+            i = rng.choice(tabs)
+            data = data[:i] + (b"" if kind == 2 else b"\t\t") + data[i + 1 :]
+    return data
+
+
+def test_mutated_manifests_exit_0_or_2(tmp_path, capsys):
+    rng = random.Random(SEED + 3)
+    manifest, query_text, _, _ = helpers.build_chain_store(tmp_path / "chain", [3, 2, 2])
+    query = tmp_path / "query.rq"
+    query.write_text(query_text, encoding="utf-8")
+    original = manifest.read_bytes()
+    codes = []
+    for case in range(MANIFEST_CASES):
+        data = mutated_manifest(rng, original)
+        manifest.write_bytes(data)
+        argv = ["simulate", str(query), "--store", str(manifest)] + (["--json"] if case % 2 else [])
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert_documented(code, err, data)
+        if code == 0 and "--json" in argv:
+            json.loads(out)
+        codes.append(code)
+    # most mutations leave a row that names no file or does not split in two
+    assert codes.count(0) >= 1 and codes.count(2) >= 50, (codes.count(0), codes.count(2))  # 1 and 59
 
 
 def _ground_truth(root: Path) -> list[Path]:

@@ -15,6 +15,7 @@ The SPARQL tokenizer the oracle ran on is frozen here as well
 """
 
 import ast
+import hashlib
 import os
 import random
 import re
@@ -26,7 +27,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from ldcost import query, rdfio, stats
+from ldcost import cli, query, rdfio, stats, traversal
 from ldcost.errors import InputError
 from ldcost.query import (
     RDF_TYPE,
@@ -605,11 +606,12 @@ STATEMENT_CASES = {
 
 
 def disable_fast_paths(patch) -> None:
-    """Make every compiled pattern of ``rdfio`` but the token lexer match
-    nothing, and let no white-space tail end a document early, so that the
-    token loop reads each document from its start."""
+    """Make every compiled pattern of ``rdfio`` but the token lexer and the
+    IRI class check match nothing, and let no white-space tail end a
+    document early, so that the token loop reads each document from its
+    start."""
     for name, value in vars(rdfio).items():
-        if isinstance(value, re.Pattern) and name != "_TOKEN_RE":
+        if isinstance(value, re.Pattern) and name not in ("_TOKEN_RE", "_IRI_RUN"):
             patch.setattr(rdfio, name, re.compile(r"(?!)"))
     patch.setattr(rdfio, "_content_end", lambda text, pos: len(text) + 1)  # as if the text went on
 
@@ -911,6 +913,144 @@ class TestStatementGaps:
         assert literal_tokens == spellings
 
 
+# ``rdfio._STATEMENT_RE`` as it was when it matched each subject, predicate
+# and object IRI with the IRI class, rebuilt from today's text; the sha256
+# of its source pins it to the pattern as it was.
+STRICT_STATEMENT_RE = re.compile(
+    rdfio._STATEMENT_RE.pattern.replace("<[^>]*>", query.TERM_PATTERNS["iri"]), rdfio._STATEMENT_RE.flags
+)
+STRICT_STATEMENT_SHA256 = "5899477ecfd2079e99dc36fb614cc7447b7ab9fecbf448ff5660b6a6b9676754"
+# The ends of the two runs of C0 controls the IRI class lost (``LOST`` in
+# ``tests/test_term_patterns.py``), then white space and marks no IRI
+# holds; None stands for an unclosed '<' at the end of the text.
+BAD_IRI_FAULTS = ["\x00", "\x08", "\x0e", "\x1b", " ", "<", '"', "{", "\n", None]
+GOOD_STATEMENTS = [
+    f"<{EX}s{i}> <{EX}p{i % 3}> " + (f"<{EX}o{i}>" if i % 2 else f'"v{i}"@en') + " .\n" for i in range(50)
+]
+
+
+def bad_statement(slot: int, fault: str | None) -> tuple[str, str]:
+    """A statement whose IRI in ``slot`` (0 subject, 1 predicate, 2 object)
+    holds ``fault``, and its twin without the fault.  For an unclosed '<',
+    the statement is cut after that IRI's text."""
+    terms = [f"<{EX}s>", f"<{EX}p>", f"<{EX}o>"]
+    twin = " ".join(terms[:slot] + [f"<{EX}ab>"] + terms[slot + 1 :]) + " .\n"
+    if fault is None:
+        return " ".join(terms[:slot] + [f"<{EX}ab"]), twin
+    return " ".join(terms[:slot] + [f"<{EX}a{fault}b>"] + terms[slot + 1 :]) + " .\n", twin
+
+
+def bad_iri_texts() -> Iterator[tuple[str, int, bool]]:
+    """(text, where the match of the statement before the first bad one
+    ends, whether the bad statement closes its IRI) for each fault in each
+    slot, placed in the first statement, after 50 good statements, and
+    twice, the second copy after its twin."""
+    head = "".join(GOOD_STATEMENTS)
+    for fault in BAD_IRI_FAULTS:
+        for slot in range(3):
+            bad, twin = bad_statement(slot, fault)
+            after = "" if fault is None else "".join(GOOD_STATEMENTS[:3])
+            yield bad + after, 0, fault is not None
+            yield head + bad + after, len(head) - 1, fault is not None
+            separator = "" if fault is not None else "\n"  # an unclosed copy runs into its twin
+            yield GOOD_STATEMENTS[0] + bad + separator + twin + bad + after, len(GOOD_STATEMENTS[0]) - 1, fault is not None
+
+
+class TestIriCheckedPerToken:
+    """``_STATEMENT_RE`` scans a subject, predicate or object IRI to its
+    first '>', and ``_node`` checks the IRI class once per distinct token.
+    Every reader gives what it gave with the strict pattern, and the check
+    runs once per distinct IRI token per table."""
+
+    def test_the_strict_oracle_is_the_old_pattern(self):
+        digest = hashlib.sha256(STRICT_STATEMENT_RE.pattern.encode()).hexdigest()
+        assert digest == STRICT_STATEMENT_SHA256
+
+    @staticmethod
+    def outcomes(monkeypatch, capsys, tmp_path, text: str) -> tuple:
+        """What ``read_dump``, ``parse_document`` and ``stats collect --dump``
+        give for ``text``, and where the token loop starts reading it."""
+        path, out = tmp_path / "dump.nt", tmp_path / "catalog.txt"
+        path.write_text(text, encoding="utf-8", newline="")
+        out.unlink(missing_ok=True)
+        starts: list[int] = []
+        with monkeypatch.context() as patch:
+            patch.setattr(rdfio, "_TOKEN_RE", _RecordingTokenRe(starts))
+            parsed = full_outcome(text)
+        code = cli.main(["stats", "collect", "--dump", str(path), "--out", str(out)])
+        written = out.read_text(encoding="utf-8") if out.exists() else None
+        return dump_outcome(path), parsed, starts, (code, *capsys.readouterr(), written)
+
+    def test_a_bad_iri_reads_as_with_the_strict_pattern(self, monkeypatch, capsys, tmp_path):
+        cases = 0
+        for text, at, closed in bad_iri_texts():
+            assert STRICT_STATEMENT_RE.match(text, at) is None
+            assert not closed or rdfio._STATEMENT_RE.match(text, at) is not None, text  # the check decides
+            changed = self.outcomes(monkeypatch, capsys, tmp_path, text)
+            with monkeypatch.context() as patch:
+                patch.setattr(rdfio, "_STATEMENT_RE", STRICT_STATEMENT_RE)
+                expected = self.outcomes(monkeypatch, capsys, tmp_path, text)
+            assert changed == expected, text
+            dumped, parsed, starts, (code, _, err, _) = expected
+            assert isinstance(dumped, tuple) and isinstance(parsed, tuple) and code == 2, text
+            assert starts == [at] and err == f"error: {dumped[1]}\n", text
+            cases += 1
+        assert cases == len(BAD_IRI_FAULTS) * 9
+
+    def test_read_dump_checks_each_distinct_iri_token_once(self, tmp_path, monkeypatch):
+        rng = random.Random(3301)
+        records = [
+            (f"{EX}e{rng.randrange(100)}", f"{EX}p{rng.randrange(10)}", rng.choice([f"{EX}e{rng.randrange(100)}", f'"v{i % 50}"']))
+            for i in range(1000)
+        ]
+        typed = [(s, p, f'"{i % 7}"^^<{XSD_INTEGER}>') for i, (s, p, _) in enumerate(records[::5])]
+        path = tmp_path / "dump.nt"
+        for dump in (records, records + typed):
+            path.write_text(helpers.ntriples(dump), encoding="utf-8")
+            iris = {f"<{term}>" for record in dump for term in record if term[0] != '"'}
+            literals = {o for _, _, o in dump if "^^<" in o}
+            counter = _CountingIriRun()
+            monkeypatch.setattr(rdfio, "_IRI_RUN", counter)
+            for _ in range(2):
+                counter.checks = 0
+                assert len(list(read_dump(path))) == len(dump)
+                # a typed literal's key is built with tables of its own, so
+                # its datatype IRI is checked once per distinct literal token
+                assert counter.checks == len(iris) + len(literals), (len(dump), len(iris))
+        assert len(iris) > 100 and len(literals) == 7
+
+    def test_a_store_checks_each_distinct_iri_token_once_per_table(self, tmp_path, monkeypatch):
+        counter = _CountingIriRun()
+        monkeypatch.setattr(rdfio, "_IRI_RUN", counter)
+        manifest, text, _, documents = helpers.build_chain_store(tmp_path, [3, 2, 2])
+        q = query.parse_query(text)
+        iris = set()
+        for document in (tmp_path / "docs").iterdir():
+            iris.update(re.findall(r"<[^>]*>", document.read_text(encoding="utf-8")))
+        assert len(iris) == 1 + 3 + 6 + 12 + 3
+        stores = [traversal.load_store(manifest) for _ in range(2)]
+        for i, store in enumerate(stores, start=1):
+            for _ in range(2):  # the second run reads the cached graphs
+                _, trace = traversal.execute(q, store)
+                assert traversal.real_cost(trace) == documents
+                assert counter.checks == i * len(iris)
+
+
+class _CountingIriRun:
+    """Counts the IRI class checks ``_node`` makes, then matches as
+    ``rdfio._IRI_RUN``."""
+
+    def __init__(self):
+        self.pattern, self.checks = rdfio._IRI_RUN, 0
+
+    def fullmatch(self, *args):
+        self.checks += 1
+        return self.pattern.fullmatch(*args)
+
+    def match(self, *args):
+        return self.pattern.match(*args)
+
+
 def token_loop_start(monkeypatch, text: str) -> int | None:
     """The offset where the token loop starts reading ``text``; None if it
     never starts."""
@@ -1208,7 +1348,7 @@ class TestTurtleStatements:
             calls = []
             with monkeypatch.context() as patch:
                 for name, value in vars(rdfio).items():
-                    if isinstance(value, re.Pattern) and name != "_TOKEN_RE":
+                    if isinstance(value, re.Pattern) and name not in ("_TOKEN_RE", "_IRI_RUN"):
                         patch.setattr(rdfio, name, _RecordingPattern(name, value, calls))
                 triples = list(rdfio._triples(text, "@1", terms))
             assert triples == in_order(text, "@1")

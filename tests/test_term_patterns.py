@@ -7,7 +7,8 @@ and the string loops are unrolled.  The oracles below are those old term
 patterns and the patterns built from them, rebuilt from today's sources;
 their text is pinned by hash to the sources as they were.  The statement
 pattern has changed since: it is read from its old text, frozen below, and
-the last tests here check today's against it.
+the last tests here check today's against it.  Today's scans an IRI to its
+first '>' and leaves the IRI class to ``rdfio._node``.
 
 The unrolled loops read the same language with the same candidate ends, so
 every pattern must match as its oracle with the old strings does, at every
@@ -255,6 +256,11 @@ def test_readers_take_the_iris_the_class_takes():
 
 
 # --- today's statement pattern against its old text ---------------------------
+#
+# Today's pattern scans a subject, predicate or object IRI from '<' to the
+# first '>', and ``rdfio._node`` checks the IRI class once per distinct
+# token.  It matches where the old text does, and the same way; it also
+# matches where an IRI fails the class, which the old text did not.
 
 GAP_SEED = 3011
 GAP_DUMPS = 300
@@ -293,14 +299,32 @@ def _gap_dumps() -> list[str]:
     ]
 
 
+_IRI = re.compile(query.TERM_PATTERNS["iri"])
+
+
+def _iris_in_class(m: re.Match) -> bool:
+    """Whether each IRI capture of a match of today's statement pattern is
+    in the IRI class.  A literal object's datatype IRI is matched strictly."""
+    return all(_IRI.fullmatch(token) for token in m.group("subject", "predicate", "object") if token[0] == "<")
+
+
 def _same_statement_match(text: str, pos: int) -> bool:
-    """Asserts that today's statement pattern matches at ``pos`` as the old
-    one does, its object capture being the old object's whole token;
-    returns whether they match."""
+    """Asserts the contract between today's statement pattern and its old
+    text at ``pos``; returns whether the old one matches.
+
+    (a) Where the old one matches, today's matches with the same span,
+    subject and predicate, and its object capture is the old object's
+    whole token.  (b) Where today's matches and each of its IRI captures
+    is in the IRI class, the old one matches, and so by (a) the same way.
+    (c) Where today's matches and the old one does not, some IRI capture
+    is not in the class: ``_node`` raises on it, and the statement goes to
+    the readers that report the error, as it did."""
     new, old = rdfio._STATEMENT_RE.match(text, pos), OLD_STATEMENT_RE.match(text, pos)
-    assert (new is None) == (old is None), (text, pos)
-    if new is None:
+    if new is not None and _iris_in_class(new):
+        assert old is not None, (text, pos)  # (b), and so (c)
+    if old is None:
         return False
+    assert new is not None, (text, pos)  # (a)
     assert new.span() == old.span(), (text, pos)
     assert new.group("subject", "predicate") == old.group("subject", "predicate"), (text, pos)
     if old["node"] is not None:
@@ -314,15 +338,18 @@ def _same_statement_match(text: str, pos: int) -> bool:
 
 
 def test_the_statement_pattern_matches_as_its_old_text_at_every_offset():
-    matched = literals = spaced = 0
+    matched = literals = spaced = only_today = 0
     for text in _corpus() + _gap_dumps():
         for pos in range(len(text) + 1):
+            m = rdfio._STATEMENT_RE.match(text, pos)
             if _same_statement_match(text, pos):
-                m = rdfio._STATEMENT_RE.match(text, pos)
                 matched += 1
                 literals += m["object"][0] in "\"'"
                 spaced += m["object"][0] in "\"'" and bool(re.search(r"\s(?:@|\^\^)|\^\^\s", m["object"]))
+            else:
+                only_today += m is not None
     assert matched >= 300 and literals >= 100 and spaced >= 20, (matched, literals, spaced)
+    assert only_today >= 20, only_today  # the corpus reaches (c)
 
 
 def _gap_branches() -> tuple[re.Pattern, re.Pattern]:
